@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
 EPS_GEOM = 1e-9
@@ -195,10 +196,15 @@ class Polygon:
                     return False
         return True
 
-    def bbox(self) -> tuple[float, float, float, float]:
+    @cached_property
+    def _bbox(self) -> tuple[float, float, float, float]:
         xs = [v.x for v in self.vertices]
         ys = [v.y for v in self.vertices]
         return min(xs), min(ys), max(xs), max(ys)
+
+    def bbox(self) -> tuple[float, float, float, float]:
+        """(xmin, ymin, xmax, ymax), computed once per polygon."""
+        return self._bbox
 
     def translated(self, dx: float, dy: float) -> "Polygon":
         return Polygon(tuple(Point2(v.x + dx, v.y + dy) for v in self.vertices))
@@ -234,14 +240,31 @@ def ray_cast(
 ) -> float | None:
     """Distance to the first boundary hit along a compass heading, or None within max_range.
 
-    The origin must not be strictly inside any obstacle. Hits at parameter
-    <= EPS_GEOM are ignored so standing exactly on a boundary point does not
-    read as an immediate collision; collinear grazing along an edge counts
-    as a hit at the nearest overlap point.
+    The origin must not be strictly inside any obstacle; ray_cast tests that
+    on every call and raises GeometryError otherwise. ``sensing.scan`` makes
+    the same test once per scan and then casts its 8 rays through the same
+    per-ray routine without repeating it. Hits at parameter <= EPS_GEOM are
+    ignored so standing exactly on a boundary point does not read as an
+    immediate collision; collinear grazing along an edge counts as a hit at
+    the nearest overlap point.
     """
+    _require_origin_outside(origin, obstacles)
+    return _first_hit(origin, compass_deg, max_range, obstacles)
+
+
+def _require_origin_outside(origin: Point2, obstacles: Sequence[Polygon]) -> None:
     for poly in obstacles:
         if point_in_polygon(origin, poly) is PointLocation.INSIDE:
             raise GeometryError("ray origin strictly inside an obstacle")
+
+
+def _first_hit(
+    origin: Point2,
+    compass_deg: float,
+    max_range: float,
+    obstacles: Sequence[Polygon],
+) -> float | None:
+    """ray_cast without the origin test; the caller has made it."""
     ux, uy = compass_unit(compass_deg)
     ox, oy = origin
     best: float | None = None

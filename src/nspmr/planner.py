@@ -66,12 +66,16 @@ def apply_move(pos: Point2, direction: float, delta: float) -> Point2:
 
 @dataclass
 class NspmrState:
+    """One run's planner memory. ``scans`` memoizes the scan at each exact
+    position while the world is static, so a state serves one world only."""
+
     pos: Point2
     prev_dir: float | None = None
     iteration: int = 0
     used: dict[CellId, set[float]] = field(default_factory=dict)
     dead: set[CellId] = field(default_factory=set)
     trail: list[Point2] = field(default_factory=list)
+    scans: dict[Point2, SensorScan] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.trail:
@@ -138,7 +142,12 @@ def nspmr_step(state: NspmrState, world: Scenario, rules_enabled: bool = True) -
     delta = world.delta
     if distance(state.pos, world.goal) <= delta / 2:
         return state, StepEvent("goal_reached", None, state.pos)
-    scan_ = scan(state.pos, world, world.sensor_range, delta)
+    if world.is_dynamic:
+        scan_ = scan(state.pos, world, world.sensor_range, delta)
+    else:
+        scan_ = state.scans.get(state.pos)
+        if scan_ is None:
+            scan_ = state.scans[state.pos] = scan(state.pos, world, world.sensor_range, delta)
     if rules_enabled:
         candidates = filter_candidates(scan_, state, delta)
     else:

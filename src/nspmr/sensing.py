@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .geometry import Point2, Polygon, ray_cast
+from .geometry import Point2, _first_hit, _require_origin_outside
 from .world import Scenario
 
 SENSOR_COUNT = 8
@@ -48,13 +48,20 @@ class SensorScan(NamedTuple):
 
 
 def scan(pos: Point2, world: Scenario, d: float, delta: float) -> SensorScan:
-    """Range-scan the 8 lattice directions against the world's current shapes."""
+    """Range-scan the 8 lattice directions against the world's current shapes.
+
+    Raises GeometryError when pos is strictly inside an obstacle; that test
+    runs once per scan, not once per ray. The result depends only on pos and
+    the shapes, so in a static world the planner memoizes it per run
+    (``NspmrState.scans``); in a moving world every step scans afresh.
+    """
     if not d > delta > 0:
         raise ValueError("require sensing range d > delta > 0")
     shapes = world.shapes()
+    _require_origin_outside(pos, shapes)
     readings = []
     for angle in SENSOR_ANGLES:
-        hit = ray_cast(pos, angle, d, shapes)
+        hit = _first_hit(pos, angle, d, shapes)
         if hit is None:
             readings.append(SensorReading(True, d))
         else:

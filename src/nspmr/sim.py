@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import (
+    EPS_GEOM,
     Point2,
     PointLocation,
     distance,
@@ -176,7 +177,13 @@ def audit_collisions(t: Trajectory, s: Scenario) -> list[str]:
     for k in range(n):
         p = t.waypoints[k]
         for i, ob in enumerate(world.obstacles):
-            if point_in_polygon(p, ob.shape) is not PointLocation.OUTSIDE:
+            x0, y0, x1, y1 = ob.shape.bbox()
+            # beyond EPS_GEOM of the bbox a point cannot even touch the boundary
+            if (
+                x0 - EPS_GEOM <= p.x <= x1 + EPS_GEOM
+                and y0 - EPS_GEOM <= p.y <= y1 + EPS_GEOM
+                and point_in_polygon(p, ob.shape) is not PointLocation.OUTSIDE
+            ):
                 out.append(f"waypoint {k} inside obstacle {i}")
         if k < n - 1:
             q = t.waypoints[k + 1]

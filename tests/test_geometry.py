@@ -269,7 +269,7 @@ def test_ray_cast_collinear_graze_hits():
 
 
 def test_ray_cast_origin_inside_raises():
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="ray origin strictly inside an obstacle"):
         ray_cast(Point2(0.5, 0.5), 0, 1.0, [SQUARE])
 
 
@@ -340,6 +340,17 @@ def test_polygon_area_and_orientation():
     assert cw.signed_area() == pytest.approx(-1.0)
     assert not cw.is_ccw()
     assert LSHAPE.signed_area() == pytest.approx(3.0)
+
+
+def test_polygon_bbox_matches_vertices():
+    rng = random.Random(SEED + 5)
+    for poly in (SQUARE, LSHAPE, TRIANGLE):
+        for _ in range(3):
+            xs = [v.x for v in poly.vertices]
+            ys = [v.y for v in poly.vertices]
+            assert poly.bbox() == (min(xs), min(ys), max(xs), max(ys))
+            assert poly.bbox() is poly.bbox()  # computed once
+            poly = poly.translated(rng.uniform(-5, 5), rng.uniform(-5, 5))
 
 
 def test_polygon_simplicity():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from nspmr import planner
 from nspmr.geometry import Point2, Polygon, circular_diff, distance
 from nspmr.planner import (
     CellId,
@@ -19,7 +20,8 @@ from nspmr.planner import (
     select_direction,
 )
 from nspmr.sensing import SensorReading, SensorScan, scan
-from nspmr.world import Bounds, Obstacle, Scenario
+from nspmr.sim import run
+from nspmr.world import BUILTIN_NAMES, Bounds, Obstacle, Scenario, builtin_scenario
 
 SEED = 20260817
 
@@ -307,3 +309,52 @@ def test_no_reversal_between_consecutive_moves():
             prev_move = ev.direction
         else:
             prev_move = None
+
+
+# --- scan memo -------------------------------------------------------------------
+
+def _walk(s, rules_enabled=True, max_steps=1000):
+    st = NspmrState(pos=s.start)
+    visited = {s.start}
+    for _ in range(max_steps):
+        _, ev = nspmr_step(st, s, rules_enabled)
+        if ev.kind in ("goal_reached", "stuck"):
+            break
+        visited.add(ev.new_pos)
+    return st, visited
+
+
+def _count_scans(monkeypatch):
+    calls = []
+
+    def counting_scan(pos, world, d, delta):
+        calls.append(pos)
+        return scan(pos, world, d, delta)
+
+    monkeypatch.setattr(planner, "scan", counting_scan)
+    return calls
+
+
+@pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES if not builtin_scenario(n).is_dynamic])
+def test_memoized_scans_equal_fresh_scans(name, monkeypatch):
+    s = builtin_scenario(name)
+    calls = _count_scans(monkeypatch)
+    for rules in (True, False):
+        calls.clear()
+        st, visited = _walk(s, rules)
+        # one real scan per distinct position; the last one (the goal) may go unscanned
+        assert sorted(calls) == sorted(st.scans)
+        assert set(st.scans) <= visited
+        assert len(st.scans) >= len(visited) - 1
+        for pos, memo in st.scans.items():
+            assert memo == scan(pos, s, s.sensor_range, s.delta)
+
+
+def test_moving_world_scans_every_step(monkeypatch):
+    s = builtin_scenario("dynamic_crossing")
+    calls = _count_scans(monkeypatch)
+    _, res = run(s, "nspmr")
+    assert res.outcome == "goal_reached"
+    assert len(calls) == res.iterations  # one real scan per move, none from a memo
+    st, _ = _walk(s)
+    assert st.scans == {}

@@ -87,7 +87,7 @@ def test_distance_clipped_to_range():
 
 
 def test_scan_requires_position_outside_obstacles():
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="ray origin strictly inside an obstacle"):
         scan(Point2(0, 0), _world(_rect(-1, -1, 1, 1)), d=1.0, delta=0.5)
 
 

@@ -18,7 +18,7 @@ from nspmr.sim import (
     run,
     tick_duration,
 )
-from nspmr.world import Bounds, Obstacle, Scenario, ScenarioError, builtin_scenario
+from nspmr.world import BUILTIN_NAMES, Bounds, Obstacle, Scenario, ScenarioError, builtin_scenario
 
 DIAG_25 = 25 * math.sqrt(2)
 
@@ -85,11 +85,14 @@ def test_step_sizes_are_lattice_steps():
 
 
 def test_run_is_deterministic():
-    s = builtin_scenario("scenario1")
-    t1, r1 = run(s, "nspmr")
-    t2, r2 = run(s, "nspmr")
-    assert t1 == t2
-    assert r1 == r2
+    # back-to-back runs on one Scenario: nothing, such as a scan memo, leaks between them
+    for name in BUILTIN_NAMES:
+        s = builtin_scenario(name)
+        for rules in (True, False):
+            t1, r1 = run(s, "nspmr", 2000, rules_enabled=rules)
+            t2, r2 = run(s, "nspmr", 2000, rules_enabled=rules)
+            assert t1 == t2, name
+            assert r1 == r2, name
 
 
 def test_run_scenario1_reaches_goal():
@@ -174,6 +177,12 @@ def test_audit_flags_waypoint_inside():
     )
     traj = make_trajectory(s, [Point2(5, 5)], [], [])
     assert audit_collisions(traj, s) == ["waypoint 0 inside obstacle 0"]
+    # on the boundary counts as inside: a vertex, and 1e-10 outside the bbox
+    for p in (Point2(6, 6), Point2(4 - 1e-10, 5), Point2(5, 6 + 1e-10)):
+        traj = make_trajectory(s, [p], [], [])
+        assert audit_collisions(traj, s) == ["waypoint 0 inside obstacle 0"], p
+    traj = make_trajectory(s, [Point2(6 + 1e-8, 5)], [], [])
+    assert audit_collisions(traj, s) == []
 
 
 def test_audit_tracks_moving_obstacles():
