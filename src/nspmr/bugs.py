@@ -32,7 +32,6 @@ from .sim import (
     OUTCOME_GOAL,
     OUTCOME_LIMIT,
     OUTCOME_UNREACHABLE,
-    SimulationError,
     Trajectory,
     make_trajectory,
 )
@@ -279,6 +278,8 @@ def _departure_free(p: Point2, goal: Point2, rings: list[_Ring], delta: float) -
 # --- Bug1 ----------------------------------------------------------------------------
 
 def bug1_result(s: Scenario, max_iters: int) -> tuple[Trajectory, str]:
+    """Hit, circumnavigate, depart from the boundary point nearest the goal.
+    Returns (Trajectory, outcome); an exhausted budget ends in OUTCOME_LIMIT."""
     rings = _prepare(s)
     rec = _Recorder(s.start, max_iters)
     outcome = OUTCOME_LIMIT
@@ -319,14 +320,6 @@ def bug1_result(s: Scenario, max_iters: int) -> tuple[Trajectory, str]:
     return make_trajectory(s, rec.wp, rec.ev, rec.dirs), outcome
 
 
-def bug1_run(s: Scenario, max_iters: int) -> Trajectory:
-    """Hit, circumnavigate, depart from the boundary point nearest the goal."""
-    traj, outcome = bug1_result(s, max_iters)
-    if outcome == OUTCOME_LIMIT:
-        raise SimulationError(f"iteration budget {max_iters} exhausted")
-    return traj
-
-
 # --- Bug2 ----------------------------------------------------------------------------
 
 def _mline_crossing(a: Point2, b: Point2, start: Point2, goal: Point2) -> Point2 | None:
@@ -352,6 +345,10 @@ def _leave_ok(x: Point2, hit_point: Point2, hit_dist: float, s: Scenario, rings,
 
 
 def bug2_result(s: Scenario, max_iters: int, *, strict_leave: bool = True, turn: str = "cw") -> tuple[Trajectory, str]:
+    """Follow the start-goal line; on a hit, wall-follow until back on the
+    line strictly closer to the goal, then resume. strict_leave=False accepts
+    any departure point on the line, which can loop forever by design.
+    Returns (Trajectory, outcome); an exhausted budget ends in OUTCOME_LIMIT."""
     if turn not in ("cw", "ccw"):
         raise ValueError("turn must be 'cw' or 'ccw'")
     rings = _prepare(s)
@@ -388,12 +385,3 @@ def bug2_result(s: Scenario, max_iters: int, *, strict_leave: bool = True, turn:
             break
     return make_trajectory(s, rec.wp, rec.ev, rec.dirs), outcome
 
-
-def bug2_run(s: Scenario, max_iters: int, *, strict_leave: bool = True, turn: str = "cw") -> Trajectory:
-    """Follow the start-goal line; on a hit, wall-follow until back on the
-    line strictly closer to the goal, then resume. strict_leave=False accepts
-    any departure point on the line, which can loop forever by design."""
-    traj, outcome = bug2_result(s, max_iters, strict_leave=strict_leave, turn=turn)
-    if outcome == OUTCOME_LIMIT:
-        raise SimulationError(f"iteration budget {max_iters} exhausted")
-    return traj

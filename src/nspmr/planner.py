@@ -71,7 +71,6 @@ class NspmrState:
 
     pos: Point2
     prev_dir: float | None = None
-    iteration: int = 0
     used: dict[CellId, set[float]] = field(default_factory=dict)
     dead: set[CellId] = field(default_factory=set)
     trail: list[Point2] = field(default_factory=list)
@@ -161,7 +160,6 @@ def nspmr_step(state: NspmrState, world: Scenario, rules_enabled: bool = True) -
         state.trail.append(new_pos)
         state.pos = new_pos
         state.prev_dir = direction
-        state.iteration += 1
         return state, StepEvent("moved", direction, new_pos)
     if not rules_enabled or len(state.trail) <= 1:
         return state, StepEvent("stuck", None, state.pos)
@@ -176,5 +174,4 @@ def nspmr_step(state: NspmrState, world: Scenario, rules_enabled: bool = True) -
     state.used.setdefault(cell, set()).add(back_dir)
     state.pos = back_to
     state.prev_dir = None
-    state.iteration += 1
     return state, StepEvent("backtracked", back_dir, back_to)

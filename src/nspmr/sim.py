@@ -8,8 +8,6 @@ not undercharged.
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass
 
 from .geometry import (
@@ -21,7 +19,14 @@ from .geometry import (
     segment_intersection,
 )
 from .planner import NspmrState, nspmr_step, quantize
-from .world import Scenario, ScenarioError, step_dynamics, validate_scenario
+from .world import (
+    Scenario,
+    ScenarioError,
+    _lattice_path,
+    _lattice_shape,
+    step_dynamics,
+    validate_scenario,
+)
 
 PLANNERS = ("nspmr", "bug1", "bug2")
 
@@ -59,9 +64,7 @@ def tick_duration(s: Scenario) -> float:
 
 def iteration_ceiling(s: Scenario) -> int:
     """8 departures per lattice cell inside bounds: an upper bound on moves."""
-    res = s.delta / 2
-    nx = int(round((s.bounds.xmax - s.bounds.xmin) / res)) + 1
-    ny = int(round((s.bounds.ymax - s.bounds.ymin) / res)) + 1
+    nx, ny = _lattice_shape(s.bounds, s.delta / 2)
     return 8 * nx * ny
 
 
@@ -202,49 +205,4 @@ def grid_oracle(s: Scenario, resolution: float) -> float | None:
     disconnects them. A lower-bound reference: the grid ignores clearance."""
     if not resolution > 0:
         raise ValueError("resolution must be positive")
-    b = s.bounds
-    nx = int(round((b.xmax - b.xmin) / resolution)) + 1
-    ny = int(round((b.ymax - b.ymin) / resolution)) + 1
-    blocked = [[False] * ny for _ in range(nx)]
-    for ob in s.obstacles:
-        x0, y0, x1, y1 = ob.shape.bbox()
-        i0 = max(0, math.ceil((x0 - b.xmin) / resolution - 1e-9))
-        i1 = min(nx - 1, math.floor((x1 - b.xmin) / resolution + 1e-9))
-        j0 = max(0, math.ceil((y0 - b.ymin) / resolution - 1e-9))
-        j1 = min(ny - 1, math.floor((y1 - b.ymin) / resolution + 1e-9))
-        for i in range(i0, i1 + 1):
-            x = b.xmin + i * resolution
-            for j in range(j0, j1 + 1):
-                if not blocked[i][j]:
-                    p = Point2(x, b.ymin + j * resolution)
-                    if point_in_polygon(p, ob.shape) is not PointLocation.OUTSIDE:
-                        blocked[i][j] = True
-
-    def node(p: Point2):
-        i = int(round((p.x - b.xmin) / resolution))
-        j = int(round((p.y - b.ymin) / resolution))
-        return (i, j) if 0 <= i < nx and 0 <= j < ny else None
-
-    src, dst = node(s.start), node(s.goal)
-    if src is None or dst is None or blocked[src[0]][src[1]] or blocked[dst[0]][dst[1]]:
-        return None
-    diag = resolution * math.sqrt(2)
-    dist = {src: 0.0}
-    heap = [(0.0, src)]
-    while heap:
-        d, (ci, cj) = heapq.heappop(heap)
-        if (ci, cj) == dst:
-            return d
-        if d > dist.get((ci, cj), math.inf):
-            continue
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                if di == 0 and dj == 0:
-                    continue
-                ni, nj = ci + di, cj + dj
-                if 0 <= ni < nx and 0 <= nj < ny and not blocked[ni][nj]:
-                    nd = d + (diag if di and dj else resolution)
-                    if nd < dist.get((ni, nj), math.inf) - 1e-15:
-                        dist[(ni, nj)] = nd
-                        heapq.heappush(heap, (nd, (ni, nj)))
-    return None
+    return _lattice_path(s, resolution, 0.0)

@@ -6,10 +6,10 @@ A scenario is immutable; advancing moving obstacles produces a new scenario
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
@@ -439,46 +439,72 @@ def _make_shape(rng: random.Random, kind: str, spec: WorldSpec) -> Polygon:
     raise ScenarioError(f"unknown obstacle kind {kind!r}")
 
 
-def _grid_reachable(s: Scenario, resolution: float, clearance: float) -> bool:
-    """8-connected BFS over the lattice; nodes within clearance of any obstacle are blocked."""
+def _lattice_shape(b: Bounds, resolution: float) -> tuple[int, int]:
+    """Node counts (nx, ny) of the lattice with spacing resolution anchored at (xmin, ymin)."""
+    return (
+        int(round((b.xmax - b.xmin) / resolution)) + 1,
+        int(round((b.ymax - b.ymin) / resolution)) + 1,
+    )
+
+
+def _lattice_path(s: Scenario, resolution: float, clearance: float) -> float | None:
+    """Shortest 8-connected lattice path start->goal, or None when none exists.
+
+    A node is blocked when it lies within clearance of an obstacle; with
+    clearance 0 that means on or inside it. Each obstacle is rasterized once
+    over its bbox grown by clearance; nodes are flat indices i*ny + j.
+    """
     b = s.bounds
-    nx = int(round((b.xmax - b.xmin) / resolution)) + 1
-    ny = int(round((b.ymax - b.ymin) / resolution)) + 1
+    nx, ny = _lattice_shape(b, resolution)
+    blocked = bytearray(nx * ny)
+    for poly in s.shapes():
+        x0, y0, x1, y1 = poly.bbox()
+        # the 1e-9 keeps nodes that sit on the grown bbox edge up to rounding
+        i0 = max(0, math.ceil((x0 - clearance - b.xmin) / resolution - 1e-9))
+        i1 = min(nx - 1, math.floor((x1 + clearance - b.xmin) / resolution + 1e-9))
+        j0 = max(0, math.ceil((y0 - clearance - b.ymin) / resolution - 1e-9))
+        j1 = min(ny - 1, math.floor((y1 + clearance - b.ymin) / resolution + 1e-9))
+        for i in range(i0, i1 + 1):
+            x = b.xmin + i * resolution
+            row = i * ny
+            for j in range(j0, j1 + 1):
+                if not blocked[row + j]:
+                    p = Point2(x, b.ymin + j * resolution)
+                    if point_polygon_distance(p, poly) <= clearance:
+                        blocked[row + j] = 1
 
-    def node_of(p: Point2) -> tuple[int, int]:
-        return int(round((p.x - b.xmin) / resolution)), int(round((p.y - b.ymin) / resolution))
+    def node(p: Point2) -> int | None:
+        i = int(round((p.x - b.xmin) / resolution))
+        j = int(round((p.y - b.ymin) / resolution))
+        return i * ny + j if 0 <= i < nx and 0 <= j < ny else None
 
-    shapes = s.shapes()
-    bboxes = [poly.bbox() for poly in shapes]
-
-    def blocked(i: int, j: int) -> bool:
-        p = Point2(b.xmin + i * resolution, b.ymin + j * resolution)
-        for poly, (x0, y0, x1, y1) in zip(shapes, bboxes):
-            if x0 - clearance <= p.x <= x1 + clearance and y0 - clearance <= p.y <= y1 + clearance:
-                if point_polygon_distance(p, poly) <= clearance:
-                    return True
-        return False
-
-    src = node_of(s.start)
-    dst = node_of(s.goal)
-    if blocked(*src) or blocked(*dst):
-        return False
-    seen = {src}
-    queue = deque([src])
-    while queue:
-        ci, cj = queue.popleft()
-        if (ci, cj) == dst:
-            return True
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                if di == 0 and dj == 0:
-                    continue
-                ni, nj = ci + di, cj + dj
-                if 0 <= ni < nx and 0 <= nj < ny and (ni, nj) not in seen:
-                    if not blocked(ni, nj):
-                        seen.add((ni, nj))
-                        queue.append((ni, nj))
-    return False
+    src, dst = node(s.start), node(s.goal)
+    if src is None or dst is None or blocked[src] or blocked[dst]:
+        return None
+    diag = resolution * math.sqrt(2)
+    moves = [
+        (di, dj, di * ny + dj, diag if di and dj else resolution)
+        for di in (-1, 0, 1)
+        for dj in (-1, 0, 1)
+        if di or dj
+    ]
+    dist = [math.inf] * (nx * ny)
+    dist[src] = 0.0
+    heap = [(0.0, src)]
+    while heap:
+        d, k = heapq.heappop(heap)
+        if k == dst:
+            return d
+        if d > dist[k]:
+            continue
+        ci, cj = divmod(k, ny)
+        for di, dj, step, cost in moves:
+            if 0 <= ci + di < nx and 0 <= cj + dj < ny and not blocked[k + step]:
+                nd = d + cost
+                if nd < dist[k + step] - 1e-15:
+                    dist[k + step] = nd
+                    heapq.heappush(heap, (nd, k + step))
+    return None
 
 
 def generate_world(seed: int, spec: WorldSpec | None = None) -> Scenario:
@@ -520,6 +546,6 @@ def generate_world(seed: int, spec: WorldSpec | None = None) -> Scenario:
             goal=_GEN_GOAL,
             obstacles=_static(*shapes),
         )
-        if _grid_reachable(s, s.delta / 2, s.delta / 2):
+        if _lattice_path(s, s.delta / 2, s.delta / 2) is not None:
             return s
     raise ScenarioError(f"could not generate a solvable world for seed {seed}")

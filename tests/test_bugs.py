@@ -23,7 +23,6 @@ from nspmr.sim import (
     OUTCOME_GOAL,
     OUTCOME_LIMIT,
     OUTCOME_UNREACHABLE,
-    SimulationError,
     audit_collisions,
     path_length,
     run,
@@ -31,9 +30,7 @@ from nspmr.sim import (
 from nspmr.bugs import (
     BoundaryWalk,
     bug1_result,
-    bug1_run,
     bug2_result,
-    bug2_run,
     follow_boundary,
 )
 from nspmr.world import Bounds, Obstacle, Scenario, ScenarioError, builtin_scenario
@@ -334,20 +331,20 @@ def test_start_inside_clearance_rejected():
         bug2_result(s, 1000)
 
 
-def test_budget_exhaustion_truncates_result_and_raises_in_run_api():
+def test_budget_exhaustion_truncates_result_with_limit_outcome():
     s = builtin_scenario("scenario1")
     traj, outcome = bug1_result(s, 50)
     assert outcome == OUTCOME_LIMIT
     assert len(traj.waypoints) - 1 == 50
-    with pytest.raises(SimulationError):
-        bug1_run(s, 50)
-    with pytest.raises(SimulationError):
-        bug2_run(s, 10)
+    traj, outcome = bug2_result(s, 10)
+    assert outcome == OUTCOME_LIMIT
+    assert len(traj.waypoints) - 1 == 10
 
 
-def test_run_api_returns_full_trajectory_on_success():
+def test_result_api_returns_full_trajectory_on_success():
     s = square_scene()
-    traj = bug2_run(s, 20000)
+    traj, outcome = bug2_result(s, 20000)
+    assert outcome == OUTCOME_GOAL
     assert path_length(traj) == pytest.approx(29.25, abs=1e-9)
 
 

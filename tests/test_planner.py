@@ -195,7 +195,7 @@ def test_step_reports_goal_when_within_half_delta():
     st2, ev = nspmr_step(st, w)
     assert ev.kind == "goal_reached"
     assert ev.new_pos == Point2(0, 0)
-    assert st2.iteration == 0
+    assert st2.trail == [Point2(0, 0)]
 
 
 def test_step_moves_toward_goal_and_records_memory():
@@ -206,7 +206,7 @@ def test_step_moves_toward_goal_and_records_memory():
     assert st.pos == (0.25, 0.25)
     assert st.trail == [Point2(0, 0), Point2(0.25, 0.25)]
     assert st.used[CellId(0, 0)] == {45.0}
-    assert st.prev_dir == 45.0 and st.iteration == 1
+    assert st.prev_dir == 45.0 and len(st.trail) == 2
 
 
 def test_straight_run_on_diagonal_is_shortest():

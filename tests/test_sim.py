@@ -246,6 +246,23 @@ def test_oracle_is_a_lower_bound_on_fixture_runs():
         assert res.length >= oracle - s.delta
 
 
+# grid_oracle(s, 0.25) on the builtins; a change to the lattice search must keep them
+PINNED_ORACLE = {
+    "concave_trap": 26.863961030678915,
+    "corridor_loop": 26.86396103067892,
+    "dynamic_crossing": 35.64823227814081,
+    "office_like": 22.035533905932734,
+    "scenario1": 38.8700576850888,
+    "triangle_loop": 35.35533905932736,
+}
+
+
+def test_oracle_values_are_pinned():
+    assert sorted(PINNED_ORACLE) == sorted(BUILTIN_NAMES)
+    for name, value in PINNED_ORACLE.items():
+        assert grid_oracle(builtin_scenario(name), 0.25) == pytest.approx(value, abs=1e-12), name
+
+
 def test_oracle_requires_positive_resolution():
     with pytest.raises(ValueError):
         grid_oracle(_empty(), 0)

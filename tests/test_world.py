@@ -1,5 +1,6 @@
 """Scenario model, file format, builtins, dynamics, random generation."""
 
+import hashlib
 import json
 import math
 import random
@@ -8,6 +9,7 @@ from collections import deque
 import pytest
 
 from nspmr.geometry import Point2, Polygon
+from nspmr.sim import grid_oracle
 from nspmr.world import (
     BUILTIN_NAMES,
     Bounds,
@@ -15,6 +17,7 @@ from nspmr.world import (
     Scenario,
     ScenarioError,
     WorldSpec,
+    _lattice_path,
     builtin_scenario,
     generate_world,
     parse_scenario,
@@ -378,3 +381,30 @@ def test_generate_world_always_solvable():
     for _ in range(6):
         s = generate_world(rng.randrange(10**6))
         assert oracle_reachable(s, clearance=0.25), s.name
+
+
+def test_generated_worlds_are_pinned():
+    blob = "".join(serialize_scenario(generate_world(seed)) for seed in range(20))
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    assert digest == "d3bbdfb0bb2b339451066ff369767df539975e423ea696316d4a9bf6c0b4e538"
+
+
+@pytest.mark.parametrize("clearance", [0.0, 0.25])
+def test_lattice_blocks_nodes_exactly_at_clearance(clearance):
+    # a wall across the arena with one row of lattice nodes (y = 1) in its gap:
+    # exactly clearance from both gap edges they are blocked, 1e-6 farther free
+    def rect(x0, y0, x1, y1):
+        return Obstacle(Polygon((Point2(x0, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1))))
+
+    for gap, open_ in ((clearance, False), (clearance + 1e-6, True)):
+        s = Scenario(
+            name="gap",
+            bounds=Bounds(0, 0, 4, 2),
+            start=Point2(0.5, 1),
+            goal=Point2(3.5, 1),
+            obstacles=(rect(1.75, -1, 2.25, 1 - gap), rect(1.75, 1 + gap, 2.25, 3)),
+        )
+        assert oracle_reachable(s, clearance) is open_
+        assert (_lattice_path(s, 0.25, clearance) is not None) is open_
+        if clearance == 0.0:
+            assert (grid_oracle(s, 0.25) is not None) is open_
