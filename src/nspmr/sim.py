@@ -202,7 +202,12 @@ def audit_collisions(t: Trajectory, s: Scenario) -> list[str]:
 
 def grid_oracle(s: Scenario, resolution: float) -> float | None:
     """Shortest 8-connected lattice path start->goal, or None when the grid
-    disconnects them. A lower-bound reference: the grid ignores clearance."""
+    disconnects them. A lower-bound reference: the grid ignores clearance.
+
+    The value is the shortest lattice length a*resolution + b*resolution*sqrt(2),
+    found by A* with the octile heuristic. Another search order may reach the
+    goal along another shortest path or add its steps in another order, so
+    values agree across search orders to within 1e-12, not bit for bit."""
     if not resolution > 0:
         raise ValueError("resolution must be positive")
     return _lattice_path(s, resolution, 0.0)

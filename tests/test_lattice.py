@@ -1,0 +1,190 @@
+"""The lattice kernel behind grid_oracle and generate_world: raster and search."""
+
+import heapq
+import math
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nspmr.geometry import Point2, Polygon, point_polygon_distance
+from nspmr.world import (
+    BUILTIN_NAMES,
+    Bounds,
+    Obstacle,
+    Scenario,
+    WorldSpec,
+    _lattice_blocked,
+    _lattice_path,
+    _lattice_shape,
+    _make_shape,
+    builtin_scenario,
+    generate_world,
+)
+
+RESOLUTIONS = (0.25, 0.3, 0.7)
+CLEARANCES = (0.0, 0.25)
+
+
+def _scene(bounds, *polys, start=None, goal=None):
+    b = Bounds(*bounds)
+    return Scenario(
+        name="lattice",
+        bounds=b,
+        start=start or Point2(b.xmin, b.ymin),
+        goal=goal or Point2(b.xmax, b.ymax),
+        obstacles=tuple(Obstacle(p) for p in polys),
+    )
+
+
+def _brute_blocked(s, resolution, clearance):
+    """Nodes (i, j) within clearance of some obstacle, by testing every node."""
+    b = s.bounds
+    nx, ny = _lattice_shape(b, resolution)
+    return {
+        (i, j)
+        for i in range(nx)
+        for j in range(ny)
+        if any(
+            point_polygon_distance(Point2(b.xmin + i * resolution, b.ymin + j * resolution), poly) <= clearance
+            for poly in s.shapes()
+        )
+    }
+
+
+def _assert_raster_exact(s, resolution, clearance):
+    nx, ny = _lattice_shape(s.bounds, resolution)
+    w = ny + 2
+    grid = _lattice_blocked(s, resolution, clearance)
+    assert len(grid) == (nx + 2) * w
+    ring = [k for k in range(len(grid)) if k < w or k >= (nx + 1) * w or k % w in (0, w - 1)]
+    assert all(grid[k] for k in ring)
+    got = {(i, j) for i in range(nx) for j in range(ny) if grid[(i + 1) * w + j + 1]}
+    assert got == _brute_blocked(s, resolution, clearance)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(("rect", "l", "triangle")),
+    resolution=st.sampled_from(RESOLUTIONS),
+    clearance=st.sampled_from(CLEARANCES),
+)
+def test_raster_matches_brute_force_on_random_shapes(seed, kind, resolution, clearance):
+    poly = _make_shape(random.Random(seed), kind, WorldSpec())
+    x0, y0, x1, y1 = poly.bbox()
+    # the lattice origin falls wherever the shape does, so alignment varies
+    _assert_raster_exact(_scene((x0 - 1.5, y0 - 1.5, x1 + 1.5, y1 + 1.5), poly), resolution, clearance)
+
+
+def _on_lattice_polygons(resolution, clearance):
+    """Shapes whose vertices and edges sit exactly on lattice nodes, or clearance off them."""
+    def at(i, j, dx=0.0, dy=0.0):
+        # the same float expressions as the lattice's own node coordinates
+        return Point2(i * resolution + dx, j * resolution + dy)
+
+    c = clearance
+    return [
+        # a rectangle and a diagonal triangle with every vertex on a node
+        Polygon((at(2, 2), at(5, 2), at(5, 4), at(2, 4))),
+        Polygon((at(2, 2), at(6, 2), at(6, 6))),
+        # a rectangle whose edges lie clearance off node rows and columns
+        Polygon((at(2, 2, c, c), at(5, 2, -c, c), at(5, 4, -c, -c), at(2, 4, c, -c))),
+        Polygon((at(2, 2, -c, -c), at(5, 2, c, -c), at(5, 4, c, c), at(2, 4, -c, c))),
+        # an L whose notch corner sits on a node, and a sliver thinner than a cell
+        Polygon((at(1, 1), at(6, 1), at(6, 3), at(3, 3), at(3, 6), at(1, 6))),
+        Polygon((at(1, 3, 0, 0.01), at(7, 3, 0, 0.01), at(7, 3, 0, 0.02), at(1, 3, 0, 0.02))),
+        # a shape overhanging the lattice on two sides, and one wholly outside it
+        Polygon((at(-2, -2), at(3, -2), at(3, 1, c), at(-2, 1, 0, c))),
+        Polygon((at(10, 10), at(12, 10), at(12, 12))),
+    ]
+
+
+@pytest.mark.parametrize("resolution", RESOLUTIONS)
+@pytest.mark.parametrize("clearance", CLEARANCES)
+def test_raster_matches_brute_force_on_lattice_aligned_shapes(resolution, clearance):
+    size = 8 * resolution
+    for poly in _on_lattice_polygons(resolution, clearance):
+        _assert_raster_exact(_scene((0.0, 0.0, size, size), poly), resolution, clearance)
+
+
+def _reference_path(s, resolution, clearance):
+    """The Dijkstra search the kernel used before A*, over the same raster."""
+    b = s.bounds
+    nx, ny = _lattice_shape(b, resolution)
+    grid = _lattice_blocked(s, resolution, clearance)
+    blocked = [grid[(i + 1) * (ny + 2) + j + 1] for i in range(nx) for j in range(ny)]
+
+    def node(p):
+        i = int(round((p.x - b.xmin) / resolution))
+        j = int(round((p.y - b.ymin) / resolution))
+        return i * ny + j if 0 <= i < nx and 0 <= j < ny else None
+
+    src, dst = node(s.start), node(s.goal)
+    if src is None or dst is None or blocked[src] or blocked[dst]:
+        return None
+    diag = resolution * math.sqrt(2)
+    moves = [
+        (di, dj, di * ny + dj, diag if di and dj else resolution)
+        for di in (-1, 0, 1)
+        for dj in (-1, 0, 1)
+        if di or dj
+    ]
+    dist = [math.inf] * (nx * ny)
+    dist[src] = 0.0
+    heap = [(0.0, src)]
+    while heap:
+        d, k = heapq.heappop(heap)
+        if k == dst:
+            return d
+        if d > dist[k]:
+            continue
+        ci, cj = divmod(k, ny)
+        for di, dj, step, cost in moves:
+            if 0 <= ci + di < nx and 0 <= cj + dj < ny and not blocked[k + step]:
+                nd = d + cost
+                if nd < dist[k + step] - 1e-15:
+                    dist[k + step] = nd
+                    heapq.heappush(heap, (nd, k + step))
+    return None
+
+
+def _assert_same_length(s, resolution, clearance):
+    want = _reference_path(s, resolution, clearance)
+    got = _lattice_path(s, resolution, clearance)
+    if want is None:
+        assert got is None, (s.name, resolution, clearance)
+    else:
+        assert got == pytest.approx(want, abs=1e-12), (s.name, resolution, clearance)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_search_matches_dijkstra_on_builtins(name):
+    s = builtin_scenario(name)
+    for resolution in dict.fromkeys((s.delta / 2, 0.25, 0.3, 0.7)):
+        _assert_same_length(s, resolution, 0.0)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_search_matches_dijkstra_on_generated_worlds(seed):
+    s = generate_world(seed)
+    for clearance in (0.0, s.delta / 2):
+        _assert_same_length(s, s.delta / 2, clearance)
+
+
+def test_search_returns_none_when_goal_is_walled_in():
+    # a closed ring of walls 1 m thick around the goal, with free lattice inside:
+    # no 8-connected step, at most 0.7 m per axis, can jump a wall
+    def rect(x0, y0, x1, y1):
+        return Polygon((Point2(x0, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1)))
+
+    walls = [rect(5, 5, 10, 6), rect(5, 9, 10, 10), rect(5, 6, 6, 9), rect(9, 6, 10, 9)]
+    for resolution in RESOLUTIONS:
+        closed = _scene((0, 0, 12, 12), *walls, start=Point2(1, 1), goal=Point2(7.5, 7.5))
+        assert _reference_path(closed, resolution, 0.0) is None
+        assert _lattice_path(closed, resolution, 0.0) is None
+        # the same ring with its east wall removed is open
+        open_ = _scene((0, 0, 12, 12), *walls[:3], start=Point2(1, 1), goal=Point2(7.5, 7.5))
+        assert _lattice_path(open_, resolution, 0.0) is not None
+        _assert_same_length(open_, resolution, 0.0)

@@ -1,35 +1,76 @@
 """Fingerprint the outputs of the lattice search, to compare two checkouts.
 
 Prints one SHA-256 over serialize_scenario(generate_world(seed)) for seeds
-0-499 and one over repr(grid_oracle(s, r)) for the builtins at r = delta/2,
-0.25, 0.3 and 0.7 and for seeds 0-49 at r = delta/2, plus the
-iteration_ceiling of each builtin. Two checkouts agree when the printed
-lines are equal. Run it against the source tree under test:
+0-499 and the iteration_ceiling of each builtin; two checkouts agree when
+those lines are equal. It also computes grid_oracle(s, r) for the builtins
+at r = delta/2, 0.25, 0.3 and 0.7 and for seeds 0-49 at r = delta/2. The
+oracle is a shortest lattice length, equal across search orders only to
+rounding, so its values are compared with a tolerance instead: --save
+writes them as JSON, --against compares them with a saved file at abs
+1e-12 and exits 1 on a mismatch. Run it once against each source tree, from
+this checkout, e.g. with a base checkout in ../base:
 
-    PYTHONPATH=src python tools/lattice_parity.py
+    PYTHONPATH=../base/src python tools/lattice_parity.py --save oracles.json
+    PYTHONPATH=src python tools/lattice_parity.py --against oracles.json
 """
 
+import argparse
 import hashlib
+import json
+import sys
 
 from nspmr import BUILTIN_NAMES, builtin_scenario, generate_world, grid_oracle, iteration_ceiling, serialize_scenario
 
+TOLERANCE = 1e-12
 
-def main() -> None:
+
+def mismatches(got: dict, want: dict) -> list[str]:
+    """Keys that only one side has, that are None on one side only, or that differ by more than TOLERANCE."""
+    return [
+        key
+        for key in sorted(set(got) | set(want))
+        if key not in got
+        or key not in want
+        or (got[key] is None) != (want[key] is None)
+        or (got[key] is not None and abs(got[key] - want[key]) > TOLERANCE)
+    ]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--save", metavar="PATH", help="write the oracle values to PATH as JSON")
+    parser.add_argument("--against", metavar="PATH", help="compare the oracle values with those saved in PATH")
+    args = parser.parse_args()
+
     worlds = hashlib.sha256()
-    oracles = hashlib.sha256()
+    oracles = {}
     for name in BUILTIN_NAMES:
         s = builtin_scenario(name)
-        for r in (s.delta / 2, 0.25, 0.3, 0.7):
-            oracles.update(f"{name} {r} {grid_oracle(s, r)!r}\n".encode())
+        for r in dict.fromkeys((s.delta / 2, 0.25, 0.3, 0.7)):  # delta/2 may repeat 0.25
+            oracles[f"{name} {r}"] = grid_oracle(s, r)
     for seed in range(500):
         s = generate_world(seed)
         worlds.update(serialize_scenario(s).encode())
         if seed < 50:
-            oracles.update(f"{seed} {grid_oracle(s, s.delta / 2)!r}\n".encode())
+            oracles[f"{seed} {s.delta / 2}"] = grid_oracle(s, s.delta / 2)
     print("worlds 0-499  ", worlds.hexdigest())
-    print("oracles       ", oracles.hexdigest())
     print("ceilings      ", [iteration_ceiling(builtin_scenario(n)) for n in BUILTIN_NAMES])
+    print("oracles       ", len(oracles), "values")
+    if args.save:
+        with open(args.save, "w") as f:
+            json.dump(oracles, f, indent=1, sort_keys=True)
+    if args.against:
+        with open(args.against) as f:
+            want = json.load(f)
+        bad = mismatches(oracles, want)
+        diffs = [abs(v - want[k]) for k, v in oracles.items() if v is not None and want.get(k) is not None]
+        moved = sum(d > 0 for d in diffs)
+        print(f"against        {moved} moved, max |diff| {max(diffs, default=0.0):.3g}, {len(bad)} mismatched")
+        for key in bad:
+            print("  mismatch", key, oracles.get(key), want.get(key))
+        return 1 if bad else 0
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
