@@ -19,11 +19,11 @@ from .geometry import (
     Point2,
     PointLocation,
     Polygon,
+    _closer_than,
     distance,
     math_to_compass,
     point_in_polygon,
     point_segment_distance,
-    polygon_distance,
     polygon_offset,
     point_polygon_distance,
     segment_intersection,
@@ -198,7 +198,7 @@ def _prepare(s: Scenario) -> list[_Ring]:
             raise ScenarioError(f"obstacle {i} cannot be outlined at clearance {c}: {e}") from e
     for i, a in enumerate(s.obstacles):
         for b in s.obstacles[i + 1 :]:
-            if polygon_distance(a.shape, b.shape) < 2 * c:
+            if _closer_than(a.shape, b.shape, 2 * c):
                 raise ScenarioError("obstacles closer than twice the boundary clearance")
         if point_polygon_distance(s.start, a.shape) <= c:
             raise ScenarioError("start lies within the boundary clearance of an obstacle")

@@ -214,7 +214,12 @@ class Polygon:
 
 
 def point_in_polygon(p: Point2, poly: Polygon) -> PointLocation:
-    """Classify a point against a polygon: inside, on the boundary (within EPS_GEOM), or outside."""
+    """Classify a point against a polygon: inside, on the boundary (within EPS_GEOM), or outside.
+
+    A point outside the bbox grown by EPS_GEOM is OUTSIDE with no edge test."""
+    x0, y0, x1, y1 = poly.bbox()
+    if not (x0 - EPS_GEOM <= p.x <= x1 + EPS_GEOM and y0 - EPS_GEOM <= p.y <= y1 + EPS_GEOM):
+        return PointLocation.OUTSIDE
     for a, b in poly.edges():
         if point_segment_distance(p, a, b) <= EPS_GEOM:
             return PointLocation.ON_BOUNDARY
@@ -340,6 +345,19 @@ def polygon_offset(poly: Polygon, c: float) -> Polygon:
     if not result.is_simple():
         raise GeometryError("offset polygon self-intersects; clearance too large for this shape")
     return result
+
+
+def _bbox_gap(a: Polygon, b: Polygon) -> float:
+    """Distance between the bboxes of a and b: a lower bound on polygon_distance(a, b)."""
+    ax0, ay0, ax1, ay1 = a.bbox()
+    bx0, by0, bx1, by1 = b.bbox()
+    return math.hypot(max(bx0 - ax1, ax0 - bx1, 0.0), max(by0 - ay1, ay0 - by1, 0.0))
+
+
+def _closer_than(a: Polygon, b: Polygon, margin: float) -> bool:
+    """polygon_distance(a, b) < margin, skipped when the bbox gap is at least margin + 1e-9: a slack
+    that neither rounding nor the EPS_GEOM contact tolerance of segment_intersection can cross."""
+    return _bbox_gap(a, b) < margin + 1e-9 and polygon_distance(a, b) < margin
 
 
 def polygon_distance(a: Polygon, b: Polygon) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .geometry import Point2, _first_hit, _require_origin_outside
+from .geometry import EPS_GEOM, Point2, _first_hit, _require_origin_outside
 from .world import Scenario
 
 SENSOR_COUNT = 8
@@ -50,14 +50,21 @@ class SensorScan(NamedTuple):
 def scan(pos: Point2, world: Scenario, d: float, delta: float) -> SensorScan:
     """Range-scan the 8 lattice directions against the world's current shapes.
 
-    Raises GeometryError when pos is strictly inside an obstacle; that test
-    runs once per scan, not once per ray. The result depends only on pos and
-    the shapes, so in a static world the planner memoizes it per run
+    Shapes whose bbox is out of range are dropped once per scan. Raises
+    GeometryError when pos is strictly inside an obstacle; that test runs
+    once per scan, not once per ray. The result depends only on pos and the
+    shapes, so in a static world the planner memoizes it per run
     (``NspmrState.scans``); in a moving world every step scans afresh.
     """
     if not d > delta > 0:
         raise ValueError("require sensing range d > delta > 0")
-    shapes = world.shapes()
+    x, y = pos
+    shapes = []
+    for poly in world.shapes():
+        x0, y0, x1, y1 = poly.bbox()
+        # a hit may lie EPS_GEOM * |edge| past an edge's end, and |edge| <= x1 - x0 + y1 - y0
+        if math.hypot(max(x0 - x, x - x1, 0.0), max(y0 - y, y - y1, 0.0)) <= d + EPS_GEOM * (1 + x1 - x0 + y1 - y0):
+            shapes.append(poly)
     _require_origin_outside(pos, shapes)
     readings = []
     for angle in SENSOR_ANGLES:

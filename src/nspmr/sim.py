@@ -160,9 +160,6 @@ def run(s: Scenario, planner: str, max_iters: int | None = None, *, rules_enable
 # --- safety audit ------------------------------------------------------------------
 
 def _segment_hits_polygon(a: Point2, b: Point2, poly) -> bool:
-    x0, y0, x1, y1 = poly.bbox()
-    if max(a.x, b.x) < x0 or min(a.x, b.x) > x1 or max(a.y, b.y) < y0 or min(a.y, b.y) > y1:
-        return False
     for ea, eb in poly.edges():
         if segment_intersection(a, b, ea, eb) is not None:
             return True
@@ -172,29 +169,45 @@ def _segment_hits_polygon(a: Point2, b: Point2, poly) -> bool:
 
 def audit_collisions(t: Trajectory, s: Scenario) -> list[str]:
     """Check every waypoint and segment against the obstacle poses current at
-    its timestamp; an empty list means the trajectory is safe."""
+    its timestamp; an empty list means the trajectory is safe. Each waypoint
+    and directed segment (p, q) is tested once per pose of the world, so a
+    static world audits a repeated one from memory."""
     out = []
     world = s
     dt = tick_duration(s)
     n = len(t.waypoints)
+    memo: dict = {}  # waypoint or (p, q) -> indices of the obstacles it touches in this pose
     for k in range(n):
         p = t.waypoints[k]
-        for i, ob in enumerate(world.obstacles):
-            x0, y0, x1, y1 = ob.shape.bbox()
-            # beyond EPS_GEOM of the bbox a point cannot even touch the boundary
-            if (
-                x0 - EPS_GEOM <= p.x <= x1 + EPS_GEOM
-                and y0 - EPS_GEOM <= p.y <= y1 + EPS_GEOM
-                and point_in_polygon(p, ob.shape) is not PointLocation.OUTSIDE
-            ):
-                out.append(f"waypoint {k} inside obstacle {i}")
+        found = memo.get(p)
+        if found is None:
+            found = memo[p] = []
+            for i, ob in enumerate(world.obstacles):
+                x0, y0, x1, y1 = ob.shape.bbox()
+                # beyond EPS_GEOM of the bbox a point cannot even touch the boundary
+                if (
+                    x0 - EPS_GEOM <= p.x <= x1 + EPS_GEOM
+                    and y0 - EPS_GEOM <= p.y <= y1 + EPS_GEOM
+                    and point_in_polygon(p, ob.shape) is not PointLocation.OUTSIDE
+                ):
+                    found.append(i)
+        for i in found:
+            out.append(f"waypoint {k} inside obstacle {i}")
         if k < n - 1:
             q = t.waypoints[k + 1]
-            for i, ob in enumerate(world.obstacles):
-                if _segment_hits_polygon(p, q, ob.shape):
-                    out.append(f"segment {k} intersects obstacle {i}")
+            found = memo.get((p, q))
+            if found is None:
+                found = memo[p, q] = []
+                (lox, hix), (loy, hiy) = sorted((p.x, q.x)), sorted((p.y, q.y))
+                for i, ob in enumerate(world.obstacles):
+                    x0, y0, x1, y1 = ob.shape.bbox()
+                    if hix >= x0 and lox <= x1 and hiy >= y0 and loy <= y1 and _segment_hits_polygon(p, q, ob.shape):
+                        found.append(i)
+            for i in found:
+                out.append(f"segment {k} intersects obstacle {i}")
             if world.is_dynamic:
                 world = step_dynamics(world, dt)
+                memo.clear()
     return out
 
 

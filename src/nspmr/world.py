@@ -12,6 +12,7 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .geometry import (
@@ -19,10 +20,10 @@ from .geometry import (
     Point2,
     PointLocation,
     Polygon,
+    _closer_than,
     point_in_polygon,
     point_polygon_distance,
     point_segment_distance,
-    polygon_distance,
 )
 
 DEFAULT_DELTA = 0.5
@@ -65,7 +66,7 @@ class Scenario:
     sensor_range: float = DEFAULT_SENSOR_RANGE
     speed: float = DEFAULT_SPEED
 
-    @property
+    @cached_property
     def is_dynamic(self) -> bool:
         return any(ob.moving for ob in self.obstacles)
 
@@ -585,7 +586,7 @@ def generate_world(seed: int, spec: WorldSpec | None = None) -> Scenario:
                     continue
                 if point_polygon_distance(_GEN_GOAL, cand) < margin:
                     continue
-                if any(polygon_distance(cand, other) < margin for other in shapes):
+                if any(_closer_than(cand, other, margin) for other in shapes):
                     continue
                 shapes.append(cand)
                 placed = True

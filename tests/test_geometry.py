@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nspmr.geometry import (
     EPS_GEOM,
@@ -10,6 +12,8 @@ from nspmr.geometry import (
     Point2,
     Polygon,
     PointLocation,
+    _bbox_gap,
+    _closer_than,
     circular_diff,
     compass_unit,
     math_to_compass,
@@ -21,6 +25,7 @@ from nspmr.geometry import (
     ray_cast,
     segment_intersection,
 )
+from nspmr.world import WorldSpec, _make_shape
 
 SEED = 20260817
 
@@ -238,6 +243,40 @@ def test_point_in_polygon_random_vs_winding_oracle():
         assert n > 1000
 
 
+def full_classification(p, poly):
+    """point_in_polygon without its bbox early return: every edge, then the crossings."""
+    for a, b in poly.edges():
+        if point_segment_distance(p, a, b) <= EPS_GEOM:
+            return PointLocation.ON_BOUNDARY
+    inside = False
+    verts = poly.vertices
+    j = len(verts) - 1
+    for i in range(len(verts)):
+        yi, yj = verts[i].y, verts[j].y
+        if (yi > p.y) != (yj > p.y):
+            if p.x < verts[i].x + (p.y - yi) * (verts[j].x - verts[i].x) / (yj - yi):
+                inside = not inside
+        j = i
+    return PointLocation.INSIDE if inside else PointLocation.OUTSIDE
+
+
+def test_point_in_polygon_bbox_early_return_agrees_near_each_side():
+    shapes = [SQUARE, LSHAPE, TRIANGLE, LSHAPE.translated(0.3, -7.1), TRIANGLE.translated(12.7, 3.3)]
+    n = 0
+    for poly in shapes:
+        x0, y0, x1, y1 = poly.bbox()
+        xs = sorted({x0, x1, 0.5 * (x0 + x1)} | {v.x for v in poly.vertices})
+        ys = sorted({y0, y1, 0.5 * (y0 + y1)} | {v.y for v in poly.vertices})
+        for off in (1e-10, -1e-10, 1e-8, -1e-8):
+            # off > 0 lies outside the side, off < 0 inside it
+            pts = [Point2(x0 - off, y) for y in ys] + [Point2(x1 + off, y) for y in ys]
+            pts += [Point2(x, y0 - off) for x in xs] + [Point2(x, y1 + off) for x in xs]
+            for p in pts:
+                assert point_in_polygon(p, poly) is full_classification(p, poly), (poly, p)
+                n += 1
+    assert n > 200
+
+
 # --- ray casting ---------------------------------------------------------------
 
 def test_ray_cast_axis_aligned_wall():
@@ -370,3 +409,31 @@ def test_polygon_distance():
 def test_point_segment_distance():
     assert point_segment_distance(Point2(0, 1), Point2(-1, 0), Point2(1, 0)) == pytest.approx(1)
     assert point_segment_distance(Point2(3, 0), Point2(-1, 0), Point2(1, 0)) == pytest.approx(2)
+
+
+# offsets exactly at the margins that callers test, and at the contact tolerance
+_GAP_OFFSETS = st.one_of(st.sampled_from((0.0, 1e-9, 0.25, 1.0)), st.floats(-1.0, 2.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+    kinds=st.tuples(*[st.sampled_from(("rect", "l", "triangle"))] * 2),
+    dx=_GAP_OFFSETS,
+    dy=_GAP_OFFSETS,
+)
+# a gap of exactly 1.0 over which polygon_distance reads 0.9999999999999996
+@example(seeds=(239, 0), kinds=("rect", "rect"), dx=0.0, dy=1.0)
+def test_bbox_gap_bounds_polygon_distance_and_culls_exactly(seeds, kinds, dx, dy):
+    a, b = (_make_shape(random.Random(seed), kind, WorldSpec()) for seed, kind in zip(seeds, kinds))
+    # put b's lower-left bbox corner at (dx, dy) from a's upper-right one
+    ax0, ay0, ax1, ay1 = a.bbox()
+    bx0, by0, _, _ = b.bbox()
+    for other in (b, b.translated(ax1 + dx - bx0, ay1 + dy - by0)):
+        gap, dist = _bbox_gap(a, other), polygon_distance(a, other)
+        assert _bbox_gap(other, a) == gap
+        # a lower bound up to rounding, and up to the EPS_GEOM contact
+        # tolerance of segment_intersection, within which dist reads 0
+        assert gap <= dist + 1e-9 or (dist == 0.0 and gap < 1e-7), (gap, dist)
+        for margin in (0.25, 1.0):  # bugs._prepare at delta 0.5, and generate_world
+            assert _closer_than(a, other, margin) is (dist < margin)

@@ -4,10 +4,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nspmr.geometry import GeometryError, Point2, Polygon
-from nspmr.sensing import SENSOR_ANGLES, SensorScan, blocking_threshold, scan, step_length
-from nspmr.world import Bounds, Obstacle, Scenario
+from nspmr.geometry import EPS_GEOM, GeometryError, Point2, Polygon, _first_hit, _require_origin_outside
+from nspmr.sensing import SENSOR_ANGLES, SensorReading, SensorScan, blocking_threshold, scan, step_length
+from nspmr.world import Bounds, Obstacle, Scenario, generate_world
 
 from test_geometry import oracle_ray_edges
 
@@ -155,3 +157,42 @@ def test_scan_deterministic():
     a = scan(Point2(0.3, -0.7), _world(*polys), d=1.0, delta=0.5)
     b = scan(Point2(0.3, -0.7), _world(*polys), d=1.0, delta=0.5)
     assert a == b
+
+
+def _unculled_scan(pos, world, d, delta):
+    """scan without its range cull: the origin test and all 8 rays against every shape."""
+    shapes = world.shapes()
+    _require_origin_outside(pos, shapes)
+    readings = []
+    for angle in SENSOR_ANGLES:
+        hit = _first_hit(pos, angle, d, shapes)
+        readings.append(SensorReading(True, d) if hit is None else SensorReading(hit > blocking_threshold(angle, delta), hit))
+    return SensorScan(tuple(readings))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 499),
+    d=st.sampled_from((1.0, 10.0, 20.0)),
+    data=st.data(),
+)
+def test_range_cull_leaves_scans_unchanged(seed, d, data):
+    world = generate_world(seed)
+    b = world.bounds
+    if data.draw(st.booleans(), label="near a bbox"):
+        # on a side of some obstacle's bbox, EPS_GEOM off it, or d (+-EPS_GEOM) out from it
+        x0, y0, x1, y1 = data.draw(st.sampled_from(world.shapes()), label="shape").bbox()
+        along = data.draw(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.0), label="along")
+        out = data.draw(st.sampled_from((0.0, EPS_GEOM, -EPS_GEOM, d, d + EPS_GEOM, d - EPS_GEOM)), label="out")
+        side = data.draw(st.sampled_from("WESN"), label="side")
+        x, y = x0 + along * (x1 - x0), y0 + along * (y1 - y0)
+        pos = {"W": Point2(x0 - out, y), "E": Point2(x1 + out, y), "S": Point2(x, y0 - out), "N": Point2(x, y1 + out)}[side]
+    else:
+        pos = Point2(data.draw(st.floats(b.xmin, b.xmax), label="x"), data.draw(st.floats(b.ymin, b.ymax), label="y"))
+    try:
+        want = _unculled_scan(pos, world, d, 0.5)
+    except GeometryError:
+        with pytest.raises(GeometryError, match="ray origin strictly inside an obstacle"):
+            scan(pos, world, d, 0.5)
+        return
+    assert scan(pos, world, d, 0.5) == want

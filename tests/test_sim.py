@@ -1,10 +1,12 @@
 """Run loop, metrics, collision audit, grid oracle."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
-from nspmr.geometry import Point2, Polygon
+from nspmr import sim
+from nspmr.geometry import Point2, PointLocation, Polygon, point_in_polygon, segment_intersection
 from nspmr.sim import (
     RunResult,
     SimulationError,
@@ -18,7 +20,7 @@ from nspmr.sim import (
     run,
     tick_duration,
 )
-from nspmr.world import BUILTIN_NAMES, Bounds, Obstacle, Scenario, ScenarioError, builtin_scenario
+from nspmr.world import BUILTIN_NAMES, Bounds, Obstacle, Scenario, ScenarioError, builtin_scenario, step_dynamics
 
 DIAG_25 = 25 * math.sqrt(2)
 
@@ -210,6 +212,101 @@ def test_dynamic_crossing_run_is_collision_free():
     assert res.outcome == "goal_reached"
     assert res.length > DIAG_25  # it had to give way
     assert audit_collisions(traj, s) == []
+
+
+def _reference_audit(t, s):
+    """audit_collisions without its memo: every waypoint and segment tested afresh."""
+
+    def segment_hits(a, b, poly):
+        x0, y0, x1, y1 = poly.bbox()
+        if max(a.x, b.x) < x0 or min(a.x, b.x) > x1 or max(a.y, b.y) < y0 or min(a.y, b.y) > y1:
+            return False
+        if any(segment_intersection(a, b, ea, eb) is not None for ea, eb in poly.edges()):
+            return True
+        mid = Point2((a.x + b.x) / 2, (a.y + b.y) / 2)
+        return point_in_polygon(mid, poly) is PointLocation.INSIDE
+
+    out = []
+    world = s
+    n = len(t.waypoints)
+    for k, p in enumerate(t.waypoints):
+        for i, ob in enumerate(world.obstacles):
+            if point_in_polygon(p, ob.shape) is not PointLocation.OUTSIDE:
+                out.append(f"waypoint {k} inside obstacle {i}")
+        if k < n - 1:
+            for i, ob in enumerate(world.obstacles):
+                if segment_hits(p, t.waypoints[k + 1], ob.shape):
+                    out.append(f"segment {k} intersects obstacle {i}")
+            if world.is_dynamic:
+                world = step_dynamics(world, tick_duration(s))
+    return out
+
+
+def _walk(s, pts):
+    return make_trajectory(s, pts, ["moved"] * (len(pts) - 1), [0.0] * (len(pts) - 1))
+
+
+@pytest.mark.parametrize("name", ["concave_trap", "corridor_loop", "triangle_loop"])
+def test_memoized_audit_matches_reference_on_revisiting_runs(name):
+    s = builtin_scenario(name)
+    for rules in (True, False):
+        traj, _ = run(s, "nspmr", 2000, rules_enabled=rules)
+        assert len(set(traj.waypoints)) < len(traj.waypoints)  # it revisits nodes
+        assert audit_collisions(traj, s) == _reference_audit(traj, s) == []
+        # inject collisions: a box on the most visited node, whose sides pass
+        # through its lattice neighbours and run along the segments between them
+        p = max(set(traj.waypoints), key=traj.waypoints.count)
+        h = s.delta / 2
+        boxed = replace(s, obstacles=s.obstacles + (Obstacle(_rect(p.x - h, p.y - h, p.x + h, p.y + h)),))
+        out = audit_collisions(traj, boxed)
+        assert out == _reference_audit(traj, boxed)
+        assert len(out) > traj.waypoints.count(p)
+
+
+def test_memoized_audit_matches_reference_on_reversed_segments():
+    s = Scenario(
+        name="a",
+        bounds=Bounds(-2, -2, 27, 27),
+        start=Point2(0, 0),
+        goal=Point2(25, 25),
+        obstacles=(Obstacle(_rect(4, 4, 6, 6)), Obstacle(_rect(6, 6, 7, 7))),
+    )
+    # through a box, along its side, across the corner the two boxes share,
+    # and back over each of them, so every segment also appears reversed
+    legs = [Point2(3, 5), Point2(7, 5), Point2(7, 6), Point2(5, 6), Point2(8, 8), Point2(6 + 1e-10, 3)]
+    pts = legs + legs[-2::-1] + legs[1:]
+    out = audit_collisions(_walk(s, pts), s)
+    assert out == _reference_audit(_walk(s, pts), s)
+    assert "segment 0 intersects obstacle 0" in out and "waypoint 3 inside obstacle 0" in out
+
+
+def test_audit_tests_each_distinct_query_once_per_world_pose(monkeypatch):
+    calls = []
+
+    def counting(p, poly):
+        calls.append(p)
+        return point_in_polygon(p, poly)
+
+    monkeypatch.setattr(sim, "point_in_polygon", counting)
+    # two waypoints in one box's bbox, visited over and over
+    a, b = Point2(3.9, 5), Point2(4.1, 5.2)
+    static = Scenario("a", Bounds(-2, -2, 27, 27), Point2(0, 0), Point2(25, 25), (Obstacle(_rect(4, 4, 6, 6)),))
+    audit_collisions(_walk(static, [a, b, a, b]), static)
+    once = len(calls)
+    calls.clear()
+    out = audit_collisions(_walk(static, [a, b] * 50), static)
+    assert len(calls) == once
+    assert out == _reference_audit(_walk(static, [a, b] * 50), static)
+    # a moving world tests again at every tick, and no result may carry over
+    # from one tick to the next: the climbing box reaches the lower waypoint
+    # at tick 4, which was clear at ticks 0 and 2
+    moving = replace(static, obstacles=(Obstacle(_rect(4, 4, 6, 6), (0.0, 1.5)),))
+    pts = [Point2(5, 6.1), Point2(5, 6.2)] * 10
+    calls.clear()
+    out = audit_collisions(_walk(moving, pts), moving)
+    assert len(calls) > once * 5
+    assert out == _reference_audit(_walk(moving, pts), moving)
+    assert out[:2] == ["segment 3 intersects obstacle 0", "waypoint 4 inside obstacle 0"]
 
 
 # --- grid oracle ------------------------------------------------------------------
