@@ -31,8 +31,8 @@ def main():
         r = reading.reading(angle)
         print(f"{angle:>3.0f}   {str(r.free):5}  {r.dist:7.3f}")
 
-    state = NspmrState(pos=pos)
-    candidates = filter_candidates(reading, state, s.delta)
+    state = NspmrState(start=pos)
+    candidates = filter_candidates(reading, state)
     choice = select_direction(candidates, theta, reading)
     print(f"\ncandidates after the priority rules: {[f'{c:.0f}' for c in candidates]}")
     print(f"selected direction: {choice:.0f} deg")

@@ -1,11 +1,13 @@
 """Step planner: desired heading, priority-rule filtering, selection, memory.
 
-Movement is restricted to 8 compass directions on a delta/2 lattice. Three
-rules keep the walk out of loops:
+Movement is restricted to 8 compass directions on a delta/2 lattice anchored
+at the run's start: the robot's node is integers (i, j) relative to the start,
+and its position is start + (i, j) * delta/2, computed from the node, never
+accumulated step by step. Three rules keep the walk out of loops:
   I   never reverse the previous move directly;
-  II  never leave the same lattice cell twice in the same direction;
-  III when nothing remains, mark the cell dead and step back along the trail.
-The dead-cell set and per-cell direction memory make every run terminate.
+  II  never leave the same lattice node twice in the same direction;
+  III when nothing remains, mark the node dead and step back along the trail.
+The dead-node set and per-node direction memory make every run terminate.
 """
 
 from __future__ import annotations
@@ -14,14 +16,13 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .geometry import Point2, circular_diff, distance, math_to_compass
+from .geometry import Point2, distance, math_to_compass
 from .sensing import SENSOR_ANGLES, SensorScan, scan
 from .world import Scenario
 
 DIRECTIONS = SENSOR_ANGLES
 
-# Table of per-direction displacement signs; each move is (sx, sy) * delta/2,
-# kept exact so positions stay on the lattice in floating point.
+# Table of per-direction node displacements; each move is (sx, sy) * delta/2.
 _SIGNS = {
     0.0: (0, 1),
     45.0: (1, 1),
@@ -32,19 +33,14 @@ _SIGNS = {
     270.0: (-1, 0),
     315.0: (-1, 1),
 }
+# (angle, signs) in sensor order, each direction's reverse, its sensor index,
+# and the direction of each one-node displacement
+_MOVES = tuple((a, _SIGNS[a]) for a in DIRECTIONS)
+_REVERSE = {a: (a + 180.0) % 360.0 for a in DIRECTIONS}
+_INDEX = {a: k for k, a in enumerate(DIRECTIONS)}
+_DIRECTION_OF = {signs: a for a, signs in _SIGNS.items()}
 
-
-class CellId(NamedTuple):
-    ix: int
-    iy: int
-
-
-def quantize(pos: Point2, delta: float) -> CellId:
-    """Nearest delta/2 lattice node; points within delta/4 of a node share a cell."""
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    half = delta / 2
-    return CellId(round(pos.x / half), round(pos.y / half))
+Node = tuple[int, int]
 
 
 def desired_angle(pos: Point2, goal: Point2) -> float:
@@ -66,19 +62,24 @@ def apply_move(pos: Point2, direction: float, delta: float) -> Point2:
 
 @dataclass
 class NspmrState:
-    """One run's planner memory. ``scans`` memoizes the scan at each exact
-    position while the world is static, so a state serves one world only."""
+    """One run's planner memory on the lattice anchored at ``start``.
 
-    pos: Point2
+    ``node`` is the robot's node (i, j); ``trail`` is the node path that rule
+    III retraces. Rule II memory ``used``, the dead set ``dead`` and the scan
+    memo ``scans`` key on nodes too. ``scans`` holds each node's scan while
+    the world is static, so a state serves one world only."""
+
+    start: Point2
     prev_dir: float | None = None
-    used: dict[CellId, set[float]] = field(default_factory=dict)
-    dead: set[CellId] = field(default_factory=set)
-    trail: list[Point2] = field(default_factory=list)
-    scans: dict[Point2, SensorScan] = field(default_factory=dict)
+    node: Node = (0, 0)
+    used: dict[Node, set[float]] = field(default_factory=dict)
+    dead: set[Node] = field(default_factory=set)
+    trail: list[Node] = field(default_factory=list)
+    scans: dict[Node, SensorScan] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.trail:
-            self.trail = [self.pos]
+            self.trail = [self.node]
 
 
 class StepEvent(NamedTuple):
@@ -87,22 +88,22 @@ class StepEvent(NamedTuple):
     new_pos: Point2
 
 
-def filter_candidates(scan_: SensorScan, state: NspmrState, delta: float) -> list[float]:
-    """Free directions that survive rules I (no reversal), II (cell memory),
-    and III (never step into a dead cell)."""
-    cell_used = state.used.get(quantize(state.pos, delta), ())
+def filter_candidates(scan_: SensorScan, state: NspmrState) -> list[float]:
+    """Free directions that survive rules I (no reversal), II (node memory),
+    and III (never step into a dead node)."""
+    i, j = node = state.node
+    node_used = state.used.get(node, ())
+    dead = state.dead
+    back = _REVERSE.get(state.prev_dir)
     out = []
-    for i, reading in enumerate(scan_.readings):
-        angle = DIRECTIONS[i]
-        if not reading.free:
-            continue
-        if state.prev_dir is not None and circular_diff(angle, state.prev_dir) == 180:
-            continue
-        if angle in cell_used:
-            continue
-        if quantize(apply_move(state.pos, angle, delta), delta) in state.dead:
-            continue
-        out.append(angle)
+    for (angle, (sx, sy)), reading in zip(_MOVES, scan_.readings):
+        if (
+            reading.free
+            and angle != back
+            and angle not in node_used
+            and not (dead and (i + sx, j + sy) in dead)
+        ):
+            out.append(angle)
     return out
 
 
@@ -116,62 +117,54 @@ def select_direction(candidates: list[float], theta_d: float, scan_: SensorScan)
     the longer measured distance, then to the lower sensor index."""
     if not candidates:
         raise ValueError("no candidate directions")
-    return min(
-        candidates,
-        key=lambda a: (circular_diff(a, theta_d), -scan_.reading(a).dist, a),
-    )
-
-
-def _reverse(direction: float) -> float:
-    return (direction + 180.0) % 360.0
-
-
-def _lattice_direction(src: Point2, dst: Point2, delta: float) -> float:
-    half = delta / 2
-    sx = round((dst.x - src.x) / half)
-    sy = round((dst.y - src.y) / half)
-    for angle, signs in _SIGNS.items():
-        if signs == (sx, sy):
-            return angle
-    raise ValueError("points are not one lattice step apart")
+    readings = scan_.readings
+    best = best_key = None
+    for a in candidates:
+        d = abs(a - theta_d) % 360.0  # circular_diff(a, theta_d)
+        key = (min(d, 360.0 - d), -readings[_INDEX[a]].dist, a)
+        if best_key is None or key < best_key:
+            best, best_key = a, key
+    return best
 
 
 def nspmr_step(state: NspmrState, world: Scenario, rules_enabled: bool = True) -> tuple[NspmrState, StepEvent]:
     """Advance one iteration; mutates and returns the state with the event."""
     delta = world.delta
-    if distance(state.pos, world.goal) <= delta / 2:
-        return state, StepEvent("goal_reached", None, state.pos)
+    half = delta / 2
+    x0, y0 = state.start
+    i, j = node = state.node
+    pos = Point2(x0 + i * half, y0 + j * half)
+    if distance(pos, world.goal) <= half:
+        return state, StepEvent("goal_reached", None, pos)
     if world.is_dynamic:
-        scan_ = scan(state.pos, world, world.sensor_range, delta)
+        scan_ = scan(pos, world, world.sensor_range, delta)
     else:
-        scan_ = state.scans.get(state.pos)
+        scan_ = state.scans.get(node)
         if scan_ is None:
-            scan_ = state.scans[state.pos] = scan(state.pos, world, world.sensor_range, delta)
+            scan_ = state.scans[node] = scan(pos, world, world.sensor_range, delta)
     if rules_enabled:
-        candidates = filter_candidates(scan_, state, delta)
+        candidates = filter_candidates(scan_, state)
     else:
         candidates = free_directions(scan_)
     if candidates:
-        direction = select_direction(candidates, desired_angle(state.pos, world.goal), scan_)
-        cell = quantize(state.pos, delta)
-        new_pos = apply_move(state.pos, direction, delta)
+        direction = select_direction(candidates, desired_angle(pos, world.goal), scan_)
+        sx, sy = _SIGNS[direction]
+        i, j = state.node = (i + sx, j + sy)
         if rules_enabled:
-            state.used.setdefault(cell, set()).add(direction)
-        state.trail.append(new_pos)
-        state.pos = new_pos
+            state.used.setdefault(node, set()).add(direction)
+        state.trail.append(state.node)
         state.prev_dir = direction
-        return state, StepEvent("moved", direction, new_pos)
+        return state, StepEvent("moved", direction, Point2(x0 + i * half, y0 + j * half))
     if not rules_enabled or len(state.trail) <= 1:
-        return state, StepEvent("stuck", None, state.pos)
-    # rule III: retire this cell and retrace one step of the trail
-    cell = quantize(state.pos, delta)
-    if cell != quantize(world.goal, delta):
-        state.dead.add(cell)
+        return state, StepEvent("stuck", None, pos)
+    # rule III: retire this node and retrace one step of the trail. The goal's
+    # own node is never retired: it lies within delta/4 of the goal on each
+    # axis, so within delta/2, and the run has stopped there already.
+    state.dead.add(node)
     state.trail.pop()
-    back_to = state.trail[-1]
-    back_dir = _lattice_direction(state.pos, back_to, delta)
+    i, j = state.node = state.trail[-1]
+    back_dir = _DIRECTION_OF[i - node[0], j - node[1]]
     # the departure consumed by the retreat is recorded like any other
-    state.used.setdefault(cell, set()).add(back_dir)
-    state.pos = back_to
+    state.used.setdefault(node, set()).add(back_dir)
     state.prev_dir = None
-    return state, StepEvent("backtracked", back_dir, back_to)
+    return state, StepEvent("backtracked", back_dir, Point2(x0 + i * half, y0 + j * half))

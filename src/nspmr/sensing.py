@@ -53,7 +53,7 @@ def scan(pos: Point2, world: Scenario, d: float, delta: float) -> SensorScan:
     Shapes whose bbox is out of range are dropped once per scan. Raises
     GeometryError when pos is strictly inside an obstacle; that test runs
     once per scan, not once per ray. The result depends only on pos and the
-    shapes, so in a static world the planner memoizes it per run
+    shapes, so in a static world the planner memoizes it per lattice node
     (``NspmrState.scans``); in a moving world every step scans afresh.
     """
     if not d > delta > 0:

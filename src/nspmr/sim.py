@@ -8,6 +8,7 @@ not undercharged.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .geometry import (
@@ -18,7 +19,7 @@ from .geometry import (
     point_in_polygon,
     segment_intersection,
 )
-from .planner import NspmrState, nspmr_step, quantize
+from .planner import NspmrState, nspmr_step
 from .world import (
     Scenario,
     ScenarioError,
@@ -93,7 +94,7 @@ def make_trajectory(s: Scenario, waypoints, events, directions) -> Trajectory:
 
 def _run_nspmr(s: Scenario, max_iters: int, rules_enabled: bool):
     dt = tick_duration(s)
-    state = NspmrState(pos=s.start)
+    state = NspmrState(start=s.start)
     world = s
     waypoints = [s.start]
     events: list[str] = []
@@ -141,11 +142,14 @@ def run(s: Scenario, planner: str, max_iters: int | None = None, *, rules_enable
     if problems:
         raise SimulationError("collision audit failed: " + "; ".join(problems[:3]))
     length = path_length(traj)
-    moved_departures: dict = {}
-    for src, kind in zip(traj.waypoints, traj.events):
-        if kind == "moved":
-            cell = quantize(src, s.delta)
-            moved_departures[cell] = moved_departures.get(cell, 0) + 1
+    # planned departures per node of the delta/2 lattice anchored at the start
+    half = s.delta / 2
+    x0, y0 = s.start
+    moved_departures = Counter(
+        (round((p.x - x0) / half), round((p.y - y0) / half))
+        for p, kind in zip(traj.waypoints, traj.events)
+        if kind == "moved"
+    )
     result = RunResult(
         outcome=outcome,
         length=length,

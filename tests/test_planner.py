@@ -2,13 +2,14 @@
 
 import math
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from nspmr import planner
 from nspmr.geometry import Point2, Polygon, circular_diff, distance
 from nspmr.planner import (
-    CellId,
     DIRECTIONS,
     NspmrState,
     apply_move,
@@ -16,11 +17,10 @@ from nspmr.planner import (
     filter_candidates,
     free_directions,
     nspmr_step,
-    quantize,
     select_direction,
 )
 from nspmr.sensing import SensorReading, SensorScan, scan
-from nspmr.sim import run
+from nspmr.sim import iteration_ceiling, run
 from nspmr.world import BUILTIN_NAMES, Bounds, Obstacle, Scenario, builtin_scenario
 
 SEED = 20260817
@@ -46,6 +46,12 @@ def _world(*polys, start=Point2(0, 0), goal=Point2(25, 25), delta=0.5, d=1.0):
     )
 
 
+def _position(start, node, delta):
+    """start + node * delta/2, the position the planner gives a node."""
+    half = delta / 2
+    return Point2(start.x + node[0] * half, start.y + node[1] * half)
+
+
 def _rect(x0, y0, x1, y1):
     return Polygon((Point2(x0, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1)))
 
@@ -63,20 +69,6 @@ def test_desired_angle_examples():
 def test_desired_angle_undefined_at_goal():
     with pytest.raises(ValueError):
         desired_angle(Point2(2, 2), Point2(2, 2))
-
-
-# --- quantize -------------------------------------------------------------------
-
-def test_quantize_examples():
-    assert quantize(Point2(0.0, 0.0), 0.5) == CellId(0, 0)
-    assert quantize(Point2(0.26, 0.0), 0.5) == CellId(1, 0)
-    assert quantize(Point2(0.24, 0.0), 0.5) == quantize(Point2(0.26, 0.0), 0.5)
-    assert quantize(Point2(-0.24, 1.3), 0.5) == CellId(-1, 5)
-
-
-def test_quantize_requires_positive_delta():
-    with pytest.raises(ValueError):
-        quantize(Point2(0, 0), 0)
 
 
 # --- apply_move -----------------------------------------------------------------
@@ -117,34 +109,34 @@ def test_apply_move_rejects_off_lattice_direction():
 # --- filter_candidates -----------------------------------------------------------
 
 def test_rule_one_removes_reversal():
-    st = NspmrState(pos=Point2(0, 0), prev_dir=0.0)
-    got = filter_candidates(ALL_FREE, st, 0.5)
+    st = NspmrState(start=Point2(0, 0), prev_dir=0.0)
+    got = filter_candidates(ALL_FREE, st)
     assert got == [0, 45, 90, 135, 225, 270, 315]
 
 
 def test_rule_two_exhaustion_empties():
-    st = NspmrState(pos=Point2(0, 0))
-    st.used[CellId(0, 0)] = set(DIRECTIONS)
-    assert filter_candidates(ALL_FREE, st, 0.5) == []
+    st = NspmrState(start=Point2(0, 0))
+    st.used[(0, 0)] = set(DIRECTIONS)
+    assert filter_candidates(ALL_FREE, st) == []
 
 
 def test_blocked_directions_removed():
     flags = [False, True, True, True, True, True, True, False]
-    st = NspmrState(pos=Point2(0, 0))
-    assert filter_candidates(_scan(flags), st, 0.5) == [45, 90, 135, 180, 225, 270]
+    st = NspmrState(start=Point2(0, 0))
+    assert filter_candidates(_scan(flags), st) == [45, 90, 135, 180, 225, 270]
 
 
 def test_rule_three_excludes_dead_neighbor_cells():
-    st = NspmrState(pos=Point2(0, 0))
-    st.dead.add(CellId(0, 1))  # the cell one step north
-    got = filter_candidates(ALL_FREE, st, 0.5)
+    st = NspmrState(start=Point2(0, 0))
+    st.dead.add((0, 1))  # the node one step north
+    got = filter_candidates(ALL_FREE, st)
     assert 0 not in got and len(got) == 7
 
 
 def test_rules_off_candidates_ignore_memory():
-    st = NspmrState(pos=Point2(0, 0), prev_dir=0.0)
-    st.used[CellId(0, 0)] = set(DIRECTIONS)
-    st.dead.add(CellId(0, 1))
+    st = NspmrState(start=Point2(0, 0), prev_dir=0.0)
+    st.used[(0, 0)] = set(DIRECTIONS)
+    st.dead.add((0, 1))
     assert free_directions(ALL_FREE) == list(DIRECTIONS)
 
 
@@ -191,27 +183,28 @@ def test_selected_difference_never_beaten(subtests=None):
 
 def test_step_reports_goal_when_within_half_delta():
     w = _world(goal=Point2(0.2, 0.0))
-    st = NspmrState(pos=Point2(0, 0))
+    st = NspmrState(start=Point2(0, 0))
     st2, ev = nspmr_step(st, w)
     assert ev.kind == "goal_reached"
     assert ev.new_pos == Point2(0, 0)
-    assert st2.trail == [Point2(0, 0)]
+    assert st2.trail == [(0, 0)]
 
 
 def test_step_moves_toward_goal_and_records_memory():
     w = _world(goal=Point2(25, 25))
-    st = NspmrState(pos=Point2(0, 0))
+    st = NspmrState(start=Point2(0, 0))
     _, ev = nspmr_step(st, w)
     assert ev.kind == "moved" and ev.direction == 45.0
-    assert st.pos == (0.25, 0.25)
-    assert st.trail == [Point2(0, 0), Point2(0.25, 0.25)]
-    assert st.used[CellId(0, 0)] == {45.0}
+    assert ev.new_pos == _position(st.start, st.node, 0.5) == (0.25, 0.25)
+    assert st.node == (1, 1)
+    assert st.trail == [(0, 0), (1, 1)]
+    assert st.used[(0, 0)] == {45.0}
     assert st.prev_dir == 45.0 and len(st.trail) == 2
 
 
 def test_straight_run_on_diagonal_is_shortest():
     w = _world(goal=Point2(2, 2))
-    st = NspmrState(pos=Point2(0, 0))
+    st = NspmrState(start=Point2(0, 0))
     moves = 0
     while True:
         _, ev = nspmr_step(st, w)
@@ -221,64 +214,66 @@ def test_straight_run_on_diagonal_is_shortest():
         moves += 1
         assert moves < 50
     assert moves == 8  # 2*sqrt(2) meters in sqrt(2)/4 steps
-    assert st.pos == (2.0, 2.0)
+    assert st.node == (8, 8) and _position(st.start, st.node, 0.5) == (2.0, 2.0)
 
 
 def test_blocked_north_northwest_picks_270():
     # goal to the northwest, bar blocking north and northwest: pick west
     w = _world(_rect(-0.6, 0.2, 0.1, 0.4), goal=Point2(-20, 20))
-    st = NspmrState(pos=Point2(0, 0))
+    st = NspmrState(start=Point2(0, 0))
     _, ev = nspmr_step(st, w)
     assert ev.kind == "moved" and ev.direction == 270.0
 
 
 def test_backtrack_marks_dead_and_retreats():
     w = _world(goal=Point2(25, 25))
-    st = NspmrState(pos=Point2(0.25, 0.25))
-    st.trail = [Point2(0, 0), Point2(0.25, 0.25)]
-    st.used[CellId(1, 1)] = set(DIRECTIONS)
+    st = NspmrState(start=Point2(0, 0), node=(1, 1), trail=[(0, 0), (1, 1)])
+    st.used[(1, 1)] = set(DIRECTIONS)
     _, ev = nspmr_step(st, w)
     assert ev.kind == "backtracked"
     assert ev.direction == 225.0
-    assert st.pos == Point2(0, 0)
-    assert st.trail == [Point2(0, 0)]
-    assert CellId(1, 1) in st.dead
+    assert ev.new_pos == Point2(0, 0)
+    assert st.node == (0, 0)
+    assert st.trail == [(0, 0)]
+    assert (1, 1) in st.dead
     assert st.prev_dir is None
-    assert 225.0 in st.used[CellId(1, 1)]
+    assert 225.0 in st.used[(1, 1)]
 
 
 def test_stuck_when_trail_exhausted():
     w = _world(goal=Point2(25, 25))
-    st = NspmrState(pos=Point2(0, 0))
-    st.used[CellId(0, 0)] = set(DIRECTIONS)
+    st = NspmrState(start=Point2(0, 0))
+    st.used[(0, 0)] = set(DIRECTIONS)
     _, ev = nspmr_step(st, w)
     assert ev.kind == "stuck"
-    assert st.pos == Point2(0, 0)
+    assert ev.new_pos == Point2(0, 0) and st.node == (0, 0)
     assert not st.dead
 
 
 def test_goal_cell_is_never_marked_dead():
-    # same cell as the goal but farther than delta/2 from it
-    w = _world(goal=Point2(-0.12, -0.12))
-    st = NspmrState(pos=Point2(0.12, 0.12))
-    st.trail = [Point2(-0.13, 0.37), Point2(0.12, 0.12)]
-    st.used[quantize(st.pos, 0.5)] = set(DIRECTIONS)
-    assert distance(st.pos, w.goal) > 0.25
-    assert quantize(st.pos, 0.5) == quantize(w.goal, 0.5) == CellId(0, 0)
-    _, ev = nspmr_step(st, w)
-    assert ev.kind == "backtracked"
-    assert CellId(0, 0) not in st.dead
+    # The node nearest the goal lies within delta/4 of it on each axis, so
+    # within delta/2: a robot there stops before rule III can retire it, even
+    # with every direction used, whatever the goal's offset from the lattice.
+    start = Point2(0.1, -0.3)
+    for gx, gy in ((0.125, 0.125), (-0.125, 0.125), (0.12, -0.124), (2.6, 1.3), (-3.225, 0.825)):
+        w = _world(start=start, goal=Point2(gx, gy))
+        node = (round((gx - start.x) / 0.25), round((gy - start.y) / 0.25))
+        st = NspmrState(start=start, node=node, trail=[(node[0] - 1, node[1]), node])
+        st.used[node] = set(DIRECTIONS)
+        _, ev = nspmr_step(st, w)
+        assert ev.kind == "goal_reached" and ev.new_pos == _position(st.start, st.node, 0.5)
+        assert distance(ev.new_pos, w.goal) <= 0.25
+        assert not st.dead
 
 
 def test_rules_disabled_step_goes_stuck_instead_of_backtracking():
     # wall pocket: west approach, all free directions point away from goal
     w = _world(goal=Point2(25, 25))
-    st = NspmrState(pos=Point2(0.25, 0.25))
-    st.trail = [Point2(0, 0), Point2(0.25, 0.25)]
-    st.used[CellId(1, 1)] = set(DIRECTIONS)
+    st = NspmrState(start=Point2(0, 0), node=(1, 1), trail=[(0, 0), (1, 1)])
+    st.used[(1, 1)] = set(DIRECTIONS)
     _, ev = nspmr_step(st, w, rules_enabled=False)
     assert ev.kind == "moved"  # memory ignored: keeps moving
-    st2 = NspmrState(pos=Point2(0, 0))
+    st2 = NspmrState(start=Point2(0, 0))
     blocked_scan_world = _world(
         _rect(-0.3, 0.1, 0.3, 0.3),
         _rect(0.1, -0.3, 0.3, 0.3),
@@ -297,7 +292,7 @@ def test_no_reversal_between_consecutive_moves():
         _rect(-1.8, 0.4, -1.0, 1.2),
         goal=Point2(rng.uniform(3, 5), rng.uniform(3, 5)),
     )
-    st = NspmrState(pos=Point2(0, 0))
+    st = NspmrState(start=Point2(0, 0))
     prev_move = None
     for _ in range(200):
         _, ev = nspmr_step(st, w)
@@ -314,7 +309,7 @@ def test_no_reversal_between_consecutive_moves():
 # --- scan memo -------------------------------------------------------------------
 
 def _walk(s, rules_enabled=True, max_steps=1000):
-    st = NspmrState(pos=s.start)
+    st = NspmrState(start=s.start)
     visited = {s.start}
     for _ in range(max_steps):
         _, ev = nspmr_step(st, s, rules_enabled)
@@ -342,12 +337,13 @@ def test_memoized_scans_equal_fresh_scans(name, monkeypatch):
     for rules in (True, False):
         calls.clear()
         st, visited = _walk(s, rules)
-        # one real scan per distinct position; the last one (the goal) may go unscanned
-        assert sorted(calls) == sorted(st.scans)
-        assert set(st.scans) <= visited
+        # one real scan per distinct node; the last one (the goal) may go unscanned
+        positions = {node: _position(s.start, node, s.delta) for node in st.scans}
+        assert sorted(calls) == sorted(positions.values())
+        assert set(positions.values()) <= visited
         assert len(st.scans) >= len(visited) - 1
-        for pos, memo in st.scans.items():
-            assert memo == scan(pos, s, s.sensor_range, s.delta)
+        for node, memo in st.scans.items():
+            assert memo == scan(positions[node], s, s.sensor_range, s.delta)
 
 
 def test_moving_world_scans_every_step(monkeypatch):
@@ -358,3 +354,69 @@ def test_moving_world_scans_every_step(monkeypatch):
     assert len(calls) == res.iterations  # one real scan per move, none from a memo
     st, _ = _walk(s)
     assert st.scans == {}
+
+
+# --- start-anchored lattice -----------------------------------------------------
+
+LOOP_FIXTURES = ("scenario1", "concave_trap", "corridor_loop", "triangle_loop")
+
+
+def _step_log(s, max_steps):
+    """(event kind, direction, node after the step) for each nspmr_step call."""
+    st = NspmrState(s.start)
+    log = []
+    for _ in range(max_steps):
+        _, ev = nspmr_step(st, s)
+        log.append((ev.kind, ev.direction, st.node))
+        if ev.kind in ("goal_reached", "stuck"):
+            break
+    return st, log
+
+
+@pytest.mark.parametrize("offset", [0.1, 0.125])
+@pytest.mark.parametrize("name", LOOP_FIXTURES)
+def test_off_grid_start_keeps_nodes_apart(name, offset):
+    # An offset of 0.125 puts the start half-way between nodes of the absolute
+    # delta/2 grid, where rounding absolute coordinates merged neighbouring nodes.
+    base = builtin_scenario(name)
+    s = replace(base, start=Point2(base.start.x + offset, base.start.y + offset))
+    traj, res = run(s, "nspmr")
+    assert res.outcome == "goal_reached"
+    assert res.iterations <= iteration_ceiling(s)
+    # planned departures, recounted over the exact waypoints as an outside check would
+    departures = Counter()
+    pairs = Counter()
+    for p, kind, direction in zip(traj.waypoints, traj.events, traj.directions):
+        if kind == "moved":
+            departures[p] += 1
+            pairs[p, direction] += 1
+    assert max(departures.values()) <= 8
+    assert max(pairs.values()) == 1
+    assert res.max_departures_per_cell == max(departures.values())
+    _, log = _step_log(s, res.iterations + 1)
+    nodes = [(0, 0)] + [node for _, _, node in log[:-1]]
+    assert [_position(s.start, n, s.delta) for n in nodes] == list(traj.waypoints)
+    assert len(set(nodes)) == len(set(traj.waypoints)) == len(set(zip(nodes, traj.waypoints)))
+
+
+def _translated(s, dx, dy):
+    b = s.bounds
+    return replace(
+        s,
+        bounds=Bounds(b.xmin + dx, b.ymin + dy, b.xmax + dx, b.ymax + dy),
+        start=Point2(s.start.x + dx, s.start.y + dy),
+        goal=Point2(s.goal.x + dx, s.goal.y + dy),
+        obstacles=tuple(replace(ob, shape=ob.shape.translated(dx, dy)) for ob in s.obstacles),
+    )
+
+
+@pytest.mark.parametrize("name", LOOP_FIXTURES)
+def test_translation_by_whole_metres_keeps_the_node_sequence(name):
+    # whole metres are whole multiples of delta/2 = 0.25 m, so the lattice
+    # moves with the world and each decision should be the same
+    s = builtin_scenario(name)
+    _, ref = _step_log(s, iteration_ceiling(s))
+    assert ref[-1][0] == "goal_reached"
+    for dx, dy in ((1.0, 0.0), (0.0, -2.0), (-7.0, 3.0), (25.0, -41.0), (-60.0, 1000.0)):
+        moved = _translated(s, dx, dy)
+        assert _step_log(moved, iteration_ceiling(moved))[1] == ref, (dx, dy)

@@ -65,17 +65,27 @@ def oracle_reachable(scenario, clearance):
     b = scenario.bounds
     nx = int(round((b.xmax - b.xmin) / res)) + 1
     ny = int(round((b.ymax - b.ymin) / res)) + 1
-    polys = [[(v.x, v.y) for v in ob.shape.vertices] for ob in scenario.obstacles]
+    polys = []
+    for ob in scenario.obstacles:
+        verts = [(v.x, v.y) for v in ob.shape.vertices]
+        xs, ys = [x for x, _ in verts], [y for _, y in verts]
+        polys.append((verts, min(xs), min(ys), max(xs), max(ys)))
+    memo = {}
 
     def blocked(i, j):
+        if (i, j) in memo:
+            return memo[i, j]
         p = (b.xmin + i * res, b.ymin + j * res)
-        for verts in polys:
-            if _poly_contains(p, verts):
-                return True
+        memo[i, j] = False
+        for verts, x0, y0, x1, y1 in polys:
+            # a node strictly farther than clearance from the bbox is clear of the polygon
+            if math.hypot(max(x0 - p[0], p[0] - x1, 0.0), max(y0 - p[1], p[1] - y1, 0.0)) > clearance:
+                continue
             n = len(verts)
-            if min(_seg_dist(p, verts[k], verts[(k + 1) % n]) for k in range(n)) <= clearance:
-                return True
-        return False
+            if _poly_contains(p, verts) or min(_seg_dist(p, verts[k], verts[(k + 1) % n]) for k in range(n)) <= clearance:
+                memo[i, j] = True
+                break
+        return memo[i, j]
 
     def node(pt):
         return int(round((pt.x - b.xmin) / res)), int(round((pt.y - b.ymin) / res))
