@@ -20,6 +20,7 @@ from .geometry import (
     PointLocation,
     Polygon,
     _closer_than,
+    _edges_near,
     distance,
     math_to_compass,
     point_in_polygon,
@@ -46,20 +47,17 @@ class _Ring:
 
     def __init__(self, shape: Polygon, clearance: float):
         self.offset = polygon_offset(shape, clearance)
-        self.verts = list(self.offset.vertices)
+        self.edges = self.offset.edges()
         self.cum = [0.0]
-        n = len(self.verts)
-        for i in range(n):
-            a, b = self.verts[i], self.verts[(i + 1) % n]
+        for a, b in self.edges:
             self.cum.append(self.cum[-1] + distance(a, b))
         self.perimeter = self.cum[-1]
-        self.edges = list(self.offset.edges())
         self.bbox = self.offset.bbox()
 
     def point_at(self, s: float) -> Point2:
         s %= self.perimeter
         i = bisect.bisect_right(self.cum, s) - 1
-        i = min(i, len(self.verts) - 1)
+        i = min(i, len(self.edges) - 1)
         a, b = self.edges[i]
         seg = self.cum[i + 1] - self.cum[i]
         t = 0.0 if seg == 0 else (s - self.cum[i]) / seg
@@ -218,7 +216,7 @@ def _first_entry(p: Point2, q: Point2, rings: list[_Ring]):
         x0, y0, x1, y1 = ring.bbox
         if hi_x < x0 or lo_x > x1 or hi_y < y0 or lo_y > y1:
             continue
-        for a, b in ring.edges:
+        for a, b in _edges_near(p, q, ring.offset):
             hit = segment_intersection(p, q, a, b)
             if hit is None:
                 continue

@@ -160,10 +160,24 @@ class Polygon:
             self, "vertices", tuple(Point2(float(x), float(y)) for x, y in self.vertices)
         )
 
-    def edges(self) -> Iterator[tuple[Point2, Point2]]:
-        n = len(self.vertices)
-        for i in range(n):
-            yield self.vertices[i], self.vertices[(i + 1) % n]
+    @cached_property
+    def _edges(self) -> tuple[tuple[Point2, Point2], ...]:
+        return tuple(zip(self.vertices, self.vertices[1:] + self.vertices[:1]))
+
+    @cached_property
+    def _edge_table(self) -> tuple[tuple, ...]:
+        """Per edge (a, b): (a, b, ex, ey, xmin, ymin, xmax, ymax), with (ex, ey) = b - a and the edge's bbox."""
+        return tuple((a, b, b.x - a.x, b.y - a.y, min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y))
+                     for a, b in self._edges)
+
+    @cached_property
+    def _circle(self) -> tuple[float, float, float]:  # (cx, cy, r) around the bbox, for _first_hit
+        xmin, ymin, xmax, ymax = self._bbox
+        return 0.5 * (xmin + xmax), 0.5 * (ymin + ymax), math.hypot(xmax - xmin, ymax - ymin) * 0.5 + EPS_GEOM
+
+    def edges(self) -> tuple[tuple[Point2, Point2], ...]:
+        """The edges (v[i], v[i + 1 mod n]) in vertex order, built once per polygon."""
+        return self._edges
 
     def signed_area(self) -> float:
         s = 0.0
@@ -176,7 +190,7 @@ class Polygon:
 
     def is_simple(self) -> bool:
         """No self-intersections: nonadjacent edges disjoint, adjacent ones meet only at the shared vertex."""
-        es = list(self.edges())
+        es = self.edges()
         n = len(es)
         for i in range(n):
             for j in range(i + 1, n):
@@ -209,32 +223,50 @@ class Polygon:
     def translated(self, dx: float, dy: float) -> "Polygon":
         return Polygon(tuple(Point2(v.x + dx, v.y + dy) for v in self.vertices))
 
-    def perimeter(self) -> float:
-        return sum(distance(a, b) for a, b in self.edges())
-
 
 def point_in_polygon(p: Point2, poly: Polygon) -> PointLocation:
     """Classify a point against a polygon: inside, on the boundary (within EPS_GEOM), or outside.
 
-    A point outside the bbox grown by EPS_GEOM is OUTSIDE with no edge test."""
-    x0, y0, x1, y1 = poly.bbox()
-    if not (x0 - EPS_GEOM <= p.x <= x1 + EPS_GEOM and y0 - EPS_GEOM <= p.y <= y1 + EPS_GEOM):
+    A point outside the bbox grown by EPS_GEOM is OUTSIDE with no edge test. Else one pass over
+    the edge table counts the edges crossing the ray from the point toward +x, and tests the
+    distance to each edge whose bbox, grown by m, holds the point. Near EPS_GEOM the distance
+    reads short by under 2 eps S (eps = 2**-52, S = max(1, bbox extents)), so m = EPS_GEOM + 4 eps S."""
+    px, py = p
+    x0, y0, x1, y1 = poly._bbox
+    if not (x0 - EPS_GEOM <= px <= x1 + EPS_GEOM and y0 - EPS_GEOM <= py <= y1 + EPS_GEOM):
         return PointLocation.OUTSIDE
-    for a, b in poly.edges():
-        if point_segment_distance(p, a, b) <= EPS_GEOM:
-            return PointLocation.ON_BOUNDARY
+    m = EPS_GEOM + 4 * 2.0**-52 * max(1.0, x1 - x0, y1 - y0)
     inside = False
-    verts = poly.vertices
-    n = len(verts)
-    j = n - 1
-    for i in range(n):
-        yi, yj = verts[i].y, verts[j].y
-        if (yi > p.y) != (yj > p.y):
-            x_cross = verts[i].x + (p.y - yi) * (verts[j].x - verts[i].x) / (yj - yi)
-            if p.x < x_cross:
-                inside = not inside
-        j = i
+    for a, b, ex, ey, lx, ly, hx, hy in poly._edge_table:
+        if lx - m <= px <= hx + m and ly - m <= py <= hy + m and point_segment_distance(p, a, b) <= EPS_GEOM:
+            return PointLocation.ON_BOUNDARY
+        if (b.y > py) != (a.y > py) and px < b.x + (py - b.y) * ex / ey:
+            inside = not inside
     return PointLocation.INSIDE if inside else PointLocation.OUTSIDE
+
+
+def _edges_near(p: Point2, q: Point2, poly: Polygon) -> Iterator[tuple[Point2, Point2]]:
+    """The edges (a, b) of poly for which segment_intersection(p, q, a, b) can be other than None:
+    those whose bbox, grown by m, meets segment pq's. Let r = q - p, s = b - a, qp = a - p,
+    eps = 2**-52, and S the larger of 1 and the bbox extents of pq and poly (at least
+    segment_intersection's scale). A hit at bbox gap g needs, on crossing lines, both parameters
+    within EPS_GEOM of [0, 1] (g <= 2 EPS_GEOM S), after rounding that moves them by up to
+    3 eps / EPS_GEOM (7e-7) times |qp| / S + 1 when |r x s| is near EPS_GEOM S^2, with |qp| <=
+    2S + g: g <= 4.1e-6 S in all. On parallel lines (|r x s| <= EPS_GEOM S^2) it needs
+    |qp x r| <= EPS_GEOM S^2, so a lies within EPS_GEOM S^2 / |r| of line pq and b within twice
+    that, with projections on pq overlapping up to EPS_GEOM |r|: g <= 2 EPS_GEOM S^2 / |r| +
+    1.5 EPS_GEOM S. m = 2 EPS_GEOM S^2 / |r| + 1e-5 S covers both."""
+    rx, ry = q.x - p.x, q.y - p.y
+    length = math.hypot(rx, ry)
+    if length == 0.0:
+        return  # segment_intersection meets no zero-length segment
+    x0, y0, x1, y1 = poly._bbox
+    S = max(1.0, x1 - x0, y1 - y0, abs(rx), abs(ry))
+    m = 2 * EPS_GEOM * S * S / length + 1e-5 * S
+    (lox, hix), (loy, hiy) = sorted((p.x, q.x)), sorted((p.y, q.y))
+    for a, b, _, _, x0, y0, x1, y1 in poly._edge_table:
+        if x0 - m <= hix and lox <= x1 + m and y0 - m <= hiy and loy <= y1 + m:
+            yield a, b
 
 
 def ray_cast(
@@ -274,32 +306,29 @@ def _first_hit(
     ox, oy = origin
     best: float | None = None
     for poly in obstacles:
-        xmin, ymin, xmax, ymax = poly.bbox()
         # cheap reject: ray sphere around the bbox
-        cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
-        r = math.hypot(xmax - xmin, ymax - ymin) * 0.5 + EPS_GEOM
+        cx, cy, r = poly._circle
         tc = (cx - ox) * ux + (cy - oy) * uy
         if tc < -r or tc - r > max_range:
             continue
         if math.hypot(cx - ox - tc * ux, cy - oy - tc * uy) > r:
             continue
-        for a, b in poly.edges():
-            ex, ey = b.x - a.x, b.y - a.y
+        for a, b, ex, ey, _, _, _, _ in poly._edge_table:
             ax, ay = a.x - ox, a.y - oy
-            denom = _cross(ux, uy, ex, ey)
+            denom = ux * ey - uy * ex
             if abs(denom) <= EPS_GEOM:
                 # parallel; grazing only if collinear
-                if abs(_cross(ax, ay, ux, uy)) > EPS_GEOM:
+                if abs(ax * uy - ay * ux) > EPS_GEOM:
                     continue
                 for q in (a, b):
                     t = (q.x - ox) * ux + (q.y - oy) * uy
                     if EPS_GEOM < t <= max_range and (best is None or t < best):
                         best = t
                 continue
-            t = _cross(ax, ay, ex, ey) / denom
-            w = _cross(ax, ay, ux, uy) / denom
-            if EPS_GEOM < t <= max_range and -EPS_GEOM <= w <= 1.0 + EPS_GEOM:
-                if best is None or t < best:
+            t = (ax * ey - ay * ex) / denom
+            if EPS_GEOM < t <= max_range and (best is None or t < best):
+                w = (ax * uy - ay * ux) / denom
+                if -EPS_GEOM <= w <= 1.0 + EPS_GEOM:
                     best = t
     return best
 
@@ -322,17 +351,13 @@ def polygon_offset(poly: Polygon, c: float) -> Polygon:
         raise GeometryError(
             f"offset {c} too large for shortest edge {min_edge:.6g}"
         )
-    verts = poly.vertices
-    n = len(verts)
     shifted = []  # one offset line per edge: (anchor, direction)
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        ex, ey = b.x - a.x, b.y - a.y
+    for a, _, ex, ey, _, _, _, _ in poly._edge_table:
         length = math.hypot(ex, ey)
         nx, ny = ey / length, -ex / length  # outward for CCW interior-on-left
         shifted.append((Point2(a.x + c * nx, a.y + c * ny), ex, ey))
     out = []
-    for i in range(n):
+    for i in range(len(shifted)):
         (p, dx, dy) = shifted[i - 1]
         (q, ex, ey) = shifted[i]
         denom = _cross(dx, dy, ex, ey)

@@ -65,9 +65,10 @@ class NspmrState:
     """One run's planner memory on the lattice anchored at ``start``.
 
     ``node`` is the robot's node (i, j); ``trail`` is the node path that rule
-    III retraces. Rule II memory ``used``, the dead set ``dead`` and the scan
-    memo ``scans`` key on nodes too. ``scans`` holds each node's scan while
-    the world is static, so a state serves one world only."""
+    III retraces, kept only with the rules on. Rule II memory ``used``, the
+    dead set ``dead`` and the scan memo ``scans`` key on nodes too. ``scans``
+    holds each node's scan while the world is static, so a state serves one
+    world only."""
 
     start: Point2
     prev_dir: float | None = None
@@ -150,9 +151,9 @@ def nspmr_step(state: NspmrState, world: Scenario, rules_enabled: bool = True) -
         direction = select_direction(candidates, desired_angle(pos, world.goal), scan_)
         sx, sy = _SIGNS[direction]
         i, j = state.node = (i + sx, j + sy)
-        if rules_enabled:
+        if rules_enabled:  # only the rules read the memory and the trail
             state.used.setdefault(node, set()).add(direction)
-        state.trail.append(state.node)
+            state.trail.append(state.node)
         state.prev_dir = direction
         return state, StepEvent("moved", direction, Point2(x0 + i * half, y0 + j * half))
     if not rules_enabled or len(state.trail) <= 1:

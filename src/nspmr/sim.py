@@ -15,6 +15,7 @@ from .geometry import (
     EPS_GEOM,
     Point2,
     PointLocation,
+    _edges_near,
     distance,
     point_in_polygon,
     segment_intersection,
@@ -164,7 +165,8 @@ def run(s: Scenario, planner: str, max_iters: int | None = None, *, rules_enable
 # --- safety audit ------------------------------------------------------------------
 
 def _segment_hits_polygon(a: Point2, b: Point2, poly) -> bool:
-    for ea, eb in poly.edges():
+    """Does ab meet an edge (of those geometry._edges_near keeps) or have its midpoint INSIDE?"""
+    for ea, eb in _edges_near(a, b, poly):
         if segment_intersection(a, b, ea, eb) is not None:
             return True
     mid = Point2((a.x + b.x) / 2, (a.y + b.y) / 2)
@@ -181,18 +183,18 @@ def audit_collisions(t: Trajectory, s: Scenario) -> list[str]:
     dt = tick_duration(s)
     n = len(t.waypoints)
     memo: dict = {}  # waypoint or (p, q) -> indices of the obstacles it touches in this pose
+    shapes = [(i, ob.shape, ob.shape.bbox()) for i, ob in enumerate(world.obstacles)]
     for k in range(n):
         p = t.waypoints[k]
         found = memo.get(p)
         if found is None:
             found = memo[p] = []
-            for i, ob in enumerate(world.obstacles):
-                x0, y0, x1, y1 = ob.shape.bbox()
+            for i, shape, (x0, y0, x1, y1) in shapes:
                 # beyond EPS_GEOM of the bbox a point cannot even touch the boundary
                 if (
                     x0 - EPS_GEOM <= p.x <= x1 + EPS_GEOM
                     and y0 - EPS_GEOM <= p.y <= y1 + EPS_GEOM
-                    and point_in_polygon(p, ob.shape) is not PointLocation.OUTSIDE
+                    and point_in_polygon(p, shape) is not PointLocation.OUTSIDE
                 ):
                     found.append(i)
         for i in found:
@@ -203,15 +205,15 @@ def audit_collisions(t: Trajectory, s: Scenario) -> list[str]:
             if found is None:
                 found = memo[p, q] = []
                 (lox, hix), (loy, hiy) = sorted((p.x, q.x)), sorted((p.y, q.y))
-                for i, ob in enumerate(world.obstacles):
-                    x0, y0, x1, y1 = ob.shape.bbox()
-                    if hix >= x0 and lox <= x1 and hiy >= y0 and loy <= y1 and _segment_hits_polygon(p, q, ob.shape):
+                for i, shape, (x0, y0, x1, y1) in shapes:
+                    if hix >= x0 and lox <= x1 and hiy >= y0 and loy <= y1 and _segment_hits_polygon(p, q, shape):
                         found.append(i)
             for i in found:
                 out.append(f"segment {k} intersects obstacle {i}")
             if world.is_dynamic:
                 world = step_dynamics(world, dt)
                 memo.clear()
+                shapes = [(i, ob.shape, ob.shape.bbox()) for i, ob in enumerate(world.obstacles)]
     return out
 
 

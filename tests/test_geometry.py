@@ -14,6 +14,7 @@ from nspmr.geometry import (
     PointLocation,
     _bbox_gap,
     _closer_than,
+    _edges_near,
     circular_diff,
     compass_unit,
     math_to_compass,
@@ -25,7 +26,8 @@ from nspmr.geometry import (
     ray_cast,
     segment_intersection,
 )
-from nspmr.world import WorldSpec, _make_shape
+from nspmr.sim import _segment_hits_polygon
+from nspmr.world import WorldSpec, _make_shape, builtin_scenario, parse_scenario, serialize_scenario
 
 SEED = 20260817
 
@@ -392,6 +394,25 @@ def test_polygon_bbox_matches_vertices():
             poly = poly.translated(rng.uniform(-5, 5), rng.uniform(-5, 5))
 
 
+def test_polygon_edge_table_matches_vertices():
+    parsed = parse_scenario(serialize_scenario(builtin_scenario("concave_trap"))).obstacles[0].shape
+    for poly in (parsed, parsed.translated(0.3, -7.1), polygon_offset(parsed, 0.125), LSHAPE.translated(1e6, 1e6)):
+        v = poly.vertices
+        n = len(v)
+        table = poly._edge_table
+        assert len(table) == n
+        for i, (a, b, ex, ey, x0, y0, x1, y1) in enumerate(table):
+            assert (a, b) == (v[i], v[(i + 1) % n])
+            assert (ex, ey) == (b.x - a.x, b.y - a.y)
+            assert (x0, y0, x1, y1) == (min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y))
+        assert poly.edges() == tuple((v[i], v[(i + 1) % n]) for i in range(n))
+        assert poly.edges() is poly.edges() and poly._edge_table is table  # built once
+        # the caches leave equality and hashing to the vertices alone
+        fresh = Polygon(v)
+        assert fresh == poly and hash(fresh) == hash(poly)
+        assert poly.translated(0.0, 0.0) == poly and poly.translated(1.0, 0.0) != poly
+
+
 def test_polygon_simplicity():
     assert SQUARE.is_simple()
     bow = Polygon((Point2(0, 0), Point2(1, 1), Point2(1, 0), Point2(0, 1)))
@@ -437,3 +458,152 @@ def test_bbox_gap_bounds_polygon_distance_and_culls_exactly(seeds, kinds, dx, dy
         assert gap <= dist + 1e-9 or (dist == 0.0 and gap < 1e-7), (gap, dist)
         for margin in (0.25, 1.0):  # bugs._prepare at delta 0.5, and generate_world
             assert _closer_than(a, other, margin) is (dist < margin)
+
+
+# --- per-edge culls against unculled copies --------------------------------------
+
+def unculled_point_in_polygon(p, poly):
+    """point_in_polygon as it was before the edge table: the bbox early return,
+    then the distance test on every edge, then the crossings."""
+    x0, y0, x1, y1 = poly.bbox()
+    if not (x0 - EPS_GEOM <= p.x <= x1 + EPS_GEOM and y0 - EPS_GEOM <= p.y <= y1 + EPS_GEOM):
+        return PointLocation.OUTSIDE
+    return full_classification(p, poly)
+
+
+def unculled_segment_hits(a, b, poly):
+    """sim._segment_hits_polygon with segment_intersection on every edge."""
+    verts = poly.vertices
+    n = len(verts)
+    for i in range(n):
+        if segment_intersection(a, b, verts[i], verts[(i + 1) % n]) is not None:
+            return True
+    mid = Point2((a.x + b.x) / 2, (a.y + b.y) / 2)
+    return unculled_point_in_polygon(mid, poly) is PointLocation.INSIDE
+
+
+def assert_cull_parity(a, b, poly):
+    """Culled and unculled agree on segment ab and on both its ends, and every edge
+    that segment_intersection meets is one _edges_near yields."""
+    for p in (a, b):
+        assert point_in_polygon(p, poly) is unculled_point_in_polygon(p, poly), (p, poly)
+    assert _segment_hits_polygon(a, b, poly) is unculled_segment_hits(a, b, poly), (a, b, poly)
+    near = set(_edges_near(a, b, poly))
+    for e in poly.edges():
+        assert segment_intersection(a, b, *e) is None or e in near, (a, b, e)
+
+
+def _rotated_wall(length, angle, width=0.2):
+    """A thin rectangle whose long sides run length m at angle (radians) from +x."""
+    ux, uy = math.cos(angle), math.sin(angle)
+    nx, ny = -uy * width, ux * width
+    return Polygon((Point2(0, 0), Point2(length * ux, length * uy), Point2(length * ux + nx, length * uy + ny), Point2(nx, ny)))
+
+
+_POCKET = builtin_scenario("concave_trap").obstacles[0].shape
+CULL_SHAPES = (SQUARE, LSHAPE, TRIANGLE, _POCKET, _rotated_wall(25.0, 0.0), _rotated_wall(25.0, 0.4636476090008061))
+NEAR_MISS = (1e-10, 1e-8, 1e-5)
+SHIFTS = (0.0, 1e3, 1e6)
+
+
+def near_miss_segments(poly, step, offsets):
+    """Segments of length step at each of offsets from each edge, on both sides:
+    beside it, across it, in line past its ends, and nearly parallel to it."""
+    for a, b in poly.edges():
+        ex, ey = b.x - a.x, b.y - a.y
+        length = math.hypot(ex, ey)
+        ux, uy = ex / length, ey / length
+        for off in offsets:
+            for d in (off, -off):
+                for t in (0.0, 0.5, 1.0):
+                    p = Point2(a.x + t * ex - d * uy, a.y + t * ey + d * ux)
+                    yield p, Point2(p.x + step * ux, p.y + step * uy)  # beside
+                    yield Point2(p.x - step * uy * d / off, p.y + step * ux * d / off), p  # across, stopping short or past
+                    for phi in (1e-9, 1e-7, 1e-5):  # nearly parallel
+                        yield p, Point2(p.x + step * math.cos(phi) * ux - step * math.sin(phi) * uy,
+                                        p.y + step * math.cos(phi) * uy + step * math.sin(phi) * ux)
+                p = Point2(b.x + d * ux, b.y + d * uy)
+                yield p, Point2(p.x + step * ux, p.y + step * uy)  # in line past the end
+                q = Point2(a.x - d * ux, a.y - d * uy)
+                yield Point2(q.x - step * ux, q.y - step * uy), q  # in line before the start
+
+
+def test_culls_agree_with_unculled_on_near_misses():
+    n = 0
+    for shift in SHIFTS:
+        for poly in CULL_SHAPES:
+            poly = poly.translated(shift, shift)
+            # delta/2 at delta 0.01 and 0.5; and a 1 mm step, which segment_intersection
+            # still takes for grazing a 25 m wall from 0.5 mm beside it
+            for step, offsets in ((0.005, NEAR_MISS), (0.25, NEAR_MISS), (0.001, (5e-4,))):
+                for a, b in near_miss_segments(poly, step, offsets):
+                    assert_cull_parity(a, b, poly)
+                    n += 1
+    assert n > 10000
+
+
+# Inputs within rounding of the tolerances, where a cull margin without its
+# rounding slack gives another answer than the unculled code.
+ROUNDING_POINTS = (
+    # computed distance 9.9999997e-10 to the first edge, though 1e-9 + 1e-15 past its bbox
+    (Point2(-0.5165287607475744, -0.8444247271905666),
+     (Point2(-23.278109132301573, -1.2092541073280312), Point2(-0.5165287617475744, -0.8444247271915666),
+      Point2(-1.591872649318806, 1.6495914730593775), Point2(4.4834712382524256, 1.6495914730593775),
+      Point2(4.4834712382524256, -1.2092541073280312))),
+    (Point2(-0.45057252167964457, -0.8346073396725466),
+     (Point2(-17.83689031558685, -2.207172754105513), Point2(-0.45057252267964465, -0.8346073396725466),
+      Point2(-2.3863487494738473, 0.6828971172289566), Point2(4.549427477320355, 0.6828971172289566),
+      Point2(4.549427477320355, -2.207172754105513))),
+)
+ROUNDING_SEGMENTS = (
+    # 25 m segment and edge just past the parallel threshold: segment_intersection
+    # reports a crossing although the segment starts 2.2e-7 past the edge's bbox
+    (Point2(20.778771442307132, -14.083091381493766), Point2(42.94171910022613, -25.65044851751852),
+     (Point2(-1.3841764405543366, -2.515734151424507), Point2(20.77877122694588, -14.083091269091726),
+      Point2(10.159991677902463, -7.412894803558109))),
+)
+
+
+def test_culls_agree_with_unculled_within_rounding_of_the_tolerances():
+    for p, verts in ROUNDING_POINTS:
+        poly = Polygon(verts)
+        assert unculled_point_in_polygon(p, poly) is PointLocation.ON_BOUNDARY
+        assert point_in_polygon(p, poly) is PointLocation.ON_BOUNDARY
+    for a, b, verts in ROUNDING_SEGMENTS:
+        poly = Polygon(verts)
+        assert unculled_segment_hits(a, b, poly)
+        assert_cull_parity(a, b, poly)
+
+
+def _cull_shape(seed, kind, length, angle, shift):
+    if kind == "wall":
+        poly = _rotated_wall(length, angle)
+    else:
+        poly = _make_shape(random.Random(seed), kind, WorldSpec())
+    return poly.translated(shift, shift)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(("rect", "l", "triangle", "wall")),
+    length=st.floats(0.5, 25.0),
+    angle=st.floats(0.0, 2 * math.pi),
+    shift=st.sampled_from(SHIFTS),
+    edge=st.integers(0, 5),
+    t=st.sampled_from((0.0, 1.0)) | st.floats(-0.01, 1.01),
+    off=st.sampled_from((0.0, 1e-10, 1e-9, 1e-8, 1e-5)) | st.floats(-1e-4, 1e-4),
+    step=st.sampled_from((0.005, 0.25, 25.0)) | st.floats(1e-3, 30.0),
+    phi=st.sampled_from((0.0, 1e-9, 1e-7, 1e-5)) | st.floats(-math.pi, math.pi),
+)
+def test_culls_agree_with_unculled_near_a_random_edge(seed, kind, length, angle, shift, edge, t, off, step, phi):
+    poly = _cull_shape(seed, kind, length, angle, shift)
+    a, b = poly.edges()[edge % len(poly.vertices)]
+    ex, ey = b.x - a.x, b.y - a.y
+    norm = math.hypot(ex, ey)
+    # p lies off beside the point at t along the edge; the segment leaves it at phi from the edge
+    p = Point2(a.x + t * ex - off * ey / norm, a.y + t * ey + off * ex / norm)
+    c, s = math.cos(phi) * step / norm, math.sin(phi) * step / norm
+    q = Point2(p.x + c * ex - s * ey, p.y + c * ey + s * ex)
+    assert_cull_parity(p, q, poly)
+    assert_cull_parity(q, p, poly)

@@ -202,6 +202,19 @@ def test_step_moves_toward_goal_and_records_memory():
     assert st.prev_dir == 45.0 and len(st.trail) == 2
 
 
+def test_rules_off_run_keeps_no_trail():
+    # only rule III reads the trail, so a rules-off run leaves it at the start node
+    w = builtin_scenario("corridor_loop")
+    st = NspmrState(start=w.start)
+    nodes = set()
+    for _ in range(300):
+        _, ev = nspmr_step(st, w, rules_enabled=False)
+        assert ev.kind == "moved"
+        nodes.add(st.node)
+    assert len(nodes) > 1
+    assert st.trail == [(0, 0)] and st.used == {} and st.dead == set()
+
+
 def test_straight_run_on_diagonal_is_shortest():
     w = _world(goal=Point2(2, 2))
     st = NspmrState(start=Point2(0, 0))

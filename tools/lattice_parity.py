@@ -1,25 +1,43 @@
-"""Fingerprint the outputs of the lattice search, to compare two checkouts.
+"""Fingerprint the outputs of the lattice search and the planners, to compare two checkouts.
 
 Prints one SHA-256 over serialize_scenario(generate_world(seed)) for seeds
-0-499 and the iteration_ceiling of each builtin; two checkouts agree when
-those lines are equal. It also computes grid_oracle(s, r) for the builtins
-at r = delta/2, 0.25, 0.3 and 0.7 and for seeds 0-49 at r = delta/2. The
-oracle is a shortest lattice length, equal across search orders only to
-rounding, so its values are compared with a tolerance instead: --save
-writes them as JSON, --against compares them with a saved file at abs
-1e-12 and exits 1 on a mismatch. Run it once against each source tree, from
-this checkout, e.g. with a base checkout in ../base:
+0-499, the iteration_ceiling of each builtin, and one SHA-256 over the
+routes: repr(RunResult) and the trajectory CSV bytes of every builtin under
+nspmr (rules on, and rules off at 2000 iterations) and under bug1 and bug2,
+of office_like under nspmr at d = 2 and 20, and of worlds 0-49 under all
+three planners (a planner's ScenarioError is hashed in place of its route).
+Two checkouts agree when those lines are equal. It also computes
+grid_oracle(s, r) for the builtins at r = delta/2, 0.25, 0.3 and 0.7 and for
+seeds 0-49 at r = delta/2. The oracle is a shortest lattice length, equal
+across search orders only to rounding, so its values are compared with a
+tolerance instead: --save writes them as JSON, --against compares them with
+a saved file at abs 1e-12 and exits 1 on a mismatch. Run it once against
+each source tree, from this checkout, e.g. with a base checkout in ../base:
 
     PYTHONPATH=../base/src python tools/lattice_parity.py --save oracles.json
     PYTHONPATH=src python tools/lattice_parity.py --against oracles.json
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
+import os
 import sys
+import tempfile
 
-from nspmr import BUILTIN_NAMES, builtin_scenario, generate_world, grid_oracle, iteration_ceiling, serialize_scenario
+from nspmr import (
+    BUILTIN_NAMES,
+    PLANNERS,
+    ScenarioError,
+    builtin_scenario,
+    generate_world,
+    grid_oracle,
+    iteration_ceiling,
+    run,
+    serialize_scenario,
+    write_trajectory_csv,
+)
 
 TOLERANCE = 1e-12
 
@@ -34,6 +52,41 @@ def mismatches(got: dict, want: dict) -> list[str]:
         or (got[key] is None) != (want[key] is None)
         or (got[key] is not None and abs(got[key] - want[key]) > TOLERANCE)
     ]
+
+
+def route_runs():
+    """(scenario, planner, run keywords) of every run the routes digest covers, in a fixed order."""
+    for name in BUILTIN_NAMES:
+        s = builtin_scenario(name)
+        yield s, "nspmr", {"rules_enabled": False, "max_iters": 2000}
+        for planner in PLANNERS:
+            yield s, planner, {}
+    for d in (2.0, 20.0):
+        yield dataclasses.replace(builtin_scenario("office_like"), sensor_range=d), "nspmr", {}
+    for seed in range(50):
+        s = generate_world(seed)
+        for planner in PLANNERS:
+            yield s, planner, {}
+
+
+def routes_digest() -> tuple[str, int]:
+    """SHA-256 over each covered run's repr(RunResult) and CSV bytes, and the number of runs."""
+    digest = hashlib.sha256()
+    count = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "route.csv")
+        for s, planner, kwargs in route_runs():
+            count += 1
+            try:
+                traj, result = run(s, planner, **kwargs)
+            except ScenarioError as e:
+                digest.update(f"ScenarioError: {e}".encode())
+                continue
+            write_trajectory_csv(path, traj)
+            digest.update(repr(result).encode())
+            with open(path, "rb") as f:
+                digest.update(f.read())
+    return digest.hexdigest(), count
 
 
 def main() -> int:
@@ -55,6 +108,8 @@ def main() -> int:
             oracles[f"{seed} {s.delta / 2}"] = grid_oracle(s, s.delta / 2)
     print("worlds 0-499  ", worlds.hexdigest())
     print("ceilings      ", [iteration_ceiling(builtin_scenario(n)) for n in BUILTIN_NAMES])
+    routes, runs = routes_digest()
+    print("routes        ", routes, f"({runs} runs)")
     print("oracles       ", len(oracles), "values")
     if args.save:
         with open(args.save, "w") as f:
