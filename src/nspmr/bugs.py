@@ -4,7 +4,9 @@ Obstacles are tracked along their offset outline at clearance delta/4, walked
 in increments of at most delta/2 with every outline vertex included, so the
 robot's boundary waypoints lie exactly on the offset polygon. Straight motion
 marches delta/2 steps toward the goal and stops at the exact point where the
-path pierces an outline.
+path pierces an outline, found by geometry._segment_hits, the contact routine
+of the collision audit too. bug1_result and bug2_result return a
+world.Trajectory and a world.OUTCOME_* value; sim.run dispatches to them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .geometry import (
     PointLocation,
     Polygon,
     _closer_than,
-    _edges_near,
+    _segment_hits,
     distance,
     math_to_compass,
     point_in_polygon,
@@ -29,14 +31,16 @@ from .geometry import (
     point_polygon_distance,
     segment_intersection,
 )
-from .sim import (
+from .world import (
     OUTCOME_GOAL,
     OUTCOME_LIMIT,
     OUTCOME_UNREACHABLE,
+    Obstacle,
+    Scenario,
+    ScenarioError,
     Trajectory,
     make_trajectory,
 )
-from .world import Obstacle, Scenario, ScenarioError
 
 _ON_RING_TOL = 1e-6
 _T_SKIN = 1e-9
@@ -206,9 +210,6 @@ def _prepare(s: Scenario) -> list[_Ring]:
 def _first_entry(p: Point2, q: Point2, rings: list[_Ring]):
     """Earliest crossing of segment p->q into any outline, as (t, ring index,
     point) with t the fraction along p->q; skin contacts at t<=1e-9 ignored."""
-    seg_len2 = (q.x - p.x) ** 2 + (q.y - p.y) ** 2
-    if seg_len2 == 0:
-        return None
     best = None
     lo_x, hi_x = min(p.x, q.x), max(p.x, q.x)
     lo_y, hi_y = min(p.y, q.y), max(p.y, q.y)
@@ -216,28 +217,10 @@ def _first_entry(p: Point2, q: Point2, rings: list[_Ring]):
         x0, y0, x1, y1 = ring.bbox
         if hi_x < x0 or lo_x > x1 or hi_y < y0 or lo_y > y1:
             continue
-        for a, b in _edges_near(p, q, ring.offset):
-            hit = segment_intersection(p, q, a, b)
-            if hit is None:
-                continue
-            pts = (hit.start, hit.end) if isinstance(hit, CollinearOverlap) else (hit,)
-            for x in pts:
-                t = ((x.x - p.x) * (q.x - p.x) + (x.y - p.y) * (q.y - p.y)) / seg_len2
-                if t > _T_SKIN and (best is None or t < best[0]):
-                    best = (t, ri, x)
+        for t, x in _segment_hits(p, q, ring.offset):
+            if t > _T_SKIN and (best is None or t < best[0]):
+                best = (t, ri, x)
     return best
-
-
-def _enters(p: Point2, q: Point2, rings: list[_Ring]) -> bool:
-    """Does the step p->q put the robot inside an outline region?"""
-    if _first_entry(p, q, rings) is not None:
-        return True
-    mid = Point2((p.x + q.x) / 2, (p.y + q.y) / 2)
-    for ring in rings:
-        for probe in (mid, q):
-            if point_in_polygon(probe, ring.offset) is PointLocation.INSIDE:
-                return True
-    return False
 
 
 def _march(rec: _Recorder, goal: Point2, rings: list[_Ring], delta: float):
@@ -265,12 +248,17 @@ def _march(rec: _Recorder, goal: Point2, rings: list[_Ring], delta: float):
 
 
 def _departure_free(p: Point2, goal: Point2, rings: list[_Ring], delta: float) -> bool:
+    """Does the first step q from p toward the goal stay out of every outline
+    region: no crossing, and neither its midpoint nor q INSIDE?"""
     rem = distance(p, goal)
     if rem <= 1e-12:
         return True
     step = min(delta / 2, rem)
     q = Point2(p.x + (goal.x - p.x) / rem * step, p.y + (goal.y - p.y) / rem * step)
-    return not _enters(p, q, rings)
+    if _first_entry(p, q, rings) is not None:
+        return False
+    mid = Point2((p.x + q.x) / 2, (p.y + q.y) / 2)
+    return not any(point_in_polygon(x, ring.offset) is PointLocation.INSIDE for ring in rings for x in (mid, q))
 
 
 # --- Bug1 ----------------------------------------------------------------------------
@@ -292,12 +280,7 @@ def bug1_result(s: Scenario, max_iters: int) -> tuple[Trajectory, str]:
         hit_point = rec.pos
         s_hit = ring.locate(hit_point)
         # survey lap: full circumnavigation, then return to the best point
-        limit = False
-        for p in ring.arc_points(s_hit, ring.perimeter, 1, s.delta / 2)[1:]:
-            if not rec.move_to(p):
-                limit = True
-                break
-        if limit:
+        if not all(map(rec.move_to, ring.arc_points(s_hit, ring.perimeter, 1, s.delta / 2)[1:])):
             break
         leave, s_leave = ring.closest_to(s.goal)
         if distance(leave, s.goal) >= distance(hit_point, s.goal) - 1e-9:
@@ -306,11 +289,7 @@ def bug1_result(s: Scenario, max_iters: int) -> tuple[Trajectory, str]:
         ccw_arc = (s_leave - s_hit) % ring.perimeter
         cw_arc = ring.perimeter - ccw_arc
         arc, sign = (ccw_arc, 1) if ccw_arc <= cw_arc else (cw_arc, -1)
-        for p in ring.arc_points(s_hit, arc, sign, s.delta / 2)[1:]:
-            if not rec.move_to(p):
-                limit = True
-                break
-        if limit:
+        if not all(map(rec.move_to, ring.arc_points(s_hit, arc, sign, s.delta / 2)[1:])):
             break
         if not _departure_free(rec.pos, s.goal, [ring], s.delta):
             outcome = OUTCOME_UNREACHABLE

@@ -14,18 +14,12 @@ from dataclasses import replace
 
 from . import output
 from .geometry import GeometryError
-from .sim import (
-    OUTCOME_GOAL,
-    PLANNERS,
-    SimulationError,
-    grid_oracle,
-    run,
-)
+from .sim import PLANNERS, SimulationError, grid_oracle, run
 from .world import (
     BUILTIN_NAMES,
+    OUTCOME_GOAL,
     Scenario,
     ScenarioError,
-    WorldSpec,
     builtin_scenario,
     generate_world,
     parse_scenario,
@@ -146,17 +140,17 @@ def cmd_bench(args) -> int:
                     continue
                 rows.append(output.bench_row(label, planner, result, oracle))
     # single collector: every artifact is written after all runs finished
-    report = output.make_report(rows)
-    sys.stdout.write(output.format_report_table(report))
+    rows = output.make_report(rows)
+    sys.stdout.write(output.format_report_table(rows))
     if args.out:
-        output.write_report_csv(args.out, report)
+        output.write_report_csv(args.out, rows)
     return 0
 
 
 def cmd_gen(args) -> int:
     if args.count < 0:
         raise CliError("--count must be >= 0")
-    s = generate_world(_seed_of(args), WorldSpec(count=args.count))
+    s = generate_world(_seed_of(args), args.count)
     with open(args.out, "w") as fh:
         fh.write(serialize_scenario(s))
     print(f"wrote {args.out}")

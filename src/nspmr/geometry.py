@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 EPS_GEOM = 1e-9
 
@@ -245,28 +245,36 @@ def point_in_polygon(p: Point2, poly: Polygon) -> PointLocation:
     return PointLocation.INSIDE if inside else PointLocation.OUTSIDE
 
 
-def _edges_near(p: Point2, q: Point2, poly: Polygon) -> Iterator[tuple[Point2, Point2]]:
-    """The edges (a, b) of poly for which segment_intersection(p, q, a, b) can be other than None:
-    those whose bbox, grown by m, meets segment pq's. Let r = q - p, s = b - a, qp = a - p,
-    eps = 2**-52, and S the larger of 1 and the bbox extents of pq and poly (at least
-    segment_intersection's scale). A hit at bbox gap g needs, on crossing lines, both parameters
-    within EPS_GEOM of [0, 1] (g <= 2 EPS_GEOM S), after rounding that moves them by up to
-    3 eps / EPS_GEOM (7e-7) times |qp| / S + 1 when |r x s| is near EPS_GEOM S^2, with |qp| <=
-    2S + g: g <= 4.1e-6 S in all. On parallel lines (|r x s| <= EPS_GEOM S^2) it needs
-    |qp x r| <= EPS_GEOM S^2, so a lies within EPS_GEOM S^2 / |r| of line pq and b within twice
-    that, with projections on pq overlapping up to EPS_GEOM |r|: g <= 2 EPS_GEOM S^2 / |r| +
-    1.5 EPS_GEOM S. m = 2 EPS_GEOM S^2 / |r| + 1e-5 S covers both."""
+def _segment_hits(p: Point2, q: Point2, poly: Polygon) -> list[tuple[float, Point2]]:
+    """Each point where segment pq meets poly's boundary, as (t, point) with t its fraction along
+    pq, in edge order; a CollinearOverlap gives both its ends. Empty when |pq|^2 is 0, so t
+    never divides by zero.
+
+    segment_intersection runs only on the edges (a, b) whose bbox, grown by m, meets pq's. Let
+    r = q - p, s = b - a, qp = a - p, eps = 2**-52, and S the larger of 1 and the bbox extents of
+    pq and poly (at least segment_intersection's scale). A hit at bbox gap g needs, on crossing
+    lines, both parameters within EPS_GEOM of [0, 1] (g <= 2 EPS_GEOM S), after rounding that
+    moves them by up to 3 eps / EPS_GEOM (7e-7) times |qp| / S + 1 when |r x s| is near
+    EPS_GEOM S^2, with |qp| <= 2S + g: g <= 4.1e-6 S in all. On parallel lines (|r x s| <=
+    EPS_GEOM S^2) it needs |qp x r| <= EPS_GEOM S^2, so a lies within EPS_GEOM S^2 / |r| of line
+    pq and b within twice that, with projections on pq overlapping up to EPS_GEOM |r|: g <=
+    2 EPS_GEOM S^2 / |r| + 1.5 EPS_GEOM S. m = 2 EPS_GEOM S^2 / |r| + 1e-5 S covers both."""
     rx, ry = q.x - p.x, q.y - p.y
-    length = math.hypot(rx, ry)
-    if length == 0.0:
-        return  # segment_intersection meets no zero-length segment
+    rr = rx**2 + ry**2
+    if rr == 0.0:
+        return []
     x0, y0, x1, y1 = poly._bbox
     S = max(1.0, x1 - x0, y1 - y0, abs(rx), abs(ry))
-    m = 2 * EPS_GEOM * S * S / length + 1e-5 * S
+    m = 2 * EPS_GEOM * S * S / math.hypot(rx, ry) + 1e-5 * S
     (lox, hix), (loy, hiy) = sorted((p.x, q.x)), sorted((p.y, q.y))
+    hits = []
     for a, b, _, _, x0, y0, x1, y1 in poly._edge_table:
         if x0 - m <= hix and lox <= x1 + m and y0 - m <= hiy and loy <= y1 + m:
-            yield a, b
+            hit = segment_intersection(p, q, a, b)
+            if hit is not None:
+                for x in (hit.start, hit.end) if isinstance(hit, CollinearOverlap) else (hit,):
+                    hits.append((((x.x - p.x) * rx + (x.y - p.y) * ry) / rr, x))
+    return hits
 
 
 def ray_cast(

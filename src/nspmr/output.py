@@ -10,8 +10,7 @@ import csv
 from dataclasses import dataclass
 
 from .geometry import Point2
-from .sim import Trajectory
-from .world import Scenario
+from .world import Scenario, Trajectory
 
 CSV_HEADER = ("iter", "t_s", "x_m", "y_m", "event", "dir_deg")
 
@@ -152,15 +151,9 @@ def bench_row(scenario: str, planner: str, result, oracle_m: float | None) -> Be
     )
 
 
-@dataclass(frozen=True)
-class BenchReport:
-    """Benchmark result set, rows kept sorted by (scenario, planner)."""
-
-    rows: tuple[BenchRow, ...]
-
-
-def make_report(rows) -> BenchReport:
-    return BenchReport(rows=tuple(sorted(rows, key=lambda r: (r.scenario, r.planner))))
+def make_report(rows) -> tuple[BenchRow, ...]:
+    """The rows sorted by (scenario, planner): the order every report is written in."""
+    return tuple(sorted(rows, key=lambda r: (r.scenario, r.planner)))
 
 
 def _cells(r: BenchRow) -> tuple[str, ...]:
@@ -176,18 +169,17 @@ def _cells(r: BenchRow) -> tuple[str, ...]:
     )
 
 
-def write_report_csv(path, report: BenchReport) -> None:
+def write_report_csv(path, rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(REPORT_COLUMNS)
-        for r in report.rows:
-            w.writerow(_cells(r))
+        w.writerows(_cells(r) for r in rows)
 
 
-def format_report_table(report: BenchReport) -> str:
+def format_report_table(rows) -> str:
     """Plain-text table with aligned columns; '-' marks a missing oracle."""
     body = []
-    for r in report.rows:
+    for r in rows:
         cells = list(_cells(r))
         cells[3] = f"{r.length_m:.3f}"
         cells[4] = f"{r.time_s:.3f}"

@@ -1,5 +1,7 @@
-"""Run loop, metrics, collision audit, and the grid shortest-path oracle.
+"""Run loop, planner dispatch, metrics, collision audit, and the grid shortest-path oracle.
 
+run() dispatches to the NSPMR loop here or to the Bug planners in bugs; every
+planner returns a world.Trajectory and one of the world.OUTCOME_* values.
 One robot step per tick: the robot covers delta/2 (or its diagonal) while
 moving obstacles hold still, then the world advances by dt = (delta/2)/V.
 Travel time is derived from path length, not ticks, so diagonal steps are
@@ -11,43 +13,29 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .geometry import (
-    EPS_GEOM,
-    Point2,
-    PointLocation,
-    _edges_near,
-    distance,
-    point_in_polygon,
-    segment_intersection,
-)
+from .bugs import bug1_result, bug2_result
+from .geometry import EPS_GEOM, Point2, PointLocation, _segment_hits, distance, point_in_polygon
 from .planner import NspmrState, nspmr_step
 from .world import (
+    OUTCOME_GOAL,
+    OUTCOME_LIMIT,
+    OUTCOME_STUCK,
     Scenario,
     ScenarioError,
+    Trajectory,
     _lattice_path,
     _lattice_shape,
+    make_trajectory,
     step_dynamics,
+    tick_duration,
     validate_scenario,
 )
 
 PLANNERS = ("nspmr", "bug1", "bug2")
 
-OUTCOME_GOAL = "goal_reached"
-OUTCOME_STUCK = "stuck"
-OUTCOME_LIMIT = "iteration_limit"
-OUTCOME_UNREACHABLE = "unreachable"
-
 
 class SimulationError(RuntimeError):
     """Internal inconsistency (a run produced a colliding trajectory)."""
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    waypoints: tuple[Point2, ...]
-    events: tuple[str, ...]  # one per movement step: moved | backtracked
-    directions: tuple[float | None, ...]  # compass heading per step
-    timestamps: tuple[float, ...]  # one per waypoint, iteration * dt
 
 
 @dataclass(frozen=True)
@@ -58,10 +46,6 @@ class RunResult:
     iterations: int
     max_departures_per_cell: int
     backtrack_count: int
-
-
-def tick_duration(s: Scenario) -> float:
-    return (s.delta / 2) / s.speed
 
 
 def iteration_ceiling(s: Scenario) -> int:
@@ -81,16 +65,6 @@ def path_length(t) -> float:
     if not pts:
         raise ValueError("need at least one waypoint")
     return sum(distance(a, b) for a, b in zip(pts, pts[1:]))
-
-
-def make_trajectory(s: Scenario, waypoints, events, directions) -> Trajectory:
-    dt = tick_duration(s)
-    return Trajectory(
-        waypoints=tuple(waypoints),
-        events=tuple(events),
-        directions=tuple(directions),
-        timestamps=tuple(i * dt for i in range(len(waypoints))),
-    )
 
 
 def _run_nspmr(s: Scenario, max_iters: int, rules_enabled: bool):
@@ -132,11 +106,10 @@ def run(s: Scenario, planner: str, max_iters: int | None = None, *, rules_enable
         raise ValueError("max_iters must be positive")
     if planner == "nspmr":
         traj, outcome = _run_nspmr(s, max_iters, rules_enabled)
-    elif planner in ("bug1", "bug2"):
-        from . import bugs
-
-        runner = bugs.bug1_result if planner == "bug1" else bugs.bug2_result
-        traj, outcome = runner(s, max_iters)
+    elif planner == "bug1":
+        traj, outcome = bug1_result(s, max_iters)
+    elif planner == "bug2":
+        traj, outcome = bug2_result(s, max_iters)
     else:
         raise ValueError(f"unknown planner {planner!r}; expected one of {PLANNERS}")
     problems = audit_collisions(traj, s)
@@ -164,20 +137,12 @@ def run(s: Scenario, planner: str, max_iters: int | None = None, *, rules_enable
 
 # --- safety audit ------------------------------------------------------------------
 
-def _segment_hits_polygon(a: Point2, b: Point2, poly) -> bool:
-    """Does ab meet an edge (of those geometry._edges_near keeps) or have its midpoint INSIDE?"""
-    for ea, eb in _edges_near(a, b, poly):
-        if segment_intersection(a, b, ea, eb) is not None:
-            return True
-    mid = Point2((a.x + b.x) / 2, (a.y + b.y) / 2)
-    return point_in_polygon(mid, poly) is PointLocation.INSIDE
-
-
 def audit_collisions(t: Trajectory, s: Scenario) -> list[str]:
     """Check every waypoint and segment against the obstacle poses current at
     its timestamp; an empty list means the trajectory is safe. Each waypoint
     and directed segment (p, q) is tested once per pose of the world, so a
-    static world audits a repeated one from memory."""
+    static world audits a repeated one from memory. A segment collides when it
+    meets a boundary or its midpoint lies INSIDE."""
     out = []
     world = s
     dt = tick_duration(s)
@@ -206,7 +171,10 @@ def audit_collisions(t: Trajectory, s: Scenario) -> list[str]:
                 found = memo[p, q] = []
                 (lox, hix), (loy, hiy) = sorted((p.x, q.x)), sorted((p.y, q.y))
                 for i, shape, (x0, y0, x1, y1) in shapes:
-                    if hix >= x0 and lox <= x1 and hiy >= y0 and loy <= y1 and _segment_hits_polygon(p, q, shape):
+                    if hix >= x0 and lox <= x1 and hiy >= y0 and loy <= y1 and (
+                        _segment_hits(p, q, shape)
+                        or point_in_polygon(Point2((p.x + q.x) / 2, (p.y + q.y) / 2), shape) is PointLocation.INSIDE
+                    ):
                         found.append(i)
             for i in found:
                 out.append(f"segment {k} intersects obstacle {i}")

@@ -1,7 +1,10 @@
-"""Scenario model: bounds, obstacles, file format, builtin worlds, dynamics.
+"""Scenario model: bounds, obstacles, file format, dynamics, trajectories,
+builtin and generated worlds, and the lattice search.
 
 A scenario is immutable; advancing moving obstacles produces a new scenario
-(see step_dynamics). All distances are meters, headings are compass degrees.
+(see step_dynamics). Every planner returns a Trajectory, whose timestamps
+advance one tick_duration per waypoint, and one of the OUTCOME_* values.
+All distances are meters, headings are compass degrees.
 """
 
 from __future__ import annotations
@@ -11,9 +14,9 @@ import json
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .geometry import (
     EPS_GEOM,
@@ -243,6 +246,36 @@ def step_dynamics(s: Scenario, dt: float) -> Scenario:
     return replace(s, obstacles=tuple(new_obstacles))
 
 
+# --- trajectories and outcomes -----------------------------------------------------
+
+OUTCOME_GOAL = "goal_reached"
+OUTCOME_STUCK = "stuck"
+OUTCOME_LIMIT = "iteration_limit"
+OUTCOME_UNREACHABLE = "unreachable"
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    waypoints: tuple[Point2, ...]
+    events: tuple[str, ...]  # one per movement step: moved | backtracked
+    directions: tuple[float | None, ...]  # compass heading per step
+    timestamps: tuple[float, ...]  # one per waypoint, iteration * dt
+
+
+def tick_duration(s: Scenario) -> float:
+    return (s.delta / 2) / s.speed
+
+
+def make_trajectory(s: Scenario, waypoints, events, directions) -> Trajectory:
+    dt = tick_duration(s)
+    return Trajectory(
+        waypoints=tuple(waypoints),
+        events=tuple(events),
+        directions=tuple(directions),
+        timestamps=tuple(i * dt for i in range(len(waypoints))),
+    )
+
+
 # --- builtin worlds ---------------------------------------------------------------
 
 def _rect(x0: float, y0: float, x1: float, y1: float) -> Polygon:
@@ -402,24 +435,16 @@ def builtin_scenario(name: str) -> Scenario:
 
 # --- random worlds -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WorldSpec:
-    """Knobs for generate_world. Sizes are obstacle bbox extents in meters."""
-
-    count: int = 8
-    min_size: float = 1.0
-    max_size: float = 4.0
-    kinds: tuple[str, ...] = ("rect", "l", "triangle")
-
-
 _GEN_BOUNDS = Bounds(0, 0, 30, 30)
 _GEN_START = Point2(2, 2)
 _GEN_GOAL = Point2(28, 28)
+_GEN_KINDS = ("rect", "l", "triangle")
+_GEN_MIN_SIZE, _GEN_MAX_SIZE = 1.0, 4.0  # obstacle bbox extents in meters
 
 
-def _make_shape(rng: random.Random, kind: str, spec: WorldSpec) -> Polygon:
-    w = rng.uniform(spec.min_size, spec.max_size)
-    h = rng.uniform(spec.min_size, spec.max_size)
+def _make_shape(rng: random.Random, kind: str) -> Polygon:
+    w = rng.uniform(_GEN_MIN_SIZE, _GEN_MAX_SIZE)
+    h = rng.uniform(_GEN_MIN_SIZE, _GEN_MAX_SIZE)
     b = _GEN_BOUNDS
     x0 = rng.uniform(b.xmin + 1, b.xmax - 1 - w)
     y0 = rng.uniform(b.ymin + 1, b.ymax - 1 - h)
@@ -564,23 +589,21 @@ def _lattice_path(s: Scenario, resolution: float, clearance: float) -> float | N
     return None
 
 
-def generate_world(seed: int, spec: WorldSpec | None = None) -> Scenario:
-    """Deterministically generate a solvable static world for the given seed.
+def generate_world(seed: int, count: int = 8) -> Scenario:
+    """Deterministically generate a solvable static world of count obstacles for the given seed.
 
     Obstacles keep at least 2*delta of separation from each other and from
     start/goal, and placement is rejection-sampled until a clearance-checked
     grid path start->goal exists, so every generated world is solvable.
     """
-    spec = spec or WorldSpec()
     rng = random.Random(seed)
-    kinds = tuple(spec.kinds)
     for _ in range(60):
         shapes: list[Polygon] = []
         ok = True
-        for _ in range(spec.count):
+        for _ in range(count):
             placed = False
             for _ in range(300):
-                cand = _make_shape(rng, rng.choice(kinds), spec)
+                cand = _make_shape(rng, rng.choice(_GEN_KINDS))
                 margin = 2 * DEFAULT_DELTA
                 if point_polygon_distance(_GEN_START, cand) < margin:
                     continue

@@ -19,21 +19,23 @@ from nspmr.geometry import (
     polygon_offset,
     segment_intersection,
 )
-from nspmr.sim import (
-    OUTCOME_GOAL,
-    OUTCOME_LIMIT,
-    OUTCOME_UNREACHABLE,
-    audit_collisions,
-    path_length,
-    run,
-)
+from nspmr.sim import audit_collisions, path_length, run
 from nspmr.bugs import (
     BoundaryWalk,
     bug1_result,
     bug2_result,
     follow_boundary,
 )
-from nspmr.world import Bounds, Obstacle, Scenario, ScenarioError, builtin_scenario
+from nspmr.world import (
+    OUTCOME_GOAL,
+    OUTCOME_LIMIT,
+    OUTCOME_UNREACHABLE,
+    Bounds,
+    Obstacle,
+    Scenario,
+    ScenarioError,
+    builtin_scenario,
+)
 
 SQRT2 = math.sqrt(2.0)
 

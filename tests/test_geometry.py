@@ -14,7 +14,7 @@ from nspmr.geometry import (
     PointLocation,
     _bbox_gap,
     _closer_than,
-    _edges_near,
+    _segment_hits,
     circular_diff,
     compass_unit,
     math_to_compass,
@@ -26,8 +26,7 @@ from nspmr.geometry import (
     ray_cast,
     segment_intersection,
 )
-from nspmr.sim import _segment_hits_polygon
-from nspmr.world import WorldSpec, _make_shape, builtin_scenario, parse_scenario, serialize_scenario
+from nspmr.world import _make_shape, builtin_scenario, parse_scenario, serialize_scenario
 
 SEED = 20260817
 
@@ -446,7 +445,7 @@ _GAP_OFFSETS = st.one_of(st.sampled_from((0.0, 1e-9, 0.25, 1.0)), st.floats(-1.0
 # a gap of exactly 1.0 over which polygon_distance reads 0.9999999999999996
 @example(seeds=(239, 0), kinds=("rect", "rect"), dx=0.0, dy=1.0)
 def test_bbox_gap_bounds_polygon_distance_and_culls_exactly(seeds, kinds, dx, dy):
-    a, b = (_make_shape(random.Random(seed), kind, WorldSpec()) for seed, kind in zip(seeds, kinds))
+    a, b = (_make_shape(random.Random(seed), kind) for seed, kind in zip(seeds, kinds))
     # put b's lower-left bbox corner at (dx, dy) from a's upper-right one
     ax0, ay0, ax1, ay1 = a.bbox()
     bx0, by0, _, _ = b.bbox()
@@ -472,25 +471,29 @@ def unculled_point_in_polygon(p, poly):
 
 
 def unculled_segment_hits(a, b, poly):
-    """sim._segment_hits_polygon with segment_intersection on every edge."""
-    verts = poly.vertices
-    n = len(verts)
-    for i in range(n):
-        if segment_intersection(a, b, verts[i], verts[(i + 1) % n]) is not None:
-            return True
-    mid = Point2((a.x + b.x) / 2, (a.y + b.y) / 2)
-    return unculled_point_in_polygon(mid, poly) is PointLocation.INSIDE
+    """The points segment_intersection finds between ab and each edge of poly, in edge
+    order, with both ends of a CollinearOverlap."""
+    hits = []
+    for e in poly.edges():
+        hit = segment_intersection(a, b, *e)
+        if isinstance(hit, CollinearOverlap):
+            hits += [hit.start, hit.end]
+        elif hit is not None:
+            hits.append(hit)
+    return hits
 
 
 def assert_cull_parity(a, b, poly):
-    """Culled and unculled agree on segment ab and on both its ends, and every edge
-    that segment_intersection meets is one _edges_near yields."""
+    """Culled and unculled agree on both ends of segment ab, and _segment_hits finds the
+    same points as segment_intersection on every edge, each at its fraction along ab."""
     for p in (a, b):
         assert point_in_polygon(p, poly) is unculled_point_in_polygon(p, poly), (p, poly)
-    assert _segment_hits_polygon(a, b, poly) is unculled_segment_hits(a, b, poly), (a, b, poly)
-    near = set(_edges_near(a, b, poly))
-    for e in poly.edges():
-        assert segment_intersection(a, b, *e) is None or e in near, (a, b, e)
+    hits = _segment_hits(a, b, poly)
+    assert [x for _, x in hits] == unculled_segment_hits(a, b, poly), (a, b, poly)
+    rx, ry = b.x - a.x, b.y - a.y
+    scale = max(1.0, abs(a.x), abs(a.y), abs(b.x), abs(b.y))
+    for t, x in hits:
+        assert math.hypot(a.x + t * rx - x.x, a.y + t * ry - x.y) <= 1e-12 * scale, (a, b, t, x)
 
 
 def _rotated_wall(length, angle, width=0.2):
@@ -579,7 +582,7 @@ def _cull_shape(seed, kind, length, angle, shift):
     if kind == "wall":
         poly = _rotated_wall(length, angle)
     else:
-        poly = _make_shape(random.Random(seed), kind, WorldSpec())
+        poly = _make_shape(random.Random(seed), kind)
     return poly.translated(shift, shift)
 
 

@@ -1,0 +1,45 @@
+"""Module layout: every import of the package runs at module level, and the
+modules import each other without a cycle."""
+
+import ast
+from pathlib import Path
+
+import nspmr
+
+MODULES = sorted(Path(nspmr.__file__).parent.glob("*.py"))
+
+
+def _relative_imports(tree: ast.Module) -> set[str]:
+    """Names of the package modules a module imports at its top level."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.update([node.module] if node.module else (a.name for a in node.names))
+    return out
+
+
+def test_no_function_imports_and_no_module_cycle():
+    graph = {}
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested = [n for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))]
+                assert not nested, f"{path.name}:{nested[0].lineno} imports inside {fn.name}()"
+        graph[path.stem] = _relative_imports(tree)
+    assert set().union(*graph.values()) <= set(graph)
+    # depth-first search: a module met again while still on the stack closes a cycle
+    done, stack = set(), []
+
+    def visit(mod):
+        assert mod not in stack, "import cycle: " + " -> ".join(stack[stack.index(mod):] + [mod])
+        if mod in done:
+            return
+        stack.append(mod)
+        for dep in sorted(graph[mod]):
+            visit(dep)
+        stack.pop()
+        done.add(mod)
+
+    for mod in sorted(graph):
+        visit(mod)

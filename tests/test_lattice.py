@@ -14,7 +14,6 @@ from nspmr.world import (
     Bounds,
     Obstacle,
     Scenario,
-    WorldSpec,
     _lattice_blocked,
     _lattice_path,
     _lattice_shape,
@@ -72,7 +71,7 @@ def _assert_raster_exact(s, resolution, clearance):
     clearance=st.sampled_from(CLEARANCES),
 )
 def test_raster_matches_brute_force_on_random_shapes(seed, kind, resolution, clearance):
-    poly = _make_shape(random.Random(seed), kind, WorldSpec())
+    poly = _make_shape(random.Random(seed), kind)
     x0, y0, x1, y1 = poly.bbox()
     # the lattice origin falls wherever the shape does, so alignment varies
     _assert_raster_exact(_scene((x0 - 1.5, y0 - 1.5, x1 + 1.5, y1 + 1.5), poly), resolution, clearance)

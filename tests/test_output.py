@@ -145,7 +145,7 @@ def test_report_rows_sorted_and_csv_columns(tmp_path):
         output.bench_row("a", "bug1", fake_result(6.0), None),
     ]
     report = output.make_report(rows)
-    keys = [(r.scenario, r.planner) for r in report.rows]
+    keys = [(r.scenario, r.planner) for r in report]
     assert keys == sorted(keys)
 
     path = tmp_path / "report.csv"

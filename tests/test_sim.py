@@ -10,17 +10,25 @@ from nspmr.geometry import Point2, PointLocation, Polygon, point_in_polygon, seg
 from nspmr.sim import (
     RunResult,
     SimulationError,
-    Trajectory,
     audit_collisions,
     default_max_iters,
     grid_oracle,
     iteration_ceiling,
-    make_trajectory,
     path_length,
     run,
+)
+from nspmr.world import (
+    BUILTIN_NAMES,
+    Bounds,
+    Obstacle,
+    Scenario,
+    ScenarioError,
+    Trajectory,
+    builtin_scenario,
+    make_trajectory,
+    step_dynamics,
     tick_duration,
 )
-from nspmr.world import BUILTIN_NAMES, Bounds, Obstacle, Scenario, ScenarioError, builtin_scenario, step_dynamics
 
 DIAG_25 = 25 * math.sqrt(2)
 

