@@ -8,6 +8,7 @@ validation errors.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -105,8 +106,8 @@ def _parse_ranges(raw: str | None) -> list[float | None]:
             d = float(part)
         except ValueError:
             raise CliError(f"bad sensor range {part!r}") from None
-        if d <= 0:
-            raise CliError(f"sensor range must be positive, got {part}")
+        if not (math.isfinite(d) and d > 0):
+            raise CliError(f"sensor range must be finite and positive, got {part}")
         out.append(d)
     if not out:
         raise CliError("range list is empty")

@@ -10,11 +10,13 @@ not undercharged.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
 from .bugs import bug1_result, bug2_result
 from .geometry import EPS_GEOM, Point2, PointLocation, _segment_hits, distance, point_in_polygon
+from .lattice import _lattice_path, _lattice_shape
 from .planner import NspmrState, nspmr_step
 from .world import (
     OUTCOME_GOAL,
@@ -23,8 +25,6 @@ from .world import (
     Scenario,
     ScenarioError,
     Trajectory,
-    _lattice_path,
-    _lattice_shape,
     make_trajectory,
     step_dynamics,
     tick_duration,
@@ -192,9 +192,9 @@ def grid_oracle(s: Scenario, resolution: float) -> float | None:
     disconnects them. A lower-bound reference: the grid ignores clearance.
 
     The value is the shortest lattice length a*resolution + b*resolution*sqrt(2),
-    found by A* with the octile heuristic. Another search order may reach the
-    goal along another shortest path or add its steps in another order, so
-    values agree across search orders to within 1e-12, not bit for bit."""
-    if not resolution > 0:
-        raise ValueError("resolution must be positive")
+    found by jump-point search with its pruning rules for steps that may cut
+    corners (see lattice._lattice_path). Another search order may add the
+    steps in another order, so values agree to within 1e-12, not bit for bit."""
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError("resolution must be finite and positive")
     return _lattice_path(s, resolution, 0.0)

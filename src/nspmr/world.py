@@ -1,5 +1,5 @@
 """Scenario model: bounds, obstacles, file format, dynamics, trajectories,
-builtin and generated worlds, and the lattice search.
+builtin and generated worlds.
 
 A scenario is immutable; advancing moving obstacles produces a new scenario
 (see step_dynamics). Every planner returns a Trajectory, whose timestamps
@@ -9,25 +9,22 @@ All distances are meters, headings are compass degrees.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
 from .geometry import (
-    EPS_GEOM,
     Point2,
     PointLocation,
     Polygon,
     _closer_than,
     point_in_polygon,
     point_polygon_distance,
-    point_segment_distance,
 )
+from .lattice import _lattice_path
 
 DEFAULT_DELTA = 0.5
 DEFAULT_SENSOR_RANGE = 1.0
@@ -466,127 +463,6 @@ def _make_shape(rng: random.Random, kind: str) -> Polygon:
     if kind == "triangle":
         return Polygon((Point2(x0, y0), Point2(x0 + w, y0), Point2(x0 + rng.uniform(0.2, 0.8) * w, y0 + h)))
     raise ScenarioError(f"unknown obstacle kind {kind!r}")
-
-
-def _lattice_shape(b: Bounds, resolution: float) -> tuple[int, int]:
-    """Node counts (nx, ny) of the lattice with spacing resolution anchored at (xmin, ymin)."""
-    return (
-        int(round((b.xmax - b.xmin) / resolution)) + 1,
-        int(round((b.ymax - b.ymin) / resolution)) + 1,
-    )
-
-
-def _lattice_blocked(s: Scenario, resolution: float, clearance: float) -> bytearray:
-    """Occupancy of the lattice, padded with a blocked one-node ring.
-
-    Node (i, j) sits at (xmin + i*resolution, ymin + j*resolution) and at flat
-    index (i+1)*(ny+2) + (j+1). It is blocked exactly when
-    point_polygon_distance(node, poly) <= clearance for some obstacle: inside
-    by the even-odd rule of point_in_polygon, or within max(clearance,
-    EPS_GEOM) of an edge (a node within EPS_GEOM is ON_BOUNDARY, distance 0).
-    Each polygon is rasterized once: the x-crossings of each lattice row
-    give its interior runs, and each edge tests only the nodes in its own
-    bbox grown by that threshold.
-    """
-    b = s.bounds
-    nx, ny = _lattice_shape(b, resolution)
-    w = ny + 2
-    blocked = bytearray((nx + 2) * w)
-    blocked[:w] = blocked[-w:] = b"\x01" * w
-    blocked[::w] = blocked[w - 1 :: w] = b"\x01" * (nx + 2)
-    xs = [b.xmin + i * resolution for i in range(nx)]
-    ys = [b.ymin + j * resolution for j in range(ny)]
-    thr = max(clearance, EPS_GEOM)
-
-    def window(lo: float, hi: float, origin: float, n: int) -> range:
-        # the 1e-9 keeps nodes that sit on the grown bbox edge up to rounding
-        return range(
-            max(0, math.ceil((lo - thr - origin) / resolution - 1e-9)),
-            min(n - 1, math.floor((hi + thr - origin) / resolution + 1e-9)) + 1,
-        )
-
-    for poly in s.shapes():
-        x0, y0, x1, y1 = poly.bbox()
-        cols = window(x0, x1, b.xmin, nx)
-        verts = poly.vertices
-        # (x_i, y_i, x_prev, y_prev): point_in_polygon's operand order, so the
-        # crossings below are bit-for-bit the ones it computes
-        spans = [(verts[i].x, verts[i].y, verts[i - 1].x, verts[i - 1].y) for i in range(len(verts))]
-        for j in window(y0, y1, b.ymin, ny):
-            y = ys[j]
-            xc = sorted(xi + (y - yi) * (xp - xi) / (yp - yi) for xi, yi, xp, yp in spans if (yi > y) != (yp > y))
-            # an even number of crossings; x is inside iff xc[2k] <= x < xc[2k+1]
-            for k in range(0, len(xc), 2):
-                lo = bisect_left(xs, xc[k], cols.start, cols.stop)
-                hi = bisect_left(xs, xc[k + 1], cols.start, cols.stop)
-                if lo < hi:
-                    first = (lo + 1) * w + j + 1
-                    blocked[first : first + (hi - lo) * w : w] = b"\x01" * (hi - lo)
-        for a, c in poly.edges():
-            # the edge's window lies inside the polygon's, which has the same growth
-            jband = window(min(a.y, c.y), max(a.y, c.y), b.ymin, ny)
-            for i in window(min(a.x, c.x), max(a.x, c.x), b.xmin, nx):
-                row = (i + 1) * w + 1
-                for j in jband:
-                    if not blocked[row + j] and point_segment_distance(Point2(xs[i], ys[j]), a, c) <= thr:
-                        blocked[row + j] = 1
-    return blocked
-
-
-def _lattice_path(s: Scenario, resolution: float, clearance: float) -> float | None:
-    """Shortest 8-connected lattice path start->goal, or None when none exists.
-
-    Nodes within clearance of an obstacle are blocked (see _lattice_blocked);
-    with clearance 0 that means on or inside one. The search is A* with the
-    octile heuristic, which never overestimates an 8-connected lattice
-    length; stale heap entries are skipped and improved nodes reopened, so a
-    heuristic off by rounding still returns the shortest length to 1e-12.
-    """
-    b = s.bounds
-    nx, ny = _lattice_shape(b, resolution)
-    w = ny + 2
-    blocked = _lattice_blocked(s, resolution, clearance)
-
-    def node(p: Point2) -> int | None:
-        i = int(round((p.x - b.xmin) / resolution))
-        j = int(round((p.y - b.ymin) / resolution))
-        return (i + 1) * w + j + 1 if 0 <= i < nx and 0 <= j < ny else None
-
-    src, dst = node(s.start), node(s.goal)
-    if src is None or dst is None or blocked[src] or blocked[dst]:
-        return None
-    diag = resolution * math.sqrt(2)
-    # octile distance to the goal from a node's offsets gx, gy in nodes:
-    # resolution per straight step, diag per diagonal one
-    gi, gj = divmod(dst, w)
-    gx = [abs(i - gi) for i in range(nx + 2)]
-    gy = [abs(j - gj) for j in range(w)]
-    skew = diag - 2 * resolution
-    moves = [
-        (di * w + dj, diag if di and dj else resolution)
-        for di in (-1, 0, 1)
-        for dj in (-1, 0, 1)
-        if di or dj
-    ]
-    # blocked nodes start at -1, so the relaxation test alone keeps the search off them
-    dist = list(map((math.inf, -1.0).__getitem__, blocked))
-    dist[src] = 0.0
-    heap = [(0.0, src, 0.0)]
-    push, pop = heapq.heappush, heapq.heappop
-    while heap:
-        _, k, d = pop(heap)
-        if k == dst:
-            return d
-        if d > dist[k]:
-            continue
-        for step, cost in moves:
-            n = k + step
-            nd = d + cost
-            if nd < dist[n] - 1e-15:
-                dist[n] = nd
-                dx, dy = gx[n // w], gy[n % w]
-                push(heap, (nd + resolution * (dx + dy) + skew * (dx if dx < dy else dy), n, nd))
-    return None
 
 
 def generate_world(seed: int, count: int = 8) -> Scenario:

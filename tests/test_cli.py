@@ -206,6 +206,8 @@ def test_bench_guards_exit_1(capsys):
         ["bench", "--planners", "nspmr,warp"],
         ["bench", "--ranges", "0"],
         ["bench", "--ranges", "two"],
+        ["bench", "--ranges", "nan"],
+        ["bench", "--ranges", "inf"],
         ["bench", "--suite", "exam"],
     ]
     for argv in cases:

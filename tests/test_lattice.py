@@ -9,14 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nspmr.geometry import Point2, Polygon, point_polygon_distance
+from nspmr.lattice import _lattice_blocked, _lattice_path, _lattice_shape
 from nspmr.world import (
     BUILTIN_NAMES,
     Bounds,
     Obstacle,
     Scenario,
-    _lattice_blocked,
-    _lattice_path,
-    _lattice_shape,
     _make_shape,
     builtin_scenario,
     generate_world,
@@ -187,3 +185,97 @@ def test_search_returns_none_when_goal_is_walled_in():
         open_ = _scene((0, 0, 12, 12), *walls[:3], start=Point2(1, 1), goal=Point2(7.5, 7.5))
         assert _lattice_path(open_, resolution, 0.0) is not None
         _assert_same_length(open_, resolution, 0.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    shapes=st.lists(
+        st.tuples(st.integers(0, 2**32 - 1), st.sampled_from(("rect", "l", "triangle"))), min_size=1, max_size=4
+    ),
+    margins=st.tuples(*[st.floats(0.0, 2.0)] * 4),
+    ends=st.tuples(*[st.floats(0.0, 1.0)] * 4),
+    resolution=st.sampled_from(RESOLUTIONS),
+    clearance=st.sampled_from(CLEARANCES),
+)
+def test_search_matches_dijkstra_on_random_scenes(shapes, margins, ends, resolution, clearance):
+    polys = [_make_shape(random.Random(seed), kind) for seed, kind in shapes]
+    x0 = min(p.bbox()[0] for p in polys) - margins[0]
+    y0 = min(p.bbox()[1] for p in polys) - margins[1]
+    x1 = max(p.bbox()[2] for p in polys) + margins[2]
+    y1 = max(p.bbox()[3] for p in polys) + margins[3]
+    # start and goal anywhere in the bounds, on or off the lattice, inside obstacles too
+    fx, fy, gx, gy = ends
+    start = Point2(x0 + fx * (x1 - x0), y0 + fy * (y1 - y0))
+    goal = Point2(x0 + gx * (x1 - x0), y0 + gy * (y1 - y0))
+    _assert_same_length(_scene((x0, y0, x1, y1), *polys, start=start, goal=goal), resolution, clearance)
+
+
+def _dots(nodes, resolution):
+    """Squares of side resolution/5 centred on the given lattice nodes: those nodes alone are blocked."""
+    e = resolution / 10
+    return [
+        Polygon(
+            (
+                Point2(i * resolution - e, j * resolution - e),
+                Point2(i * resolution + e, j * resolution - e),
+                Point2(i * resolution + e, j * resolution + e),
+                Point2(i * resolution - e, j * resolution + e),
+            )
+        )
+        for i, j in nodes
+    ]
+
+
+@pytest.mark.parametrize("resolution", RESOLUTIONS)
+def test_search_cuts_corners_between_diagonal_neighbours(resolution):
+    # the anti-diagonal i + j = 6 is blocked across the whole 7x7 lattice; a
+    # diagonal step needs only its target free, so (2, 3) -> (3, 4) squeezes
+    # between the blocked (2, 4) and (3, 3). The shortest route takes one
+    # straight step onto odd i + j, the squeeze, and one straight step back.
+    wall = [(i, 6 - i) for i in range(7)]
+    s = _scene((0.0, 0.0, 6 * resolution, 6 * resolution), *_dots(wall, resolution))
+    grid = _lattice_blocked(s, resolution, 0.0)
+    assert [(i, j) for i in range(7) for j in range(7) if grid[(i + 1) * 9 + j + 1]] == sorted(wall)
+    want = 2 * resolution + 5 * resolution * math.sqrt(2)
+    assert _lattice_path(s, resolution, 0.0) == pytest.approx(want, abs=1e-12)
+    _assert_same_length(s, resolution, 0.0)
+
+
+@pytest.mark.parametrize(
+    "start, goal, straight, diagonal",
+    [
+        ((2, 5), (7, 5), 5, 0),  # +i
+        ((8, 5), (3, 5), 5, 0),  # -i
+        ((5, 2), (5, 7), 5, 0),  # +j
+        ((5, 8), (5, 3), 5, 0),  # -j
+        ((2, 2), (7, 7), 0, 5),  # +i +j
+        ((8, 2), (3, 7), 0, 5),  # -i +j
+        ((2, 2), (7, 4), 3, 2),  # in the +i jump that the diagonal tries at (4, 4)
+        ((8, 8), (5, 2), 3, 3),  # in the -j jump that the diagonal tries at (5, 5)
+    ],
+)
+def test_search_stops_at_goal_inside_a_jump(start, goal, straight, diagonal):
+    # an 11x11 lattice: each goal sits strictly inside a run, away from the ring,
+    # and the straight runs have a forced neighbour beyond the goal in a row
+    # beside, next to one of the dots
+    dots = _dots([(9, 6), (9, 4), (6, 9), (4, 9), (1, 4), (4, 1)], 1.0)
+    s = _scene((0.0, 0.0, 10.0, 10.0), *dots, start=Point2(*start), goal=Point2(*goal))
+    want = straight + diagonal * math.sqrt(2)
+    assert _lattice_path(s, 1.0, 0.0) == pytest.approx(want, abs=1e-12)
+    _assert_same_length(s, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("resolution", RESOLUTIONS)
+def test_search_from_start_to_itself_is_zero(resolution):
+    s = _scene((0.0, 0.0, 4.0, 4.0), start=Point2(1.1, 1.3), goal=Point2(1.1, 1.3))
+    assert _lattice_path(s, resolution, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("start", [(0, 0), (0, 4), (4, 0), (8, 8), (8, 3)])
+def test_search_from_a_start_beside_the_ring(start):
+    # starts on the lattice's corners and edges, next to the blocked ring, with a
+    # dot beside some of them so that a forced neighbour lies along the ring
+    dots = _dots([(1, 4), (4, 1), (7, 7), (7, 3)], 1.0)
+    s = _scene((0.0, 0.0, 8.0, 8.0), *dots, start=Point2(*start), goal=Point2(5.0, 6.0))
+    assert _lattice_path(s, 1.0, 0.0) is not None
+    _assert_same_length(s, 1.0, 0.0)

@@ -369,5 +369,7 @@ def test_oracle_values_are_pinned():
 
 
 def test_oracle_requires_positive_resolution():
-    with pytest.raises(ValueError):
-        grid_oracle(_empty(), 0)
+    # an infinite resolution would collapse the lattice to one node and read 0.0
+    for resolution in (0, -0.25, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            grid_oracle(_empty(), resolution)

@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 
 from nspmr.geometry import Point2, Polygon
+from nspmr.lattice import _lattice_path
 from nspmr.sim import grid_oracle
 from nspmr.world import (
     BUILTIN_NAMES,
@@ -17,7 +18,6 @@ from nspmr.world import (
     Obstacle,
     Scenario,
     ScenarioError,
-    _lattice_path,
     builtin_scenario,
     generate_world,
     parse_scenario,

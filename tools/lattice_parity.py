@@ -10,9 +10,11 @@ Two checkouts agree when those lines are equal. It also computes
 grid_oracle(s, r) for the builtins at r = delta/2, 0.25, 0.3 and 0.7 and for
 seeds 0-49 at r = delta/2. The oracle is a shortest lattice length, equal
 across search orders only to rounding, so its values are compared with a
-tolerance instead: --save writes them as JSON, --against compares them with
-a saved file at abs 1e-12 and exits 1 on a mismatch. Run it once against
-each source tree, from this checkout, e.g. with a base checkout in ../base:
+tolerance instead. --save writes the three lines and the oracle values as
+JSON; --against compares them with a saved file, the lines exactly and the
+oracle values at abs 1e-12, and exits 1 naming each line or value that
+differs. Run it once against each source tree, from this checkout, e.g.
+with a base checkout in ../base:
 
     PYTHONPATH=../base/src python tools/lattice_parity.py --save oracles.json
     PYTHONPATH=src python tools/lattice_parity.py --against oracles.json
@@ -91,8 +93,8 @@ def routes_digest() -> tuple[str, int]:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--save", metavar="PATH", help="write the oracle values to PATH as JSON")
-    parser.add_argument("--against", metavar="PATH", help="compare the oracle values with those saved in PATH")
+    parser.add_argument("--save", metavar="PATH", help="write the digests and oracle values to PATH as JSON")
+    parser.add_argument("--against", metavar="PATH", help="compare the digests and oracle values with those saved in PATH")
     args = parser.parse_args()
 
     worlds = hashlib.sha256()
@@ -106,24 +108,33 @@ def main() -> int:
         worlds.update(serialize_scenario(s).encode())
         if seed < 50:
             oracles[f"{seed} {s.delta / 2}"] = grid_oracle(s, s.delta / 2)
-    print("worlds 0-499  ", worlds.hexdigest())
-    print("ceilings      ", [iteration_ceiling(builtin_scenario(n)) for n in BUILTIN_NAMES])
     routes, runs = routes_digest()
-    print("routes        ", routes, f"({runs} runs)")
+    lines = {
+        "worlds": worlds.hexdigest(),
+        "ceilings": [iteration_ceiling(builtin_scenario(n)) for n in BUILTIN_NAMES],
+        "routes": f"{routes} ({runs} runs)",
+    }
+    print("worlds 0-499  ", lines["worlds"])
+    print("ceilings      ", lines["ceilings"])
+    print("routes        ", lines["routes"])
     print("oracles       ", len(oracles), "values")
     if args.save:
         with open(args.save, "w") as f:
-            json.dump(oracles, f, indent=1, sort_keys=True)
+            json.dump({**lines, "oracles": oracles}, f, indent=1, sort_keys=True)
     if args.against:
         with open(args.against) as f:
-            want = json.load(f)
+            saved = json.load(f)
+        want = saved["oracles"]
         bad = mismatches(oracles, want)
         diffs = [abs(v - want[k]) for k, v in oracles.items() if v is not None and want.get(k) is not None]
         moved = sum(d > 0 for d in diffs)
         print(f"against        {moved} moved, max |diff| {max(diffs, default=0.0):.3g}, {len(bad)} mismatched")
         for key in bad:
             print("  mismatch", key, oracles.get(key), want.get(key))
-        return 1 if bad else 0
+        differing = [key for key, value in lines.items() if saved[key] != value]
+        for key in differing:
+            print(f"  {key} differ: saved {saved[key]}")
+        return 1 if bad or differing else 0
     return 0
 
 
