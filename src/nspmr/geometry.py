@@ -171,7 +171,7 @@ class Polygon:
                      for a, b in self._edges)
 
     @cached_property
-    def _circle(self) -> tuple[float, float, float]:  # (cx, cy, r) around the bbox, for _first_hit
+    def _circle(self) -> tuple[float, float, float]:  # (cx, cy, r) around the bbox, for _cast
         xmin, ymin, xmax, ymax = self._bbox
         return 0.5 * (xmin + xmax), 0.5 * (ymin + ymax), math.hypot(xmax - xmin, ymax - ymin) * 0.5 + EPS_GEOM
 
@@ -186,9 +186,17 @@ class Polygon:
         return 0.5 * s
 
     def is_ccw(self) -> bool:
+        return self._ccw  # cached like _simple: validate_scenario asks on every run
+
+    @cached_property
+    def _ccw(self) -> bool:
         return self.signed_area() > 0.0
 
     def is_simple(self) -> bool:
+        return self._simple
+
+    @cached_property
+    def _simple(self) -> bool:
         """No self-intersections: nonadjacent edges disjoint, adjacent ones meet only at the shared vertex."""
         es = self.edges()
         n = len(es)
@@ -286,15 +294,15 @@ def ray_cast(
     """Distance to the first boundary hit along a compass heading, or None within max_range.
 
     The origin must not be strictly inside any obstacle; ray_cast tests that
-    on every call and raises GeometryError otherwise. ``sensing.scan`` makes
-    the same test once per scan and then casts its 8 rays through the same
-    per-ray routine without repeating it. Hits at parameter <= EPS_GEOM are
+    on every call and raises GeometryError otherwise. It casts its one ray
+    through ``_cast``, the kernel that ``sensing.scan`` runs once for all 8
+    rays after making the same test once. Hits at parameter <= EPS_GEOM are
     ignored so standing exactly on a boundary point does not read as an
     immediate collision; collinear grazing along an edge counts as a hit at
     the nearest overlap point.
     """
     _require_origin_outside(origin, obstacles)
-    return _first_hit(origin, compass_deg, max_range, obstacles)
+    return _cast(origin, (compass_unit(compass_deg),), max_range, obstacles)[0]
 
 
 def _require_origin_outside(origin: Point2, obstacles: Sequence[Polygon]) -> None:
@@ -303,42 +311,40 @@ def _require_origin_outside(origin: Point2, obstacles: Sequence[Polygon]) -> Non
             raise GeometryError("ray origin strictly inside an obstacle")
 
 
-def _first_hit(
-    origin: Point2,
-    compass_deg: float,
-    max_range: float,
-    obstacles: Sequence[Polygon],
-) -> float | None:
-    """ray_cast without the origin test; the caller has made it."""
-    ux, uy = compass_unit(compass_deg)
+def _cast(origin: Point2, units: Sequence[tuple[float, float]], max_range: float,
+          obstacles: Sequence[Polygon]) -> list[float | None]:
+    """ray_cast's result for the ray along each unit vector of ``units``, without the origin test,
+    which the caller has made. One pass over each shape's edge table tests every ray that passes
+    the shape's bbox circle; a result is a minimum, so the visiting order changes no value."""
     ox, oy = origin
-    best: float | None = None
+    best = [math.inf] * len(units)
     for poly in obstacles:
-        # cheap reject: ray sphere around the bbox
+        # cheap reject per ray: ray sphere around the bbox
         cx, cy, r = poly._circle
-        tc = (cx - ox) * ux + (cy - oy) * uy
-        if tc < -r or tc - r > max_range:
-            continue
-        if math.hypot(cx - ox - tc * ux, cy - oy - tc * uy) > r:
+        dx, dy = cx - ox, cy - oy
+        rays = []
+        for k, (ux, uy) in enumerate(units):
+            tc = dx * ux + dy * uy
+            if -r <= tc and tc - r <= max_range and math.hypot(dx - tc * ux, dy - tc * uy) <= r:
+                rays.append((k, ux, uy))
+        if not rays:
             continue
         for a, b, ex, ey, _, _, _, _ in poly._edge_table:
             ax, ay = a.x - ox, a.y - oy
-            denom = ux * ey - uy * ex
-            if abs(denom) <= EPS_GEOM:
-                # parallel; grazing only if collinear
-                if abs(ax * uy - ay * ux) > EPS_GEOM:
-                    continue
-                for q in (a, b):
-                    t = (q.x - ox) * ux + (q.y - oy) * uy
-                    if EPS_GEOM < t <= max_range and (best is None or t < best):
-                        best = t
-                continue
-            t = (ax * ey - ay * ex) / denom
-            if EPS_GEOM < t <= max_range and (best is None or t < best):
-                w = (ax * uy - ay * ux) / denom
-                if -EPS_GEOM <= w <= 1.0 + EPS_GEOM:
-                    best = t
-    return best
+            num = ax * ey - ay * ex
+            for k, ux, uy in rays:
+                denom = ux * ey - uy * ex
+                if abs(denom) > EPS_GEOM:
+                    t = num / denom
+                    if EPS_GEOM < t <= max_range and t < best[k]:
+                        if -EPS_GEOM <= (ax * uy - ay * ux) / denom <= 1.0 + EPS_GEOM:
+                            best[k] = t
+                elif abs(ax * uy - ay * ux) <= EPS_GEOM:  # parallel and collinear: grazing
+                    for q in (a, b):
+                        t = (q.x - ox) * ux + (q.y - oy) * uy
+                        if EPS_GEOM < t <= max_range and t < best[k]:
+                            best[k] = t
+    return [None if t == math.inf else t for t in best]
 
 
 def polygon_offset(poly: Polygon, c: float) -> Polygon:

@@ -33,9 +33,9 @@ _SIGNS = {
     270.0: (-1, 0),
     315.0: (-1, 1),
 }
-# (angle, signs) in sensor order, each direction's reverse, its sensor index,
-# and the direction of each one-node displacement
-_MOVES = tuple((a, _SIGNS[a]) for a in DIRECTIONS)
+# each direction's move (angle, signs), its reverse, its sensor index, and the
+# direction of each one-node displacement
+_MOVE = {a: (a, _SIGNS[a]) for a in DIRECTIONS}
 _REVERSE = {a: (a + 180.0) % 360.0 for a in DIRECTIONS}
 _INDEX = {a: k for k, a in enumerate(DIRECTIONS)}
 _DIRECTION_OF = {signs: a for a, signs in _SIGNS.items()}
@@ -60,15 +60,23 @@ def apply_move(pos: Point2, direction: float, delta: float) -> Point2:
     return Point2(pos.x + sx * half, pos.y + sy * half)
 
 
+class _NodeRecord(NamedTuple):  # free moves (angle, signs) in select_direction's order
+    pos: Point2
+    at_goal: bool
+    order: tuple[tuple[float, tuple[int, int]], ...]
+
+
 @dataclass
 class NspmrState:
     """One run's planner memory on the lattice anchored at ``start``.
 
     ``node`` is the robot's node (i, j); ``trail`` is the node path that rule
-    III retraces, kept only with the rules on. Rule II memory ``used``, the
-    dead set ``dead`` and the scan memo ``scans`` key on nodes too. ``scans``
-    holds each node's scan while the world is static, so a state serves one
-    world only."""
+    III retraces, kept only with the rules on. Rule II memory ``used`` and the
+    dead set ``dead`` key on nodes too. While the world is static, ``records``
+    holds each visited node's record, built from one scan on the first visit:
+    its position, whether it is at the goal, and its free moves in preference
+    order. A revisit only walks that order through rules I-III, so a state
+    serves one world only. A moving world rebuilds the record every step."""
 
     start: Point2
     prev_dir: float | None = None
@@ -76,7 +84,7 @@ class NspmrState:
     used: dict[Node, set[float]] = field(default_factory=dict)
     dead: set[Node] = field(default_factory=set)
     trail: list[Node] = field(default_factory=list)
-    scans: dict[Node, SensorScan] = field(default_factory=dict)
+    records: dict[Node, _NodeRecord] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.trail:
@@ -89,28 +97,38 @@ class StepEvent(NamedTuple):
     new_pos: Point2
 
 
-def filter_candidates(scan_: SensorScan, state: NspmrState) -> list[float]:
-    """Free directions that survive rules I (no reversal), II (node memory),
-    and III (never step into a dead node)."""
+def _survivors(moves, state: NspmrState):
+    """The moves (angle, signs) that survive rules I (no reversal), II (node
+    memory) and III (never step into a dead node), in the order given."""
     i, j = node = state.node
     node_used = state.used.get(node, ())
     dead = state.dead
     back = _REVERSE.get(state.prev_dir)
-    out = []
-    for (angle, (sx, sy)), reading in zip(_MOVES, scan_.readings):
-        if (
-            reading.free
-            and angle != back
-            and angle not in node_used
-            and not (dead and (i + sx, j + sy) in dead)
-        ):
-            out.append(angle)
-    return out
+    for angle, (sx, sy) in moves:
+        if angle != back and angle not in node_used and not (dead and (i + sx, j + sy) in dead):
+            yield angle, (sx, sy)
+
+
+def filter_candidates(scan_: SensorScan, state: NspmrState) -> list[float]:
+    """Free directions that survive rules I (no reversal), II (node memory),
+    and III (never step into a dead node)."""
+    return [angle for angle, _ in _survivors([_MOVE[a] for a in free_directions(scan_)], state)]
 
 
 def free_directions(scan_: SensorScan) -> list[float]:
     """Candidate set with all three rules switched off (control runs)."""
-    return [DIRECTIONS[i] for i, r in enumerate(scan_.readings) if r.free]
+    return [a for a, reading in zip(DIRECTIONS, scan_.readings) if reading.free]
+
+
+def _preference(angles, theta_d: float, readings) -> list[tuple[float, float, float]]:
+    """select_direction's key of each angle: the angular gap to the desired
+    bearing, then the longer measured distance, then the lower angle (sensor
+    index). The angle itself ends the key, so the keys sort like the angles."""
+    keys = []
+    for a in angles:
+        d = abs(a - theta_d) % 360.0  # circular_diff(a, theta_d) is min(d, 360 - d)
+        keys.append((d if d <= 180.0 else 360.0 - d, -readings[_INDEX[a]].dist, a))
+    return keys
 
 
 def select_direction(candidates: list[float], theta_d: float, scan_: SensorScan) -> float:
@@ -118,38 +136,35 @@ def select_direction(candidates: list[float], theta_d: float, scan_: SensorScan)
     the longer measured distance, then to the lower sensor index."""
     if not candidates:
         raise ValueError("no candidate directions")
-    readings = scan_.readings
-    best = best_key = None
-    for a in candidates:
-        d = abs(a - theta_d) % 360.0  # circular_diff(a, theta_d)
-        key = (min(d, 360.0 - d), -readings[_INDEX[a]].dist, a)
-        if best_key is None or key < best_key:
-            best, best_key = a, key
-    return best
+    return min(_preference(candidates, theta_d, scan_.readings))[2]
+
+
+def _visit(world: Scenario, pos: Point2) -> _NodeRecord:
+    """The record of the node at pos, from a fresh scan unless pos is at the goal."""
+    if distance(pos, world.goal) <= world.delta / 2:
+        return _NodeRecord(pos, True, ())
+    scan_ = scan(pos, world, world.sensor_range, world.delta)
+    keys = sorted(_preference(free_directions(scan_), desired_angle(pos, world.goal), scan_.readings))
+    return _NodeRecord(pos, False, tuple([_MOVE[a] for _, _, a in keys]))
 
 
 def nspmr_step(state: NspmrState, world: Scenario, rules_enabled: bool = True) -> tuple[NspmrState, StepEvent]:
     """Advance one iteration; mutates and returns the state with the event."""
-    delta = world.delta
-    half = delta / 2
+    half = world.delta / 2
     x0, y0 = state.start
     i, j = node = state.node
-    pos = Point2(x0 + i * half, y0 + j * half)
-    if distance(pos, world.goal) <= half:
+    record = state.records.get(node)
+    if record is None:
+        record = _visit(world, Point2(x0 + i * half, y0 + j * half))
+        if not world.is_dynamic:
+            state.records[node] = record
+    pos, at_goal, order = record
+    if at_goal:
         return state, StepEvent("goal_reached", None, pos)
-    if world.is_dynamic:
-        scan_ = scan(pos, world, world.sensor_range, delta)
-    else:
-        scan_ = state.scans.get(node)
-        if scan_ is None:
-            scan_ = state.scans[node] = scan(pos, world, world.sensor_range, delta)
-    if rules_enabled:
-        candidates = filter_candidates(scan_, state)
-    else:
-        candidates = free_directions(scan_)
-    if candidates:
-        direction = select_direction(candidates, desired_angle(pos, world.goal), scan_)
-        sx, sy = _SIGNS[direction]
+    # the first survivor in preference order is select_direction's pick
+    move = next(_survivors(order, state) if rules_enabled else iter(order), None)
+    if move is not None:
+        direction, (sx, sy) = move
         i, j = state.node = (i + sx, j + sy)
         if rules_enabled:  # only the rules read the memory and the trail
             state.used.setdefault(node, set()).add(direction)

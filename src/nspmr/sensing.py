@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .geometry import EPS_GEOM, Point2, _first_hit, _require_origin_outside
+from .geometry import EPS_GEOM, Point2, _cast, _require_origin_outside, compass_unit
 from .world import Scenario
 
 SENSOR_COUNT = 8
 SENSOR_ANGLES = tuple(45.0 * i for i in range(SENSOR_COUNT))
+_UNITS = tuple(compass_unit(a) for a in SENSOR_ANGLES)
 
 _DIAG = math.sqrt(2.0) / 2.0
 
@@ -50,11 +51,15 @@ class SensorScan(NamedTuple):
 def scan(pos: Point2, world: Scenario, d: float, delta: float) -> SensorScan:
     """Range-scan the 8 lattice directions against the world's current shapes.
 
-    Shapes whose bbox is out of range are dropped once per scan. Raises
+    Shapes whose bbox is out of range are dropped once per scan; with none
+    left every direction reads free at range d and no ray is cast. Raises
     GeometryError when pos is strictly inside an obstacle; that test runs
-    once per scan, not once per ray. The result depends only on pos and the
-    shapes, so in a static world the planner memoizes it per lattice node
-    (``NspmrState.scans``); in a moving world every step scans afresh.
+    once per scan, not once per ray. The 8 rays then go through one pass of
+    ``geometry._cast``, the kernel ``ray_cast`` uses for its single ray, so
+    each reading equals ``ray_cast`` along its direction. The result depends
+    only on pos and the shapes, so in a static world the planner decides
+    each lattice node once (``NspmrState.records``); in a moving world every
+    step scans afresh.
     """
     if not d > delta > 0:
         raise ValueError("require sensing range d > delta > 0")
@@ -65,12 +70,10 @@ def scan(pos: Point2, world: Scenario, d: float, delta: float) -> SensorScan:
         # a hit may lie EPS_GEOM * |edge| past an edge's end, and |edge| <= x1 - x0 + y1 - y0
         if math.hypot(max(x0 - x, x - x1, 0.0), max(y0 - y, y - y1, 0.0)) <= d + EPS_GEOM * (1 + x1 - x0 + y1 - y0):
             shapes.append(poly)
+    if not shapes:
+        return SensorScan((SensorReading(True, d),) * SENSOR_COUNT)
     _require_origin_outside(pos, shapes)
-    readings = []
-    for angle in SENSOR_ANGLES:
-        hit = _first_hit(pos, angle, d, shapes)
-        if hit is None:
-            readings.append(SensorReading(True, d))
-        else:
-            readings.append(SensorReading(hit > blocking_threshold(angle, delta), hit))
-    return SensorScan(tuple(readings))
+    return SensorScan(tuple(
+        SensorReading(True, d) if hit is None else SensorReading(hit > blocking_threshold(angle, delta), hit)
+        for angle, hit in zip(SENSOR_ANGLES, _cast(pos, _UNITS, d, shapes))
+    ))

@@ -70,8 +70,13 @@ class Scenario:
     def is_dynamic(self) -> bool:
         return any(ob.moving for ob in self.obstacles)
 
-    def shapes(self) -> tuple[Polygon, ...]:
+    @cached_property
+    def _shapes(self) -> tuple[Polygon, ...]:
         return tuple(ob.shape for ob in self.obstacles)
+
+    def shapes(self) -> tuple[Polygon, ...]:
+        """The obstacles' polygons in order, built once per scenario."""
+        return self._shapes
 
 
 def validate_scenario(s: Scenario) -> list[str]:

@@ -4,8 +4,11 @@ import math
 import random
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from nspmr import planner
 from nspmr.geometry import Point2, Polygon, circular_diff, distance
@@ -343,6 +346,20 @@ def _count_scans(monkeypatch):
     return calls
 
 
+def _fresh_record(s, pos):
+    """A node's record rebuilt from a fresh scan with the public planner functions:
+    (pos, at goal, free moves (angle, signs) in the order select_direction picks them)."""
+    if distance(pos, s.goal) <= s.delta / 2:
+        return pos, True, ()
+    sc = scan(pos, s, s.sensor_range, s.delta)
+    theta = desired_angle(pos, s.goal)
+    cands, order = free_directions(sc), []
+    while cands:
+        order.append(select_direction(cands, theta, sc))
+        cands.remove(order[-1])
+    return pos, False, tuple((a, planner._SIGNS[a]) for a in order)
+
+
 @pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES if not builtin_scenario(n).is_dynamic])
 def test_memoized_scans_equal_fresh_scans(name, monkeypatch):
     s = builtin_scenario(name)
@@ -350,13 +367,13 @@ def test_memoized_scans_equal_fresh_scans(name, monkeypatch):
     for rules in (True, False):
         calls.clear()
         st, visited = _walk(s, rules)
-        # one real scan per distinct node; the last one (the goal) may go unscanned
-        positions = {node: _position(s.start, node, s.delta) for node in st.scans}
-        assert sorted(calls) == sorted(positions.values())
+        # one real scan per distinct node; the goal's node needs none
+        positions = {node: _position(s.start, node, s.delta) for node in st.records}
+        assert sorted(calls) == sorted(positions[n] for n, rec in st.records.items() if not rec.at_goal)
         assert set(positions.values()) <= visited
-        assert len(st.scans) >= len(visited) - 1
-        for node, memo in st.scans.items():
-            assert memo == scan(positions[node], s, s.sensor_range, s.delta)
+        assert len(st.records) >= len(visited) - 1
+        for node, record in st.records.items():
+            assert record == _fresh_record(s, positions[node])
 
 
 def test_moving_world_scans_every_step(monkeypatch):
@@ -366,7 +383,51 @@ def test_moving_world_scans_every_step(monkeypatch):
     assert res.outcome == "goal_reached"
     assert len(calls) == res.iterations  # one real scan per move, none from a memo
     st, _ = _walk(s)
-    assert st.scans == {}
+    assert st.records == {}
+
+
+_NEIGHBOURS = tuple(planner._SIGNS.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    free=hst.lists(hst.booleans(), min_size=8, max_size=8),
+    dists=hst.lists(hst.sampled_from((0.5, 1.0, 2.0)), min_size=8, max_size=8),
+    prev_dir=hst.none() | hst.sampled_from(DIRECTIONS),
+    used=hst.sets(hst.sampled_from(DIRECTIONS)),
+    dead=hst.sets(hst.sampled_from(_NEIGHBOURS)),
+    node=hst.tuples(hst.integers(-4, 4), hst.integers(-4, 4)),
+    goal=hst.tuples(hst.integers(-12, 12), hst.integers(-12, 12)),
+)
+def test_order_walk_picks_select_direction(free, dists, prev_dir, used, dead, node, goal):
+    # goals on the quarter-metre grid make bearing ties, the distances make distance ties
+    w = _world(goal=Point2(goal[0] * 0.25 + 0.01, goal[1] * 0.25))
+    sc = _scan(free, dists)
+    pos = _position(w.start, node, w.delta)
+    assume(distance(pos, w.goal) > w.delta / 2)
+    theta = desired_angle(pos, w.goal)
+    i, j = node
+    records = {}
+    with mock.patch.object(planner, "scan", lambda *args: sc):
+        for rules in (True, False):
+            for memo in (False, True):  # the first visit builds the record, a revisit reuses it
+                st = NspmrState(
+                    start=w.start,
+                    prev_dir=prev_dir,
+                    node=node,
+                    used={node: set(used)},
+                    dead={(i + sx, j + sy) for sx, sy in dead},
+                    trail=[(i + 1, j), node],
+                    records=records if memo else {},
+                )
+                if rules:
+                    cands = filter_candidates(sc, st)
+                else:
+                    cands = free_directions(sc)
+                want = select_direction(cands, theta, sc) if cands else None
+                _, ev = nspmr_step(st, w, rules)
+                assert (ev.direction if ev.kind == "moved" else None) == want
+                records = st.records
 
 
 # --- start-anchored lattice -----------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nspmr.geometry import EPS_GEOM, GeometryError, Point2, Polygon, _first_hit, _require_origin_outside
+from nspmr.geometry import EPS_GEOM, GeometryError, Point2, Polygon, _require_origin_outside, compass_unit, ray_cast
 from nspmr.sensing import SENSOR_ANGLES, SensorReading, SensorScan, blocking_threshold, scan, step_length
 from nspmr.world import Bounds, Obstacle, Scenario, generate_world
 
@@ -159,13 +159,40 @@ def test_scan_deterministic():
     assert a == b
 
 
+def _reference_ray(origin, angle, max_range, obstacles):
+    """One ray at a time, shape by shape and edge by edge, with the arithmetic of scan's kernel."""
+    ux, uy = compass_unit(angle)
+    ox, oy = origin
+    best = None
+    for poly in obstacles:
+        cx, cy, r = poly._circle
+        tc = (cx - ox) * ux + (cy - oy) * uy
+        if tc < -r or tc - r > max_range or math.hypot(cx - ox - tc * ux, cy - oy - tc * uy) > r:
+            continue
+        for a, b in poly.edges():
+            ex, ey = b.x - a.x, b.y - a.y
+            ax, ay = a.x - ox, a.y - oy
+            denom = ux * ey - uy * ex
+            hits = []
+            if abs(denom) > EPS_GEOM:
+                w = (ax * uy - ay * ux) / denom
+                if -EPS_GEOM <= w <= 1.0 + EPS_GEOM:
+                    hits.append((ax * ey - ay * ex) / denom)
+            elif abs(ax * uy - ay * ux) <= EPS_GEOM:
+                hits += [(q.x - ox) * ux + (q.y - oy) * uy for q in (a, b)]
+            for t in hits:
+                if EPS_GEOM < t <= max_range and (best is None or t < best):
+                    best = t
+    return best
+
+
 def _unculled_scan(pos, world, d, delta):
-    """scan without its range cull: the origin test and all 8 rays against every shape."""
+    """scan without its range cull: the origin test and all 8 reference rays against every shape."""
     shapes = world.shapes()
     _require_origin_outside(pos, shapes)
     readings = []
     for angle in SENSOR_ANGLES:
-        hit = _first_hit(pos, angle, d, shapes)
+        hit = _reference_ray(pos, angle, d, shapes)
         readings.append(SensorReading(True, d) if hit is None else SensorReading(hit > blocking_threshold(angle, delta), hit))
     return SensorScan(tuple(readings))
 
@@ -195,4 +222,8 @@ def test_range_cull_leaves_scans_unchanged(seed, d, data):
         with pytest.raises(GeometryError, match="ray origin strictly inside an obstacle"):
             scan(pos, world, d, 0.5)
         return
-    assert scan(pos, world, d, 0.5) == want
+    got = scan(pos, world, d, 0.5)
+    assert got == want
+    for angle, reading in zip(SENSOR_ANGLES, got.readings):  # one ray through the same kernel
+        hit = ray_cast(pos, angle, d, world.shapes())
+        assert (reading == SensorReading(True, d)) if hit is None else (reading.dist == hit)

@@ -5,12 +5,16 @@ Prints one SHA-256 over serialize_scenario(generate_world(seed)) for seeds
 routes: repr(RunResult) and the trajectory CSV bytes of every builtin under
 nspmr (rules on, and rules off at 2000 iterations) and under bug1 and bug2,
 of office_like under nspmr at d = 2 and 20, and of worlds 0-49 under all
-three planners (a planner's ScenarioError is hashed in place of its route).
-Two checkouts agree when those lines are equal. It also computes
+three planners (a planner's ScenarioError is hashed in place of its route),
+and one SHA-256 over repr of the readings of scan at 100 seeded positions
+and the bbox corners of every obstacle in worlds 0-49 at d = 1 and 10, and
+at every 0.25 m node of office_like at d = 2 and 20 (a GeometryError is
+hashed in place of its readings). Two checkouts agree when those lines are
+equal. It also computes
 grid_oracle(s, r) for the builtins at r = delta/2, 0.25, 0.3 and 0.7 and for
 seeds 0-49 at r = delta/2. The oracle is a shortest lattice length, equal
 across search orders only to rounding, so its values are compared with a
-tolerance instead. --save writes the three lines and the oracle values as
+tolerance instead. --save writes the four lines and the oracle values as
 JSON; --against compares them with a saved file, the lines exactly and the
 oracle values at abs 1e-12, and exits 1 naming each line or value that
 differs. Run it once against each source tree, from this checkout, e.g.
@@ -25,18 +29,22 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import sys
 import tempfile
 
 from nspmr import (
     BUILTIN_NAMES,
     PLANNERS,
+    GeometryError,
+    Point2,
     ScenarioError,
     builtin_scenario,
     generate_world,
     grid_oracle,
     iteration_ceiling,
     run,
+    scan,
     serialize_scenario,
     write_trajectory_csv,
 )
@@ -91,6 +99,44 @@ def routes_digest() -> tuple[str, int]:
     return digest.hexdigest(), count
 
 
+def scan_sites():
+    """(scenario, position, d) of every scan the scans digest covers, in a fixed order."""
+    for seed in range(50):
+        s = generate_world(seed)
+        b = s.bounds
+        rng = random.Random(seed)
+        sites = [Point2(rng.uniform(b.xmin, b.xmax), rng.uniform(b.ymin, b.ymax)) for _ in range(100)]
+        for poly in s.shapes():
+            x0, y0, x1, y1 = poly.bbox()
+            sites += [Point2(x0, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1)]
+        for d in (1.0, 10.0):
+            for pos in sites:
+                yield s, pos, d
+    s = builtin_scenario("office_like")
+    b = s.bounds
+    nodes = [
+        Point2(b.xmin + i * 0.25, b.ymin + j * 0.25)
+        for i in range(int((b.xmax - b.xmin) / 0.25) + 1)
+        for j in range(int((b.ymax - b.ymin) / 0.25) + 1)
+    ]
+    for d in (2.0, 20.0):
+        for pos in nodes:
+            yield s, pos, d
+
+
+def scans_digest() -> tuple[str, int]:
+    """SHA-256 over repr of each covered scan's readings, and the number of scans."""
+    digest = hashlib.sha256()
+    count = 0
+    for s, pos, d in scan_sites():
+        count += 1
+        try:
+            digest.update(repr(scan(pos, s, d, s.delta).readings).encode())
+        except GeometryError as e:
+            digest.update(f"GeometryError: {e}".encode())
+    return digest.hexdigest(), count
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--save", metavar="PATH", help="write the digests and oracle values to PATH as JSON")
@@ -109,14 +155,17 @@ def main() -> int:
         if seed < 50:
             oracles[f"{seed} {s.delta / 2}"] = grid_oracle(s, s.delta / 2)
     routes, runs = routes_digest()
+    scans, scanned = scans_digest()
     lines = {
         "worlds": worlds.hexdigest(),
         "ceilings": [iteration_ceiling(builtin_scenario(n)) for n in BUILTIN_NAMES],
         "routes": f"{routes} ({runs} runs)",
+        "scans": f"{scans} ({scanned} scans)",
     }
     print("worlds 0-499  ", lines["worlds"])
     print("ceilings      ", lines["ceilings"])
     print("routes        ", lines["routes"])
+    print("scans         ", lines["scans"])
     print("oracles       ", len(oracles), "values")
     if args.save:
         with open(args.save, "w") as f:
@@ -131,9 +180,9 @@ def main() -> int:
         print(f"against        {moved} moved, max |diff| {max(diffs, default=0.0):.3g}, {len(bad)} mismatched")
         for key in bad:
             print("  mismatch", key, oracles.get(key), want.get(key))
-        differing = [key for key, value in lines.items() if saved[key] != value]
+        differing = [key for key, value in lines.items() if saved.get(key) != value]
         for key in differing:
-            print(f"  {key} differ: saved {saved[key]}")
+            print(f"  {key} differ: saved {saved.get(key)}")
         return 1 if bad or differing else 0
     return 0
 
