@@ -202,8 +202,9 @@ def _prepare(s: Scenario) -> list[_Ring]:
         for b in s.obstacles[i + 1 :]:
             if _closer_than(a.shape, b.shape, 2 * c):
                 raise ScenarioError("obstacles closer than twice the boundary clearance")
-        if point_polygon_distance(s.start, a.shape) <= c:
-            raise ScenarioError("start lies within the boundary clearance of an obstacle")
+        for label, p in (("start", s.start), ("goal", s.goal)):
+            if point_polygon_distance(p, a.shape) <= c:
+                raise ScenarioError(f"{label} lies within the boundary clearance of an obstacle")
     return rings
 
 

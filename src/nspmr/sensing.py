@@ -51,8 +51,10 @@ class SensorScan(NamedTuple):
 def scan(pos: Point2, world: Scenario, d: float, delta: float) -> SensorScan:
     """Range-scan the 8 lattice directions against the world's current shapes.
 
-    Shapes whose bbox is out of range are dropped once per scan; with none
-    left every direction reads free at range d and no ray is cast. Raises
+    Shapes whose bbox is out of range are dropped once per scan, by the gap
+    to the bbox along each axis first and by the Euclidean gap only for the
+    rest; with none left every direction reads free at range d and no ray
+    is cast. Raises
     GeometryError when pos is strictly inside an obstacle; that test runs
     once per scan, not once per ray. The 8 rays then go through one pass of
     ``geometry._cast``, the kernel ``ray_cast`` uses for its single ray, so
@@ -66,9 +68,15 @@ def scan(pos: Point2, world: Scenario, d: float, delta: float) -> SensorScan:
     x, y = pos
     shapes = []
     for poly in world.shapes():
-        x0, y0, x1, y1 = poly.bbox()
+        x0, y0, x1, y1 = poly._bbox
         # a hit may lie EPS_GEOM * |edge| past an edge's end, and |edge| <= x1 - x0 + y1 - y0
-        if math.hypot(max(x0 - x, x - x1, 0.0), max(y0 - y, y - y1, 0.0)) <= d + EPS_GEOM * (1 + x1 - x0 + y1 - y0):
+        reach = d + EPS_GEOM * (1 + x1 - x0 + y1 - y0)
+        # per-axis gaps to the bbox; hypot(gx, gy) >= max(gx, gy) when rounded faithfully, so one gap may reject
+        gx = x0 - x if x < x0 else x - x1 if x > x1 else 0.0
+        if gx > reach:
+            continue
+        gy = y0 - y if y < y0 else y - y1 if y > y1 else 0.0
+        if gy <= reach and math.hypot(gx, gy) <= reach:
             shapes.append(poly)
     if not shapes:
         return SensorScan((SensorReading(True, d),) * SENSOR_COUNT)

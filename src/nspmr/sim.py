@@ -49,7 +49,10 @@ class RunResult:
 
 
 def iteration_ceiling(s: Scenario) -> int:
-    """8 departures per lattice cell inside bounds: an upper bound on moves."""
+    """8 departures per node of the delta/2 lattice over the bounds. Rule II caps
+    planned moves at 8 per node, so this bounds the planned moves of a walk that
+    stays inside the bounds, and retreats <= planned moves, as each pops a trail
+    entry that a move pushed. The planner does not yet keep its walk inside."""
     nx, ny = _lattice_shape(s.bounds, s.delta / 2)
     return 8 * nx * ny
 
@@ -139,49 +142,46 @@ def run(s: Scenario, planner: str, max_iters: int | None = None, *, rules_enable
 
 def audit_collisions(t: Trajectory, s: Scenario) -> list[str]:
     """Check every waypoint and segment against the obstacle poses current at
-    its timestamp; an empty list means the trajectory is safe. Each waypoint
-    and directed segment (p, q) is tested once per pose of the world, so a
-    static world audits a repeated one from memory. A segment collides when it
-    meets a boundary or its midpoint lies INSIDE."""
+    its timestamp; an empty list means the trajectory is safe. A static world
+    is one pose: obstacle by obstacle, one bbox filter runs over all distinct
+    waypoints and directed segments (p, q), and the exact tests run only on
+    the survivors. A moving world audits each tick's waypoint and segment in
+    that tick's pose. A segment collides when it meets a boundary or its
+    midpoint lies INSIDE. Messages come by waypoint, segment, obstacle index."""
+    wps = t.waypoints
+    if not s.is_dynamic:
+        return _pose_messages(wps, 0, len(wps), s)
+    out, world, dt = [], s, tick_duration(s)
+    for k in range(len(wps) - 1):
+        out += _pose_messages(wps, k, k + 1, world)
+        world = step_dynamics(world, dt)
+    return out + _pose_messages(wps, len(wps) - 1, len(wps), world)
+
+
+def _pose_messages(wps, lo: int, hi: int, world: Scenario) -> list[str]:
+    """Audit messages for the waypoints wps[lo:hi] and the segments leaving them, in world's pose."""
+    points, segments = set(wps[lo:hi]), set(zip(wps[lo:hi], wps[lo + 1 : hi + 1]))
+    touched: dict = {}  # waypoint or (p, q) -> indices of the obstacles it touches
+    for i, shape in enumerate(world.shapes()):
+        x0, y0, x1, y1 = shape.bbox()
+        # beyond EPS_GEOM of the bbox a point cannot even touch the boundary
+        lx, ly, hx, hy = x0 - EPS_GEOM, y0 - EPS_GEOM, x1 + EPS_GEOM, y1 + EPS_GEOM
+        for p in [p for p in points if lx <= p.x <= hx and ly <= p.y <= hy]:
+            if point_in_polygon(p, shape) is not PointLocation.OUTSIDE:
+                touched.setdefault(p, []).append(i)
+        for p, q in [
+            (p, q) for p, q in segments
+            if (p.x >= x0 or q.x >= x0) and (p.x <= x1 or q.x <= x1) and (p.y >= y0 or q.y >= y0) and (p.y <= y1 or q.y <= y1)
+        ]:
+            if _segment_hits(p, q, shape) or point_in_polygon(Point2((p.x + q.x) / 2, (p.y + q.y) / 2), shape) is PointLocation.INSIDE:
+                touched.setdefault((p, q), []).append(i)
+    if not touched:
+        return []
     out = []
-    world = s
-    dt = tick_duration(s)
-    n = len(t.waypoints)
-    memo: dict = {}  # waypoint or (p, q) -> indices of the obstacles it touches in this pose
-    shapes = [(i, ob.shape, ob.shape.bbox()) for i, ob in enumerate(world.obstacles)]
-    for k in range(n):
-        p = t.waypoints[k]
-        found = memo.get(p)
-        if found is None:
-            found = memo[p] = []
-            for i, shape, (x0, y0, x1, y1) in shapes:
-                # beyond EPS_GEOM of the bbox a point cannot even touch the boundary
-                if (
-                    x0 - EPS_GEOM <= p.x <= x1 + EPS_GEOM
-                    and y0 - EPS_GEOM <= p.y <= y1 + EPS_GEOM
-                    and point_in_polygon(p, shape) is not PointLocation.OUTSIDE
-                ):
-                    found.append(i)
-        for i in found:
-            out.append(f"waypoint {k} inside obstacle {i}")
-        if k < n - 1:
-            q = t.waypoints[k + 1]
-            found = memo.get((p, q))
-            if found is None:
-                found = memo[p, q] = []
-                (lox, hix), (loy, hiy) = sorted((p.x, q.x)), sorted((p.y, q.y))
-                for i, shape, (x0, y0, x1, y1) in shapes:
-                    if hix >= x0 and lox <= x1 and hiy >= y0 and loy <= y1 and (
-                        _segment_hits(p, q, shape)
-                        or point_in_polygon(Point2((p.x + q.x) / 2, (p.y + q.y) / 2), shape) is PointLocation.INSIDE
-                    ):
-                        found.append(i)
-            for i in found:
-                out.append(f"segment {k} intersects obstacle {i}")
-            if world.is_dynamic:
-                world = step_dynamics(world, dt)
-                memo.clear()
-                shapes = [(i, ob.shape, ob.shape.bbox()) for i, ob in enumerate(world.obstacles)]
+    for k in range(lo, hi):
+        out += [f"waypoint {k} inside obstacle {i}" for i in touched.get(wps[k], ())]
+        # wps[k:k + 2] is segment k's key (p, q); at the last waypoint it is (p,), which is no key
+        out += [f"segment {k} intersects obstacle {i}" for i in touched.get(wps[k : k + 2], ())]
     return out
 
 

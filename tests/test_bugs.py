@@ -22,6 +22,7 @@ from nspmr.geometry import (
 from nspmr.sim import audit_collisions, path_length, run
 from nspmr.bugs import (
     BoundaryWalk,
+    _prepare,
     bug1_result,
     bug2_result,
     follow_boundary,
@@ -30,11 +31,13 @@ from nspmr.world import (
     OUTCOME_GOAL,
     OUTCOME_LIMIT,
     OUTCOME_UNREACHABLE,
+    BUILTIN_NAMES,
     Bounds,
     Obstacle,
     Scenario,
     ScenarioError,
     builtin_scenario,
+    generate_world,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -101,10 +104,12 @@ def unit_square_scene():
                     delta=0.4, sensor_range=1.0)
 
 
-def skin_goal_scene(goal):
-    """2x1 block; callers place the goal inside the clearance skin."""
+def skin_goal_scene(goal, start=Point2(-3, 0.5)):
+    """2x1 block with its delta/4 = 0.125 outline mitered to (-0.125, 1.125)
+    and (2.125, 1.125). Callers place the goal inside the outline, off a top
+    corner and beyond the clearance, where Bug's free space cannot reach it."""
     shape = Polygon((Point2(0, 0), Point2(2, 0), Point2(2, 1), Point2(0, 1)))
-    return Scenario(name="skin", bounds=Bounds(-5, -5, 9, 5), start=Point2(-3, 0.5),
+    return Scenario(name="skin", bounds=Bounds(-5, -5, 9, 5), start=start,
                     goal=goal, obstacles=(Obstacle(shape),))
 
 
@@ -209,7 +214,8 @@ def test_bug1_scenario1_within_reference_band():
 
 
 def test_bug1_unreachable_when_goal_inside_clearance_far_side():
-    s = skin_goal_scene(Point2(2.05, 0.5))
+    # 0.142 from the corner (2, 1), 0.015 inside the outline's east side
+    s = skin_goal_scene(Point2(2.11, 1.09))
     traj, outcome = bug1_result(s, 10000)
     assert outcome == OUTCOME_UNREACHABLE
     # ends at the leave point on the goal side, unable to depart
@@ -217,10 +223,11 @@ def test_bug1_unreachable_when_goal_inside_clearance_far_side():
 
 
 def test_bug1_unreachable_when_hit_point_is_already_minimizer():
-    s = skin_goal_scene(Point2(-0.05, 0.5))
+    # a level approach meets the outline's west side at the goal's projection
+    s = skin_goal_scene(Point2(-0.11, 1.09), start=Point2(-3, 1.09))
     traj, outcome = bug1_result(s, 10000)
     assert outcome == OUTCOME_UNREACHABLE
-    assert distance(traj.waypoints[-1], Point2(-0.125, 0.5)) <= 1e-9
+    assert distance(traj.waypoints[-1], Point2(-0.125, 1.09)) <= 1e-9
 
 
 # --- Bug2 ----------------------------------------------------------------------------
@@ -296,10 +303,11 @@ def test_relaxed_leave_accepts_farther_crossing():
 
 
 def test_bug2_unreachable_returns_to_hit_point():
-    s = skin_goal_scene(Point2(2.05, 0.5))
+    # the m-line enters the outline at (-0.125, 1.09) and never leaves it
+    s = skin_goal_scene(Point2(2.11, 1.09), start=Point2(-3, 1.09))
     traj, outcome = bug2_result(s, 10000)
     assert outcome == OUTCOME_UNREACHABLE
-    assert distance(traj.waypoints[-1], Point2(-0.125, 0.5)) <= 1e-9
+    assert distance(traj.waypoints[-1], Point2(-0.125, 1.09)) <= 1e-9
 
 
 # --- feasibility and budget ----------------------------------------------------------
@@ -331,6 +339,42 @@ def test_start_inside_clearance_rejected():
                  obstacles=s.obstacles)
     with pytest.raises(ScenarioError):
         bug2_result(s, 1000)
+
+
+def test_goal_inside_clearance_rejected():
+    # goals within 0.125 of the block, which both planners used to call unreachable
+    for goal in (Point2(2.05, 0.5), Point2(-0.05, 0.5), Point2(2.06, 0.5), Point2(2.08, 1.08)):
+        for runner in (bug1_result, bug2_result):
+            with pytest.raises(ScenarioError, match="goal lies within the boundary clearance"):
+                runner(skin_goal_scene(goal), 10000)
+
+
+def test_reachable_goal_near_obstacle_is_rejected_not_unreachable():
+    # regression: the goal sits 0.041 above the box, inside its 0.125 clearance.
+    # bug1 used to return unreachable after 15.43 m and bug2 after 13.09 m,
+    # while nspmr reaches it
+    box = Polygon((Point2(4, 3), Point2(6, 3), Point2(6, 5), Point2(4, 5)))
+    s = Scenario(name="near_goal", bounds=Bounds(0, 0, 10, 10), start=Point2(1, 1),
+                 goal=Point2(5, 5.041), obstacles=(Obstacle(box),), delta=0.5)
+    for planner in ("bug1", "bug2"):
+        with pytest.raises(ScenarioError, match="goal lies within the boundary clearance"):
+            run(s, planner)
+    _, res = run(s, "nspmr")
+    assert res.outcome == OUTCOME_GOAL
+    assert res.length == pytest.approx(6.49, abs=0.005)
+
+
+def test_goal_clearance_check_accepts_builtins_and_generated_worlds():
+    accepted, refused = ("concave_trap", "corridor_loop", "scenario1"), ("dynamic_crossing", "office_like", "triangle_loop")
+    assert sorted(accepted + refused) == sorted(BUILTIN_NAMES)
+    for name in accepted:
+        _prepare(builtin_scenario(name))
+    for name in refused:  # for reasons of their own, as before the goal check
+        with pytest.raises(ScenarioError) as err:
+            _prepare(builtin_scenario(name))
+        assert "goal" not in str(err.value)
+    for seed in range(500):
+        _prepare(generate_world(seed))
 
 
 def test_budget_exhaustion_truncates_result_with_limit_outcome():

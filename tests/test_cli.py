@@ -72,12 +72,13 @@ def test_run_iteration_limit_exits_2(capsys):
 
 
 def test_run_unreachable_exits_2(tmp_path, capsys):
-    # goal tucked inside the boundary clearance skin: bug1 surveys and gives up
+    # goal tucked inside the mitered corner of the block's offset outline,
+    # beyond the clearance: bug1 surveys and gives up
     s = Scenario(
         name="skin_goal",
         bounds=Bounds(-5, -5, 10, 10),
         start=Point2(-3, 0.5),
-        goal=Point2(2.06, 0.5),
+        goal=Point2(2.11, 1.09),
         obstacles=(Obstacle(Polygon((Point2(0, 0), Point2(2, 0), Point2(2, 1), Point2(0, 1)))),),
     )
     path = tmp_path / "skin.json"

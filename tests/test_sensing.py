@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nspmr.geometry import EPS_GEOM, GeometryError, Point2, Polygon, _require_origin_outside, compass_unit, ray_cast
+from nspmr import sensing
 from nspmr.sensing import SENSOR_ANGLES, SensorReading, SensorScan, blocking_threshold, scan, step_length
 from nspmr.world import Bounds, Obstacle, Scenario, generate_world
 
@@ -227,3 +228,44 @@ def test_range_cull_leaves_scans_unchanged(seed, d, data):
     for angle, reading in zip(SENSOR_ANGLES, got.readings):  # one ray through the same kernel
         hit = ray_cast(pos, angle, d, world.shapes())
         assert (reading == SensorReading(True, d)) if hit is None else (reading.dist == hit)
+
+
+def _euclidean_gap(x, y, poly):
+    x0, y0, x1, y1 = poly.bbox()
+    return math.hypot(max(x0 - x, x - x1, 0.0), max(y0 - y, y - y1, 0.0))
+
+
+def _edge_slack(poly):
+    x0, y0, x1, y1 = poly.bbox()
+    return EPS_GEOM * (1 + x1 - x0 + y1 - y0)
+
+
+def test_range_cull_keeps_the_shapes_within_euclidean_reach(monkeypatch):
+    # the per-axis gaps only reject early: the kernel gets exactly the shapes
+    # whose bbox lies within reach by the Euclidean gap
+    passed = []
+
+    def kernel(origin, units, max_range, shapes):
+        passed.append(list(shapes))
+        return [None] * len(units)
+
+    monkeypatch.setattr(sensing, "_cast", kernel)
+    rng = random.Random(SEED)
+    for seed in range(10):
+        world = generate_world(seed)
+        b = world.bounds
+        sites = [Point2(rng.uniform(b.xmin, b.xmax), rng.uniform(b.ymin, b.ymax)) for _ in range(100)]
+        for poly in world.shapes():
+            x0, y0, x1, y1 = poly.bbox()
+            slack = _edge_slack(poly)  # the cull's reach is d + slack
+            for out in (0.0, 1.0, 1.0 + EPS_GEOM, 1.0 + slack, 1.0 + 2 * slack, 10.0 + slack, 10.0 + 1e-6):
+                sites += [Point2(x0 - out, y0 - out), Point2(x1 + out, y1), Point2(x0, y1 + out), Point2(x1 + out, y0 - out)]
+        for d in (1.0, 10.0):
+            for x, y in sites:
+                want = [poly for poly in world.shapes() if _euclidean_gap(x, y, poly) <= d + _edge_slack(poly)]
+                passed.clear()
+                try:
+                    scan(Point2(x, y), world, d, 0.5)
+                except GeometryError:
+                    continue
+                assert passed == ([want] if want else []), (seed, d, x, y)

@@ -25,6 +25,7 @@ from nspmr.world import (
     ScenarioError,
     Trajectory,
     builtin_scenario,
+    generate_world,
     make_trajectory,
     step_dynamics,
     tick_duration,
@@ -223,7 +224,7 @@ def test_dynamic_crossing_run_is_collision_free():
 
 
 def _reference_audit(t, s):
-    """audit_collisions without its memo: every waypoint and segment tested afresh."""
+    """audit_collisions without its bulk filter: every waypoint and segment tested afresh, in route order."""
 
     def segment_hits(a, b, poly):
         x0, y0, x1, y1 = poly.bbox()
@@ -286,6 +287,39 @@ def test_memoized_audit_matches_reference_on_reversed_segments():
     out = audit_collisions(_walk(s, pts), s)
     assert out == _reference_audit(_walk(s, pts), s)
     assert "segment 0 intersects obstacle 0" in out and "waypoint 3 inside obstacle 0" in out
+
+
+@pytest.mark.parametrize("planner", ["bug1", "bug2", "nspmr"])
+def test_bulk_audit_matches_reference_on_generated_routes(planner):
+    # routes whose waypoints are mostly distinct, the bulk filter's main
+    # traffic: bug1 repeats only those where it retraces its survey lap
+    for seed in range(10):
+        s = generate_world(seed)
+        traj, _ = run(s, planner)
+        n, distinct = len(traj.waypoints), len(set(traj.waypoints))
+        assert distinct > 0.8 * n if planner == "bug1" else distinct == n
+        assert audit_collisions(traj, s) == _reference_audit(traj, s) == []
+        # a box of half-width delta/2 on the middle waypoint
+        p, h = traj.waypoints[n // 2], s.delta / 2
+        boxed = replace(s, obstacles=s.obstacles + (Obstacle(_rect(p.x - h, p.y - h, p.x + h, p.y + h)),))
+        out = audit_collisions(traj, boxed)
+        assert out == _reference_audit(traj, boxed)
+        assert f"waypoint {n // 2} inside obstacle {len(s.obstacles)}" in out
+
+
+def test_audit_lists_touched_obstacles_in_index_order():
+    # obstacles 1 and 2 overlap: waypoint 1 lies in both, and segments 0 and 1 cross both
+    s = Scenario("a", Bounds(-2, -2, 27, 27), Point2(0, 0), Point2(25, 25),
+                 (Obstacle(_rect(0, 0, 1, 1)), Obstacle(_rect(5, 4, 7, 6)), Obstacle(_rect(4, 4, 6, 6))))
+    traj = _walk(s, [Point2(3, 5), Point2(5.5, 5), Point2(8, 5)])
+    assert audit_collisions(traj, s) == _reference_audit(traj, s) == [
+        "segment 0 intersects obstacle 1",
+        "segment 0 intersects obstacle 2",
+        "waypoint 1 inside obstacle 1",
+        "waypoint 1 inside obstacle 2",
+        "segment 1 intersects obstacle 1",
+        "segment 1 intersects obstacle 2",
+    ]
 
 
 def test_audit_tests_each_distinct_query_once_per_world_pose(monkeypatch):
