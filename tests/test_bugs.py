@@ -107,7 +107,10 @@ def unit_square_scene():
 def skin_goal_scene(goal, start=Point2(-3, 0.5)):
     """2x1 block with its delta/4 = 0.125 outline mitered to (-0.125, 1.125)
     and (2.125, 1.125). Callers place the goal inside the outline, off a top
-    corner and beyond the clearance, where Bug's free space cannot reach it."""
+    corner and beyond the clearance, where Bug's free space cannot reach it.
+    nspmr reaches such a goal (5.60 m from (-3, 0.5) to (2.11, 1.09)), so the
+    `unreachable` these goals give is a known defect of _prepare's goal check,
+    not a property of the world."""
     shape = Polygon((Point2(0, 0), Point2(2, 0), Point2(2, 1), Point2(0, 1)))
     return Scenario(name="skin", bounds=Bounds(-5, -5, 9, 5), start=start,
                     goal=goal, obstacles=(Obstacle(shape),))
@@ -214,6 +217,9 @@ def test_bug1_scenario1_within_reference_band():
 
 
 def test_bug1_unreachable_when_goal_inside_clearance_far_side():
+    # Known defect (CHANGES.md FOUND, Bug goal vs mitered outline): nspmr reaches
+    # this goal; once _prepare checks the goal against the outline, move this test
+    # to a world whose goal Bug's free space seals off for another reason.
     # 0.142 from the corner (2, 1), 0.015 inside the outline's east side
     s = skin_goal_scene(Point2(2.11, 1.09))
     traj, outcome = bug1_result(s, 10000)
@@ -223,6 +229,9 @@ def test_bug1_unreachable_when_goal_inside_clearance_far_side():
 
 
 def test_bug1_unreachable_when_hit_point_is_already_minimizer():
+    # Known defect (CHANGES.md FOUND, Bug goal vs mitered outline): nspmr reaches
+    # this goal; once _prepare checks the goal against the outline, move this test
+    # to a world whose goal Bug's free space seals off for another reason.
     # a level approach meets the outline's west side at the goal's projection
     s = skin_goal_scene(Point2(-0.11, 1.09), start=Point2(-3, 1.09))
     traj, outcome = bug1_result(s, 10000)
@@ -303,6 +312,9 @@ def test_relaxed_leave_accepts_farther_crossing():
 
 
 def test_bug2_unreachable_returns_to_hit_point():
+    # Known defect (CHANGES.md FOUND, Bug goal vs mitered outline): nspmr reaches
+    # this goal; once _prepare checks the goal against the outline, move this test
+    # to a world whose goal Bug's free space seals off for another reason.
     # the m-line enters the outline at (-0.125, 1.09) and never leaves it
     s = skin_goal_scene(Point2(2.11, 1.09), start=Point2(-3, 1.09))
     traj, outcome = bug2_result(s, 10000)

@@ -74,6 +74,9 @@ def test_run_iteration_limit_exits_2(capsys):
 def test_run_unreachable_exits_2(tmp_path, capsys):
     # goal tucked inside the mitered corner of the block's offset outline,
     # beyond the clearance: bug1 surveys and gives up
+    # Known defect (CHANGES.md FOUND, Bug goal vs mitered outline): nspmr reaches
+    # this goal; once _prepare checks the goal against the outline, move this test
+    # to a world whose goal Bug's free space seals off for another reason.
     s = Scenario(
         name="skin_goal",
         bounds=Bounds(-5, -5, 10, 10),

@@ -2,10 +2,10 @@
 
 Each tree's src/nspmr is imported as a package under its own name (nspmr_a,
 nspmr_b), so both stay loaded at once. The inputs of a layer are built once
-per tree, untimed; then the two trees are timed in alternating samples
-(tree A first in even pairs, tree B first in odd ones), each sample the
-best of --passes back-to-back passes over the layer's whole input. A host
-that drifts over tens of seconds moves both sides of a pair alike, so the
+per tree, untimed; then the two trees are timed in PAIRS alternating pairs
+(tree A first in even pairs, tree B first in odd ones), each sample the best
+of PASSES back-to-back passes over the layer's whole input. A host that
+drifts over tens of seconds moves both sides of a pair alike, so the
 per-pair ratio B/A is steadier than either side's time. Layers:
 
     audit   audit_collisions on the bug1, bug2 and nspmr routes of worlds 0-49
@@ -19,13 +19,12 @@ and the pairs that B wins, after checking that both trees give the same
 answers on the layer's input. Run from any checkout, e.g. with a base
 checkout in ../base:
 
-    python tools/layer_ab.py --a ../base --b . --layer audit --pairs 10
+    python tools/layer_ab.py --a ../base --b . --layer audit
 """
 
 import argparse
 import gc
 import importlib.util
-import json
 import statistics
 import sys
 import time
@@ -33,6 +32,8 @@ from pathlib import Path
 
 WORLDS = range(50)
 PLANNERS = ("bug1", "bug2", "nspmr")
+PAIRS = 10
+PASSES = 3  # passes per sample; the fastest counts
 
 
 def load_tree(root: str, name: str):
@@ -95,10 +96,10 @@ def random_layer(nspmr):
 LAYERS = {"audit": audit_layer, "scan": scan_layer, "nspmr": nspmr_layer, "random": random_layer}
 
 
-def sample(fn, passes: int) -> float:
-    """The fastest of `passes` back-to-back calls of fn, in seconds."""
+def sample(fn) -> float:
+    """The fastest of PASSES back-to-back calls of fn, in seconds."""
     best = float("inf")
-    for _ in range(passes):
+    for _ in range(PASSES):
         gc.collect()
         t0 = time.perf_counter()
         fn()
@@ -111,25 +112,20 @@ def main() -> int:
     ap.add_argument("--a", required=True, help="root of the first source tree (the parent)")
     ap.add_argument("--b", default=".", help="root of the second source tree (the change)")
     ap.add_argument("--layer", choices=sorted(LAYERS), required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--passes", type=int, default=3, help="passes per sample; the fastest counts")
-    ap.add_argument("--json", help="also write the samples and medians to this file")
     args = ap.parse_args()
-    if args.pairs < 1 or args.passes < 1:
-        ap.error("--pairs and --passes must be positive")
     a, b = load_tree(args.a, "nspmr_a"), load_tree(args.b, "nspmr_b")
     fa, fb = LAYERS[args.layer](a), LAYERS[args.layer](b)
     if fa() != fb():
         print(f"{args.layer}: the two trees give different answers", file=sys.stderr)
         return 1
     pairs = []
-    for k in range(args.pairs):
+    for k in range(PAIRS):
         if k % 2 == 0:
-            ta = sample(fa, args.passes)
-            tb = sample(fb, args.passes)
+            ta = sample(fa)
+            tb = sample(fb)
         else:
-            tb = sample(fb, args.passes)
-            ta = sample(fa, args.passes)
+            tb = sample(fb)
+            ta = sample(fa)
         pairs.append((ta, tb))
         print(f"pair {k}: a {ta * 1e3:.2f} ms  b {tb * 1e3:.2f} ms  b/a {tb / ta:.3f}", flush=True)
     med_a = statistics.median(ta for ta, _ in pairs)
@@ -137,15 +133,6 @@ def main() -> int:
     ratio = statistics.median(tb / ta for ta, tb in pairs)
     wins = sum(tb < ta for ta, tb in pairs)
     print(f"{args.layer}: a {med_a * 1e3:.2f} ms  b {med_b * 1e3:.2f} ms  median b/a {ratio:.3f}  b wins {wins}/{len(pairs)}")
-    if args.json:
-        Path(args.json).write_text(json.dumps({
-            "layer": args.layer,
-            "passes_per_sample": args.passes,
-            "pairs_s": [[round(ta, 6), round(tb, 6)] for ta, tb in pairs],
-            "median_s": {"a": round(med_a, 6), "b": round(med_b, 6)},
-            "median_ratio_b_over_a": round(ratio, 4),
-            "b_wins": f"{wins}/{len(pairs)}",
-        }, indent=1) + "\n")
     return 0
 
 
