@@ -173,7 +173,9 @@ class Polygon:
     @cached_property
     def _circle(self) -> tuple[float, float, float]:  # (cx, cy, r) around the bbox, for _cast
         xmin, ymin, xmax, ymax = self._bbox
-        return 0.5 * (xmin + xmax), 0.5 * (ymin + ymax), math.hypot(xmax - xmin, ymax - ymin) * 0.5 + EPS_GEOM
+        w, h = xmax - xmin, ymax - ymin
+        # _cast accepts a hit EPS_GEOM * |edge| past an edge's end, and |edge| <= w + h
+        return 0.5 * (xmin + xmax), 0.5 * (ymin + ymax), math.hypot(w, h) * 0.5 + EPS_GEOM * (1 + w + h)
 
     def edges(self) -> tuple[tuple[Point2, Point2], ...]:
         """The edges (v[i], v[i + 1 mod n]) in vertex order, built once per polygon."""

@@ -3,7 +3,8 @@
 Movement is restricted to 8 compass directions on a delta/2 lattice anchored
 at the run's start: the robot's node is integers (i, j) relative to the start,
 and its position is start + (i, j) * delta/2, computed from the node, never
-accumulated step by step. Three rules keep the walk out of loops:
+accumulated step by step. A move whose target is not strictly inside the
+scenario's bounds is never taken. Three rules keep the walk out of loops:
   I   never reverse the previous move directly;
   II  never leave the same lattice node twice in the same direction;
   III when nothing remains, mark the node dead and step back along the trail.
@@ -60,7 +61,7 @@ def apply_move(pos: Point2, direction: float, delta: float) -> Point2:
     return Point2(pos.x + sx * half, pos.y + sy * half)
 
 
-class _NodeRecord(NamedTuple):  # free moves (angle, signs) in select_direction's order
+class _NodeRecord(NamedTuple):  # free in-bounds moves (angle, signs) in select_direction's order
     pos: Point2
     at_goal: bool
     order: tuple[tuple[float, tuple[int, int]], ...]
@@ -75,8 +76,9 @@ class NspmrState:
     dead set ``dead`` key on nodes too. While the world is static, ``records``
     holds each visited node's record, built from one scan on the first visit:
     its position, whether it is at the goal, and its free moves in preference
-    order. A revisit only walks that order through rules I-III, so a state
-    serves one world only. A moving world rebuilds the record every step."""
+    order, less those whose target lies outside the bounds. A revisit only
+    walks that order through rules I-III, so a state serves one world only.
+    A moving world rebuilds the record every step."""
 
     start: Point2
     prev_dir: float | None = None
@@ -156,6 +158,15 @@ def nspmr_step(state: NspmrState, world: Scenario, rules_enabled: bool = True) -
     record = state.records.get(node)
     if record is None:
         record = _visit(world, Point2(x0 + i * half, y0 + j * half))
+        xmin, ymin, xmax, ymax = world.bounds
+        # drop the moves whose target, computed as below, is not strictly inside the bounds;
+        # rounding is monotone, so when the outermost targets are inside, every target is
+        if not (xmin < x0 + (i - 1) * half and x0 + (i + 1) * half < xmax
+                and ymin < y0 + (j - 1) * half and y0 + (j + 1) * half < ymax):
+            record = record._replace(order=tuple([
+                (a, (sx, sy)) for a, (sx, sy) in record.order
+                if xmin < x0 + (i + sx) * half < xmax and ymin < y0 + (j + sy) * half < ymax
+            ]))
         if not world.is_dynamic:
             state.records[node] = record
     pos, at_goal, order = record

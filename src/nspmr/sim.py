@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, cycle, islice
 
 from .bugs import bug1_result, bug2_result
-from .geometry import EPS_GEOM, Point2, PointLocation, _segment_hits, distance, point_in_polygon
+from .geometry import EPS_GEOM, Point2, PointLocation, _segment_hits, point_in_polygon
 from .lattice import _lattice_path, _lattice_shape
 from .planner import NspmrState, nspmr_step
 from .world import (
@@ -49,10 +50,10 @@ class RunResult:
 
 
 def iteration_ceiling(s: Scenario) -> int:
-    """8 departures per node of the delta/2 lattice over the bounds. Rule II caps
-    planned moves at 8 per node, so this bounds the planned moves of a walk that
-    stays inside the bounds, and retreats <= planned moves, as each pops a trail
-    entry that a move pushed. The planner does not yet keep its walk inside."""
+    """8 departures per node of the delta/2 lattice over the bounds. The planner
+    keeps its walk strictly inside the bounds and rule II caps planned moves at
+    8 per node, so this bounds the planned moves, and retreats <= planned moves,
+    as each pops a trail entry that a move pushed."""
     nx, ny = _lattice_shape(s.bounds, s.delta / 2)
     return 8 * nx * ny
 
@@ -67,10 +68,15 @@ def path_length(t) -> float:
     pts = t.waypoints if hasattr(t, "waypoints") else tuple(Point2(*p) for p in t)
     if not pts:
         raise ValueError("need at least one waypoint")
-    return sum(distance(a, b) for a, b in zip(pts, pts[1:]))
+    # math.dist rounds like geometry.distance (one norm routine), summed in the same order
+    return sum(map(math.dist, pts, pts[1:]))
 
 
 def _run_nspmr(s: Scenario, max_iters: int, rules_enabled: bool):
+    """Step nspmr_step until the goal, stuck or max_iters. With the rules off in
+    a static world the next node depends on the node alone, so the walk is
+    periodic from its first repeated node: it is stepped up to that node, and
+    the rest of the budget repeats the cycle's waypoints, directions and events."""
     dt = tick_duration(s)
     state = NspmrState(start=s.start)
     world = s
@@ -78,7 +84,8 @@ def _run_nspmr(s: Scenario, max_iters: int, rules_enabled: bool):
     events: list[str] = []
     directions: list[float | None] = []
     outcome = OUTCOME_LIMIT
-    for _ in range(max_iters):
+    first = None if rules_enabled or s.is_dynamic else {state.node: 0}  # node -> its first waypoint index
+    for k in range(1, max_iters + 1):
         state, ev = nspmr_step(state, world, rules_enabled)
         if ev.kind == "goal_reached":
             outcome = OUTCOME_GOAL
@@ -91,6 +98,11 @@ def _run_nspmr(s: Scenario, max_iters: int, rules_enabled: bool):
         directions.append(ev.direction)
         if s.is_dynamic:
             world = step_dynamics(world, dt)
+        elif first is not None and (j := first.setdefault(state.node, k)) < k:
+            # waypoint k repeats waypoint j, so every later step repeats the one k - j before it
+            for seq in (waypoints, events, directions):
+                seq.extend(islice(cycle(seq[j - k:]), max_iters - k))
+            break
     return make_trajectory(s, waypoints, events, directions), outcome
 
 
@@ -98,7 +110,10 @@ def run(s: Scenario, planner: str, max_iters: int | None = None, *, rules_enable
     """Execute one planner on one scenario; returns (Trajectory, RunResult).
 
     rules_enabled=False runs the direction chooser without its loop-escape
-    rules, as a control; it applies to the nspmr planner only.
+    rules, as a control; it applies to the nspmr planner only. In a static
+    world such a run is stepped up to its first repeated node and then repeats
+    the cycle that node closes to the end of the budget, which gives the same
+    result as stepping it throughout.
     """
     violations = validate_scenario(s)
     if violations:
@@ -119,21 +134,21 @@ def run(s: Scenario, planner: str, max_iters: int | None = None, *, rules_enable
     if problems:
         raise SimulationError("collision audit failed: " + "; ".join(problems[:3]))
     length = path_length(traj)
-    # planned departures per node of the delta/2 lattice anchored at the start
+    # planned departures per node of the delta/2 lattice anchored at the start,
+    # counted per distinct departure point first
     half = s.delta / 2
     x0, y0 = s.start
-    moved_departures = Counter(
-        (round((p.x - x0) / half), round((p.y - y0) / half))
-        for p, kind in zip(traj.waypoints, traj.events)
-        if kind == "moved"
-    )
+    moved_departures: dict[tuple[int, int], int] = {}
+    for p, n in Counter(compress(traj.waypoints, map("moved".__eq__, traj.events))).items():
+        node = round((p.x - x0) / half), round((p.y - y0) / half)
+        moved_departures[node] = moved_departures.get(node, 0) + n
     result = RunResult(
         outcome=outcome,
         length=length,
         travel_time=length / s.speed,
         iterations=len(traj.waypoints) - 1,
         max_departures_per_cell=max(moved_departures.values(), default=0),
-        backtrack_count=sum(1 for e in traj.events if e == "backtracked"),
+        backtrack_count=traj.events.count("backtracked"),
     )
     return traj, result
 

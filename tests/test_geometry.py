@@ -308,6 +308,18 @@ def test_ray_cast_collinear_graze_hits():
     assert d == pytest.approx(1.0, abs=1e-9)
 
 
+def test_ray_cast_keeps_hits_just_past_an_edge_end():
+    # the kernel accepts a hit up to EPS_GEOM * |edge| past an edge's end, 4e-9 m on
+    # this 4 m square, so the cull before it must not drop the rays that make one
+    sq = Polygon((Point2(-2, -2), Point2(2, -2), Point2(2, 2), Point2(-2, 2)))
+    ux, uy = compass_unit(135.0)
+    for eps in (1e-9, 2e-9, 3e-9, 3.9e-9):
+        o = Point2(2 + eps + ux, 2 + uy)  # 1 m south-east of (2 + eps, 2)
+        want = oracle_ray_edges(o, 315.0, 3.0, [sq])
+        assert want == pytest.approx(1.0)
+        assert ray_cast(o, 315.0, 3.0, [sq]) == pytest.approx(want, abs=1e-12)
+
+
 def test_ray_cast_origin_inside_raises():
     with pytest.raises(GeometryError, match="ray origin strictly inside an obstacle"):
         ray_cast(Point2(0.5, 0.5), 0, 1.0, [SQUARE])

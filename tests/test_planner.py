@@ -348,7 +348,8 @@ def _count_scans(monkeypatch):
 
 def _fresh_record(s, pos):
     """A node's record rebuilt from a fresh scan with the public planner functions:
-    (pos, at goal, free moves (angle, signs) in the order select_direction picks them)."""
+    (pos, at goal, free moves (angle, signs) in the order select_direction picks them,
+    less those whose target lies outside the bounds)."""
     if distance(pos, s.goal) <= s.delta / 2:
         return pos, True, ()
     sc = scan(pos, s, s.sensor_range, s.delta)
@@ -357,7 +358,8 @@ def _fresh_record(s, pos):
     while cands:
         order.append(select_direction(cands, theta, sc))
         cands.remove(order[-1])
-    return pos, False, tuple((a, planner._SIGNS[a]) for a in order)
+    inside = [a for a in order if s.bounds.contains(apply_move(pos, a, s.delta))]
+    return pos, False, tuple((a, planner._SIGNS[a]) for a in inside)
 
 
 @pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES if not builtin_scenario(n).is_dynamic])
@@ -374,6 +376,23 @@ def test_memoized_scans_equal_fresh_scans(name, monkeypatch):
         assert len(st.records) >= len(visited) - 1
         for node, record in st.records.items():
             assert record == _fresh_record(s, positions[node])
+
+
+def test_records_drop_exactly_the_moves_that_leave_the_bounds():
+    # an empty 2 m box: node i lies strictly inside it for -3 <= i <= 4 along x and
+    # -4 <= j <= 3 along y, so a record keeps the moves to the nodes in that range
+    s = _world(start=Point2(0.9, 1.1), goal=Point2(1.9, 0.05))
+    s = replace(s, bounds=Bounds(0, 0, 2, 2))
+    for i in range(-3, 5):
+        for j in range(-4, 4):
+            st = NspmrState(start=s.start, node=(i, j))
+            nspmr_step(st, s, rules_enabled=False)
+            record = st.records[i, j]
+            assert record == _fresh_record(s, _position(s.start, (i, j), s.delta))
+            if not record.at_goal:
+                nx = sum(-3 <= i + sx <= 4 for sx in (-1, 0, 1))
+                ny = sum(-4 <= j + sy <= 3 for sy in (-1, 0, 1))
+                assert len(record.order) == nx * ny - 1
 
 
 def test_moving_world_scans_every_step(monkeypatch):

@@ -1,12 +1,14 @@
 """Run loop, metrics, collision audit, grid oracle."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from nspmr import sim
-from nspmr.geometry import Point2, PointLocation, Polygon, point_in_polygon, segment_intersection
+from nspmr.geometry import Point2, PointLocation, Polygon, distance, point_in_polygon, segment_intersection
+from nspmr.planner import NspmrState, nspmr_step
 from nspmr.sim import (
     RunResult,
     SimulationError,
@@ -144,6 +146,38 @@ def test_default_budget_is_ten_ceilings():
     assert iteration_ceiling(s) == 8 * 117 * 117
 
 
+def _slit_frame(x0, y0, x1, y1, t=0.1, s=0.01):
+    """A square frame with walls t thick and a slit s wide in the middle of its bottom wall, as one CCW polygon."""
+    mx = (x0 + x1) / 2
+    return Polygon((
+        Point2(mx + s / 2, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1), Point2(x0, y0),
+        Point2(mx - s / 2, y0), Point2(mx - s / 2, y0 + t), Point2(x0 + t, y0 + t), Point2(x0 + t, y1 - t),
+        Point2(x1 - t, y1 - t), Point2(x1 - t, y0 + t), Point2(mx + s / 2, y0 + t),
+    ))
+
+
+@pytest.mark.parametrize("w", [5, 6])
+def test_walk_stays_inside_the_bounds_and_its_moves_under_the_ceiling(w):
+    # The outer frame's 1 cm slit lets the point robot out of the bounds unless the
+    # planner refuses moves that leave them; the goal sits in a sealed pocket.
+    s = Scenario(
+        name=f"slit_frames_{w}",
+        bounds=Bounds(0, 0, w, w),
+        start=Point2(1, 1),
+        goal=Point2(w - 1.5, w - 1.5),
+        obstacles=(Obstacle(_slit_frame(0.1, 0.1, w - 0.1, w - 0.1)), Obstacle(_slit_frame(w - 2, w - 2, w - 1, w - 1))),
+        delta=0.3,
+        sensor_range=1.0,
+        speed=10,
+    )
+    traj, res = run(s, "nspmr")
+    assert res.outcome == "stuck"
+    assert all(s.bounds.contains(p) for p in traj.waypoints)
+    moves, retreats = traj.events.count("moved"), traj.events.count("backtracked")
+    assert retreats <= moves <= iteration_ceiling(s)
+    assert res.iterations == moves + retreats <= 2 * iteration_ceiling(s)
+
+
 # --- run: loop escape on the corridor fixture ---------------------------------------
 
 def test_corridor_loop_escapes_with_rules():
@@ -161,6 +195,103 @@ def test_corridor_loop_rules_disabled_never_finishes():
     # the control run ends ping-ponging between two cells at the slot end
     tail = traj.waypoints[-4:]
     assert tail[0] == tail[2] and tail[1] == tail[3] and tail[0] != tail[1]
+
+
+# --- run: rules-off controls against a step-by-step walk ------------------------------
+
+def _recount(s, traj, outcome):
+    """The RunResult of traj, each figure summed or counted waypoint by waypoint."""
+    length = sum(distance(a, b) for a, b in zip(traj.waypoints, traj.waypoints[1:]))
+    half = s.delta / 2
+    departures = Counter(
+        (round((p.x - s.start.x) / half), round((p.y - s.start.y) / half))
+        for p, kind in zip(traj.waypoints, traj.events)
+        if kind == "moved"
+    )
+    return RunResult(
+        outcome=outcome,
+        length=length,
+        travel_time=length / s.speed,
+        iterations=len(traj.waypoints) - 1,
+        max_departures_per_cell=max(departures.values(), default=0),
+        backtrack_count=sum(1 for e in traj.events if e == "backtracked"),
+    )
+
+
+def _stepped_rules_off(s, max_iters):
+    """run(s, "nspmr", max_iters, rules_enabled=False), one nspmr_step call per iteration."""
+    state, world = NspmrState(start=s.start), s
+    waypoints, events, directions = [s.start], [], []
+    outcome = "iteration_limit"
+    for _ in range(max_iters):
+        state, ev = nspmr_step(state, world, False)
+        if ev.kind in ("goal_reached", "stuck"):
+            outcome = ev.kind
+            break
+        waypoints.append(ev.new_pos)
+        events.append(ev.kind)
+        directions.append(ev.direction)
+        if s.is_dynamic:
+            world = step_dynamics(world, tick_duration(s))
+    traj = make_trajectory(s, waypoints, events, directions)
+    return traj, _recount(s, traj, outcome)
+
+
+def _assert_same_run(got, want):
+    (traj, res), (ref_traj, ref_res) = got, want
+    assert traj.waypoints == ref_traj.waypoints
+    assert traj.events == ref_traj.events
+    assert traj.directions == ref_traj.directions
+    assert traj.timestamps == ref_traj.timestamps
+    assert res == ref_res
+
+
+# the step at which each loop fixture's rules-off walk first reaches a node again, and its period
+FIRST_REPEAT = {"concave_trap": (55, 2), "corridor_loop": (56, 2), "triangle_loop": (43, 3)}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_REPEAT))
+def test_rules_off_loop_equals_a_stepped_walk(name, monkeypatch):
+    s = builtin_scenario(name)
+    ref_traj, _ = _stepped_rules_off(s, 200)
+    first_seen = {}
+    for k, p in enumerate(ref_traj.waypoints):
+        if p in first_seen:
+            break
+        first_seen[p] = k
+    assert (k, k - first_seen[p]) == FIRST_REPEAT[name]
+    for budget in (1, 1000, 4000, k - 1, k, k + 1):
+        _assert_same_run(run(s, "nspmr", budget, rules_enabled=False), _stepped_rules_off(s, budget))
+    # run steps the walk only up to its first repeated node
+    calls = []
+    monkeypatch.setattr(sim, "nspmr_step", lambda *args: calls.append(1) or nspmr_step(*args))
+    run(s, "nspmr", 4000, rules_enabled=False)
+    assert len(calls) == k
+
+
+@pytest.mark.parametrize("name, budget", [("dynamic_crossing", 1000), ("scenario1", 123), ("scenario1", 4000)])
+def test_rules_off_run_without_a_repeat_equals_a_stepped_walk(name, budget):
+    # a moving world is never repeated; scenario1 reaches its goal before any node repeats
+    s = builtin_scenario(name)
+    got = run(s, "nspmr", budget, rules_enabled=False)
+    _assert_same_run(got, _stepped_rules_off(s, budget))
+    assert len(set(got[0].waypoints)) == len(got[0].waypoints)
+
+
+def test_run_bookkeeping_equals_a_per_waypoint_recount():
+    routes = [(generate_world(seed), planner) for seed in range(50) for planner in sim.PLANNERS]
+    routes += [(builtin_scenario(name), planner) for name in BUILTIN_NAMES for planner in sim.PLANNERS]
+    repeated = 0
+    for s, planner in routes:
+        try:
+            traj, res = run(s, planner)
+        except ScenarioError:  # a Bug planner refuses the world
+            continue
+        assert path_length(traj) == res.length == _recount(s, traj, res.outcome).length  # bit for bit
+        assert res == _recount(s, traj, res.outcome)
+        moved = Counter(p for p, kind in zip(traj.waypoints, traj.events) if kind == "moved")
+        repeated += max(moved.values(), default=0) > 1
+    assert repeated > 0  # Bug1's survey laps leave some departure points more than once
 
 
 # --- audit -----------------------------------------------------------------------

@@ -13,6 +13,9 @@ per-pair ratio B/A is steadier than either side's time. Layers:
     nspmr   run(s, "nspmr") on worlds 0-49
     random  generate_world, grid_oracle(s, delta/2) and all three planners
             on worlds 0-49, as one random-suite pass
+    trap    the six runs of a trap_escape pass: nspmr on concave_trap,
+            corridor_loop and triangle_loop with the rules at
+            iteration_ceiling, and without them at 1000 iterations
 
 It prints each tree's median sample, the median of the per-pair ratios B/A
 and the pairs that B wins, after checking that both trees give the same
@@ -93,7 +96,22 @@ def random_layer(nspmr):
     return one_pass
 
 
-LAYERS = {"audit": audit_layer, "scan": scan_layer, "nspmr": nspmr_layer, "random": random_layer}
+def trap_layer(nspmr):
+    fixtures = [nspmr.builtin_scenario(name) for name in ("concave_trap", "corridor_loop", "triangle_loop")]
+    jobs = [(s, budget, rules) for s in fixtures for budget, rules in ((nspmr.iteration_ceiling(s), True), (1000, False))]
+    run = nspmr.run
+
+    def one_pass():
+        out = []
+        for s, budget, rules in jobs:
+            traj, result = run(s, "nspmr", budget, rules_enabled=rules)
+            out.append((traj.waypoints, traj.events, traj.directions, repr(result)))
+        return out
+
+    return one_pass
+
+
+LAYERS = {"audit": audit_layer, "scan": scan_layer, "nspmr": nspmr_layer, "random": random_layer, "trap": trap_layer}
 
 
 def sample(fn) -> float:
