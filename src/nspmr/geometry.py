@@ -298,13 +298,13 @@ def ray_cast(
     The origin must not be strictly inside any obstacle; ray_cast tests that
     on every call and raises GeometryError otherwise. It casts its one ray
     through ``_cast``, the kernel that ``sensing.scan`` runs once for all 8
-    rays after making the same test once. Hits at parameter <= EPS_GEOM are
-    ignored so standing exactly on a boundary point does not read as an
-    immediate collision; collinear grazing along an edge counts as a hit at
-    the nearest overlap point.
+    rays after making the same test once, with every bound 0, so it skips no
+    shape. Hits at parameter <= EPS_GEOM are ignored so standing exactly on a
+    boundary point does not read as an immediate collision; collinear grazing
+    along an edge counts as a hit at the nearest overlap point.
     """
     _require_origin_outside(origin, obstacles)
-    return _cast(origin, (compass_unit(compass_deg),), max_range, obstacles)[0]
+    return _cast(origin, (compass_unit(compass_deg),), max_range, [(0.0, poly) for poly in obstacles])[0]
 
 
 def _require_origin_outside(origin: Point2, obstacles: Sequence[Polygon]) -> None:
@@ -314,21 +314,36 @@ def _require_origin_outside(origin: Point2, obstacles: Sequence[Polygon]) -> Non
 
 
 def _cast(origin: Point2, units: Sequence[tuple[float, float]], max_range: float,
-          obstacles: Sequence[Polygon]) -> list[float | None]:
+          shapes: Sequence[tuple[float, Polygon]]) -> list[float | None]:
     """ray_cast's result for the ray along each unit vector of ``units``, without the origin test,
-    which the caller has made. One pass over each shape's edge table tests every ray that passes
-    the shape's bbox circle; a result is a minimum, so the visiting order changes no value."""
+    which the caller has made. ``shapes`` are (bound, polygon) pairs in ascending bound order, and
+    no hit the kernel accepts on a polygon is nearer than its bound. A ray skips a shape whose bound
+    is not below its best hit, and the loop stops once every ray does; one pass over a shape's edge
+    table tests the other rays that pass its bbox circle. A result is a minimum, so no value changes.
+
+    scan's bound, with u = 2**-53, R = max_range, G the exact gap to a shape's bbox and W = w + h >=
+    every |e|: scan keeps G <= R + EPS_GEOM (1 + W), so |a - o| <= 1 + R + W. A crossing with s
+    within EPS_GEOM of [0, 1] lies within EPS_GEOM W of the bbox. If W <= 2e6, denom's error 2u W is
+    under EPS_GEOM / 2 < |denom| / 2, so rounding moves t by under 2 (3u |a - o| + 2u R) W / EPS_GEOM
+    and s W by under 2 (3u |a - o| + 2u W) W / EPS_GEOM: under 1.8e-6 W (1 + R + W) in all. A grazing
+    hit projects a vertex on a ray passing within a few EPS_GEOM of it; as t > EPS_GEOM, it falls
+    short of G by under 1e-7 (1 + R + W). So t >= G - (1 + W) (EPS_GEOM + 2e-6 (1 + R + W)), < 0 past W = 2e6."""
     ox, oy = origin
     best = [math.inf] * len(units)
-    for poly in obstacles:
+    for bound, poly in shapes:
         # cheap reject per ray: ray sphere around the bbox
         cx, cy, r = poly._circle
         dx, dy = cx - ox, cy - oy
         rays = []
+        settled = True
         for k, (ux, uy) in enumerate(units):
-            tc = dx * ux + dy * uy
-            if -r <= tc and tc - r <= max_range and math.hypot(dx - tc * ux, dy - tc * uy) <= r:
-                rays.append((k, ux, uy))
+            if bound < best[k]:
+                settled = False
+                tc = dx * ux + dy * uy
+                if -r <= tc and tc - r <= max_range and math.hypot(dx - tc * ux, dy - tc * uy) <= r:
+                    rays.append((k, ux, uy))
+        if settled:
+            break
         if not rays:
             continue
         for a, b, ex, ey, _, _, _, _ in poly._edge_table:

@@ -17,31 +17,16 @@ CSV_HEADER = ("iter", "t_s", "x_m", "y_m", "event", "dir_deg")
 _PALETTE = ("#c0392b", "#2471a3", "#1e8449", "#8e44ad", "#b7950b")
 
 
-def _f(x: float) -> str:
-    return f"{x:.9f}"
-
-
 # --- trajectory CSV ---------------------------------------------------------------
 
-def trajectory_rows(t: Trajectory) -> list[tuple[str, ...]]:
-    """One row per waypoint. Row 0 is the start pose: event "start", no heading."""
-    rows = []
-    for i, (p, ts) in enumerate(zip(t.waypoints, t.timestamps)):
-        if i == 0:
-            event, heading = "start", ""
-        else:
-            event = t.events[i - 1]
-            d = t.directions[i - 1]
-            heading = "" if d is None else _f(d)
-        rows.append((str(i), _f(ts), _f(p.x), _f(p.y), event, heading))
-    return rows
-
-
 def write_trajectory_csv(path, t: Trajectory) -> None:
+    """One row per waypoint; row 0 is the start pose: event "start", no heading. One % format per
+    row gives csv.writer's bytes: its minimal quoting leaves these fields bare, and rows end in CRLF."""
+    heads = ["" if d is None else "%.9f" % d for d in t.directions]
+    rows = ["%d,%.9f,%.9f,%.9f,%s,%s\r\n" % (i, ts, x, y, e, h) for i, ((x, y), ts, e, h)
+            in enumerate(zip(t.waypoints, t.timestamps, ("start", *t.events), ["", *heads]))]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_HEADER)
-        w.writerows(trajectory_rows(t))
+        fh.write(",".join(CSV_HEADER) + "\r\n" + "".join(rows))
 
 
 def read_trajectory_csv(path) -> Trajectory:

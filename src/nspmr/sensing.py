@@ -9,6 +9,7 @@ measured distance is clipped to the sensing range d and feeds tie-breaking.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .geometry import EPS_GEOM, Point2, _cast, _require_origin_outside, compass_unit
@@ -54,19 +55,21 @@ def scan(pos: Point2, world: Scenario, d: float, delta: float) -> SensorScan:
     Shapes whose bbox is out of range are dropped once per scan, by the gap
     to the bbox along each axis first and by the Euclidean gap only for the
     rest; with none left every direction reads free at range d and no ray
-    is cast. Raises
-    GeometryError when pos is strictly inside an obstacle; that test runs
-    once per scan, not once per ray. The 8 rays then go through one pass of
-    ``geometry._cast``, the kernel ``ray_cast`` uses for its single ray, so
-    each reading equals ``ray_cast`` along its direction. The result depends
-    only on pos and the shapes, so in a static world the planner decides
-    each lattice node once (``NspmrState.records``); in a moving world every
-    step scans afresh.
+    is cast. Raises GeometryError when pos is strictly inside an obstacle,
+    testing once per scan only the shapes whose closed bbox holds pos (from
+    outside a bbox, point_in_polygon miscounts only within rounding of an
+    edge, which reads ON_BOUNDARY). The 8 rays then go through one pass of
+    ``geometry._cast``, the kernel ``ray_cast`` uses for its single ray,
+    nearest shape first by the bound ``_cast`` proves, so each reading
+    equals ``ray_cast`` along its direction. The result depends only on pos
+    and the shapes, so in a static world the planner decides each lattice
+    node once (``NspmrState.records``); in a moving world every step scans
+    afresh.
     """
     if not d > delta > 0:
         raise ValueError("require sensing range d > delta > 0")
     x, y = pos
-    shapes = []
+    shapes, holders = [], []
     for poly in world.shapes():
         x0, y0, x1, y1 = poly._bbox
         # a hit may lie EPS_GEOM * |edge| past an edge's end, and |edge| <= x1 - x0 + y1 - y0
@@ -76,11 +79,17 @@ def scan(pos: Point2, world: Scenario, d: float, delta: float) -> SensorScan:
         if gx > reach:
             continue
         gy = y0 - y if y < y0 else y - y1 if y > y1 else 0.0
-        if gy <= reach and math.hypot(gx, gy) <= reach:
-            shapes.append(poly)
+        if gy <= reach and (g := math.hypot(gx, gy)) <= reach:
+            w = x1 - x0 + y1 - y0  # the bound no hit on poly undercuts, proved in _cast's docstring
+            shapes.append((g - (1 + w) * (EPS_GEOM + 2e-6 * (1 + d + w)), poly))
+            if not g:
+                holders.append(poly)
     if not shapes:
         return SensorScan((SensorReading(True, d),) * SENSOR_COUNT)
-    _require_origin_outside(pos, shapes)
+    if holders:
+        _require_origin_outside(pos, holders)
+    if len(shapes) > 1:
+        shapes.sort(key=itemgetter(0))
     return SensorScan(tuple(
         SensorReading(True, d) if hit is None else SensorReading(hit > blocking_threshold(angle, delta), hit)
         for angle, hit in zip(SENSOR_ANGLES, _cast(pos, _UNITS, d, shapes))

@@ -5,13 +5,15 @@ the written values exactly, which is what makes run artifacts diffable.
 """
 
 import csv
+import io
 import re
 
 import pytest
 
 from nspmr import output
+from nspmr.geometry import Point2
 from nspmr.sim import RunResult, run
-from nspmr.world import builtin_scenario
+from nspmr.world import Trajectory, builtin_scenario
 
 NINE_DEC = re.compile(r"-?\d+\.\d{9}$")
 
@@ -48,6 +50,27 @@ def test_csv_header_and_fixed_decimals(tmp_path):
         else:
             assert fields[4] in ("moved", "backtracked")
             assert NINE_DEC.match(fields[5])
+
+
+def _csv_writer_text(t):
+    """The text csv.writer writes for t, row by row: the reference for write_trajectory_csv's bytes."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(output.CSV_HEADER)
+    for i, (p, ts) in enumerate(zip(t.waypoints, t.timestamps)):
+        event, d = ("start", None) if i == 0 else (t.events[i - 1], t.directions[i - 1])
+        w.writerow((str(i), f"{ts:.9f}", f"{p.x:.9f}", f"{p.y:.9f}", event, "" if d is None else f"{d:.9f}"))
+    return buf.getvalue()
+
+
+def test_csv_bytes_equal_csv_writer(tmp_path):
+    # retreats, Bug headings, int and negative-zero coordinates, and a step with no heading
+    trajs = [run(builtin_scenario(name), planner)[0] for name, planner in (("concave_trap", "nspmr"), ("scenario1", "bug2"))]
+    trajs.append(Trajectory((Point2(0, 0), Point2(-0.0, 1e-10), Point2(2, 3)), ("moved", "backtracked"), (None, 315.0), (0.0, 0.5, 1.25)))
+    for k, t in enumerate(trajs):
+        path = tmp_path / f"{k}.csv"
+        output.write_trajectory_csv(path, t)
+        assert path.read_bytes() == _csv_writer_text(t).encode()
 
 
 def test_csv_round_trips_to_written_values(tmp_path):

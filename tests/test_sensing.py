@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from nspmr.geometry import EPS_GEOM, GeometryError, Point2, Polygon, _require_origin_outside, compass_unit, ray_cast
 from nspmr import sensing
 from nspmr.sensing import SENSOR_ANGLES, SensorReading, SensorScan, blocking_threshold, scan, step_length
-from nspmr.world import Bounds, Obstacle, Scenario, generate_world
+from nspmr.world import Bounds, Obstacle, Scenario, builtin_scenario, generate_world
 
 from test_geometry import oracle_ray_edges
 
@@ -240,9 +240,17 @@ def _edge_slack(poly):
     return EPS_GEOM * (1 + x1 - x0 + y1 - y0)
 
 
+def _bound(x, y, poly, d):
+    """The bound scan hands _cast with poly: its Euclidean gap less the margin _cast's docstring proves."""
+    x0, y0, x1, y1 = poly.bbox()
+    w = x1 - x0 + y1 - y0
+    return _euclidean_gap(x, y, poly) - (1 + w) * (EPS_GEOM + 2e-6 * (1 + d + w))
+
+
 def test_range_cull_keeps_the_shapes_within_euclidean_reach(monkeypatch):
     # the per-axis gaps only reject early: the kernel gets exactly the shapes
-    # whose bbox lies within reach by the Euclidean gap
+    # whose bbox lies within reach by the Euclidean gap, each with its bound,
+    # nearest bound first
     passed = []
 
     def kernel(origin, units, max_range, shapes):
@@ -262,10 +270,52 @@ def test_range_cull_keeps_the_shapes_within_euclidean_reach(monkeypatch):
                 sites += [Point2(x0 - out, y0 - out), Point2(x1 + out, y1), Point2(x0, y1 + out), Point2(x1 + out, y0 - out)]
         for d in (1.0, 10.0):
             for x, y in sites:
-                want = [poly for poly in world.shapes() if _euclidean_gap(x, y, poly) <= d + _edge_slack(poly)]
+                want = sorted(
+                    ((_bound(x, y, poly, d), poly) for poly in world.shapes() if _euclidean_gap(x, y, poly) <= d + _edge_slack(poly)),
+                    key=lambda pair: pair[0],
+                )
                 passed.clear()
                 try:
                     scan(Point2(x, y), world, d, 0.5)
                 except GeometryError:
                     continue
                 assert passed == ([want] if want else []), (seed, d, x, y)
+
+
+OFFICE = builtin_scenario("office_like")
+
+
+@st.composite
+def _office_sites(draw):
+    """A point in office_like: anywhere, or where one shape's side lies t away along x and another's
+    along y, so that a ray's hit distance can equal a farther shape's gap."""
+    b = OFFICE.bounds
+    if draw(st.booleans(), label="anywhere"):
+        return Point2(draw(st.floats(b.xmin, b.xmax), label="x"), draw(st.floats(b.ymin, b.ymax), label="y"))
+    shapes = OFFICE.shapes()
+    xs = draw(st.sampled_from(shapes), label="x shape").bbox()
+    ys = draw(st.sampled_from(shapes), label="y shape").bbox()
+    t = draw(st.sampled_from((0.25, 0.5, 1.0, 2.0, 2.25, 5.0, 10.0)) | st.floats(0.0, 20.0), label="t")
+    x = xs[0] - t if draw(st.booleans(), label="west") else xs[2] + t
+    y = ys[1] - t if draw(st.booleans(), label="south") else ys[3] + t
+    return Point2(x, y)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(d=st.sampled_from((2.0, 10.0, 20.0)), pos=_office_sites())
+def test_nearest_first_cast_leaves_office_scans_unchanged(d, pos):
+    # office_like puts up to 25 shapes in range, so rays settle and shapes are skipped
+    try:
+        want = _unculled_scan(pos, OFFICE, d, OFFICE.delta)
+    except GeometryError:
+        with pytest.raises(GeometryError, match="ray origin strictly inside an obstacle"):
+            scan(pos, OFFICE, d, OFFICE.delta)
+        return
+    assert scan(pos, OFFICE, d, OFFICE.delta) == want
+    # the bound holds shape by shape: no hit on a shape is nearer
+    for poly in OFFICE.shapes():
+        if _euclidean_gap(pos.x, pos.y, poly) <= d + _edge_slack(poly):
+            bound = _bound(pos.x, pos.y, poly, d)
+            for angle in SENSOR_ANGLES:
+                hit = _reference_ray(pos, angle, d, [poly])
+                assert hit is None or hit >= bound

@@ -10,6 +10,8 @@ per-pair ratio B/A is steadier than either side's time. Layers:
 
     audit   audit_collisions on the bug1, bug2 and nspmr routes of worlds 0-49
     scan    scan at every node the nspmr routes of worlds 0-49 visit
+    office  scan at every node the nspmr routes of office_like visit at
+            d = 2, 10 and 20
     nspmr   run(s, "nspmr") on worlds 0-49
     random  generate_world, grid_oracle(s, delta/2) and all three planners
             on worlds 0-49, as one random-suite pass
@@ -26,6 +28,7 @@ checkout in ../base:
 """
 
 import argparse
+import dataclasses
 import gc
 import importlib.util
 import statistics
@@ -68,10 +71,21 @@ def audit_layer(nspmr):
     return lambda: [audit(t, s) for s, t in jobs]
 
 
-def scan_layer(nspmr):
-    sites = [(p, s) for s, t in routes(nspmr, ("nspmr",)) for p in dict.fromkeys(t.waypoints)]
+def scans(nspmr, jobs):
+    """scan at every distinct waypoint of each (scenario, trajectory), in the scenario's own range."""
+    sites = [(p, s) for s, t in jobs for p in dict.fromkeys(t.waypoints)]
     scan = nspmr.scan
     return lambda: [tuple(scan(p, s, s.sensor_range, s.delta).readings) for p, s in sites]
+
+
+def scan_layer(nspmr):
+    return scans(nspmr, routes(nspmr, ("nspmr",)))
+
+
+def office_layer(nspmr):
+    office = nspmr.builtin_scenario("office_like")
+    worlds = [dataclasses.replace(office, sensor_range=d) for d in (2.0, 10.0, 20.0)]
+    return scans(nspmr, [(s, nspmr.run(s, "nspmr")[0]) for s in worlds])
 
 
 def nspmr_layer(nspmr):
@@ -111,7 +125,7 @@ def trap_layer(nspmr):
     return one_pass
 
 
-LAYERS = {"audit": audit_layer, "scan": scan_layer, "nspmr": nspmr_layer, "random": random_layer, "trap": trap_layer}
+LAYERS = {"audit": audit_layer, "scan": scan_layer, "office": office_layer, "nspmr": nspmr_layer, "random": random_layer, "trap": trap_layer}
 
 
 def sample(fn) -> float:
