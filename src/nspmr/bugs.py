@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
 from .geometry import (
     CollinearOverlap,
@@ -26,7 +25,6 @@ from .geometry import (
     distance,
     math_to_compass,
     point_in_polygon,
-    point_segment_distance,
     polygon_offset,
     point_polygon_distance,
     segment_intersection,
@@ -35,14 +33,12 @@ from .world import (
     OUTCOME_GOAL,
     OUTCOME_LIMIT,
     OUTCOME_UNREACHABLE,
-    Obstacle,
     Scenario,
     ScenarioError,
     Trajectory,
     make_trajectory,
 )
 
-_ON_RING_TOL = 1e-6
 _T_SKIN = 1e-9
 
 
@@ -66,25 +62,6 @@ class _Ring:
         seg = self.cum[i + 1] - self.cum[i]
         t = 0.0 if seg == 0 else (s - self.cum[i]) / seg
         return Point2(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
-
-    def locate(self, p: Point2) -> float | None:
-        """Arc coordinate of a point lying on the outline, else None."""
-        best_d = math.inf
-        best_s = None
-        for i, (a, b) in enumerate(self.edges):
-            d = point_segment_distance(p, a, b)
-            if d < best_d:
-                best_d = d
-                seg = self.cum[i + 1] - self.cum[i]
-                if seg == 0:
-                    t = 0.0
-                else:
-                    t = ((p.x - a.x) * (b.x - a.x) + (p.y - a.y) * (b.y - a.y)) / (seg * seg)
-                    t = min(1.0, max(0.0, t))
-                best_s = self.cum[i] + t * seg
-        if best_d > _ON_RING_TOL:
-            return None
-        return best_s % self.perimeter
 
     def closest_to(self, target: Point2) -> tuple[Point2, float]:
         """Continuous minimizer of distance-to-target over the outline."""
@@ -125,38 +102,6 @@ class _Ring:
             for k in range(1, nseg + 1):
                 pts.append(self.point_at(s0 + sign * (ua + gap * k / nseg)))
         return pts
-
-
-@dataclass(frozen=True)
-class BoundaryWalk:
-    obstacle_index: int
-    entry: Point2
-    direction: str  # "cw" | "ccw"
-    polyline: tuple[Point2, ...]
-    stopped: bool  # True: stop predicate fired; False: full circumnavigation
-
-
-def follow_boundary(world: Scenario, obstacle: Obstacle, entry: Point2, direction: str = "ccw", stop=None) -> BoundaryWalk:
-    """Walk the obstacle's offset outline from entry until the stop predicate
-    holds (checked at entry first) or one full circumnavigation completes."""
-    if direction not in ("cw", "ccw"):
-        raise ValueError("direction must be 'cw' or 'ccw'")
-    ring = _Ring(obstacle.shape, world.delta / 4)
-    s0 = ring.locate(entry)
-    if s0 is None:
-        raise GeometryError("entry point is not on the offset boundary")
-    index = world.obstacles.index(obstacle)
-    if stop is not None and stop(entry):
-        return BoundaryWalk(index, entry, direction, (ring.point_at(s0),), True)
-    pts = ring.arc_points(s0, ring.perimeter, 1 if direction == "ccw" else -1, world.delta / 2)
-    polyline = [pts[0]]
-    stopped = False
-    for p in pts[1:]:
-        polyline.append(p)
-        if stop is not None and stop(p):
-            stopped = True
-            break
-    return BoundaryWalk(index, entry, direction, tuple(polyline), stopped)
 
 
 # --- shared run machinery ------------------------------------------------------------
@@ -205,6 +150,10 @@ def _prepare(s: Scenario) -> list[_Ring]:
         for label, p in (("start", s.start), ("goal", s.goal)):
             if point_polygon_distance(p, a.shape) <= c:
                 raise ScenarioError(f"{label} lies within the boundary clearance of an obstacle")
+    for i, ring in enumerate(rings):
+        x0, y0, x1, y1 = ring.bbox
+        if not (s.bounds.contains(Point2(x0, y0)) and s.bounds.contains(Point2(x1, y1))):
+            raise ScenarioError(f"obstacle {i}: its outline at clearance {c} leaves the bounds")
     return rings
 
 
@@ -279,7 +228,7 @@ def bug1_result(s: Scenario, max_iters: int) -> tuple[Trajectory, str]:
             break
         ring = rings[status[1]]
         hit_point = rec.pos
-        s_hit = ring.locate(hit_point)
+        s_hit = ring.closest_to(hit_point)[1]
         # survey lap: full circumnavigation, then return to the best point
         if not all(map(rec.move_to, ring.arc_points(s_hit, ring.perimeter, 1, s.delta / 2)[1:])):
             break
@@ -310,27 +259,11 @@ def _mline_crossing(a: Point2, b: Point2, start: Point2, goal: Point2) -> Point2
     return hit
 
 
-def _leave_ok(x: Point2, hit_point: Point2, hit_dist: float, s: Scenario, rings, strict_leave: bool) -> bool:
-    if strict_leave:
-        if not distance(x, s.goal) < hit_dist - 1e-9:
-            return False
-    else:
-        # relaxed variant: any crossing away from the hit point qualifies,
-        # which is exactly the bad-leave-point failure mode
-        if distance(x, hit_point) <= s.delta / 4:
-            return False
-    return _departure_free(x, s.goal, rings, s.delta)
-
-
-def bug2_result(s: Scenario, max_iters: int, *, strict_leave: bool = True, turn: str = "cw") -> tuple[Trajectory, str]:
-    """Follow the start-goal line; on a hit, wall-follow until back on the
-    line strictly closer to the goal, then resume. strict_leave=False accepts
-    any departure point on the line, which can loop forever by design.
+def bug2_result(s: Scenario, max_iters: int) -> tuple[Trajectory, str]:
+    """Follow the start-goal line; on a hit, wall-follow clockwise until back
+    on the line strictly closer to the goal with a free departure, then resume.
     Returns (Trajectory, outcome); an exhausted budget ends in OUTCOME_LIMIT."""
-    if turn not in ("cw", "ccw"):
-        raise ValueError("turn must be 'cw' or 'ccw'")
     rings = _prepare(s)
-    sign = -1 if turn == "cw" else 1
     rec = _Recorder(s.start, max_iters)
     outcome = OUTCOME_LIMIT
     while True:
@@ -343,11 +276,11 @@ def bug2_result(s: Scenario, max_iters: int, *, strict_leave: bool = True, turn:
         ring = rings[status[1]]
         hit_point = rec.pos
         hit_dist = distance(hit_point, s.goal)
-        pts = ring.arc_points(ring.locate(hit_point), ring.perimeter, sign, s.delta / 2)
+        pts = ring.arc_points(ring.closest_to(hit_point)[1], ring.perimeter, -1, s.delta / 2)
         left = limit = False
         for a, b in zip(pts, pts[1:]):
             x = _mline_crossing(a, b, s.start, s.goal)
-            if x is not None and _leave_ok(x, hit_point, hit_dist, s, rings, strict_leave):
+            if x is not None and distance(x, s.goal) < hit_dist - 1e-9 and _departure_free(x, s.goal, rings, s.delta):
                 if not rec.move_to(x):
                     limit = True
                 else:
@@ -362,4 +295,3 @@ def bug2_result(s: Scenario, max_iters: int, *, strict_leave: bool = True, turn:
             outcome = OUTCOME_UNREACHABLE
             break
     return make_trajectory(s, rec.wp, rec.ev, rec.dirs), outcome
-

@@ -87,19 +87,10 @@ class NspmrState:
     dead: set[Node] = field(default_factory=set)
     trail: list[Node] = field(default_factory=list)
     records: dict[Node, _NodeRecord] = field(default_factory=dict)
-    box: tuple[int, int, int, int] | None = None  # (ilo, ihi, jlo, jhi) inside the bounds, set on the first step
 
     def __post_init__(self):
         if not self.trail:
             self.trail = [self.node]
-
-
-def _inner_nodes(lo: float, hi: float, x0: float, half: float) -> tuple[int, int]:
-    """Ints (a, b) with lo < x0 + n * half < hi for every n in [a, b]; rounding is monotone in n, so
-    the ends decide. Each end is the first of three nodes from an estimate to pass; none: empty."""
-    e, f = math.floor(max((lo - x0) / half, -2.0**53)), math.ceil(min((hi - x0) / half, 2.0**53))
-    return (next((n for n in (e, e + 1, e + 2) if lo < x0 + n * half), 2**63),
-            next((n for n in (f, f - 1, f - 2) if x0 + n * half < hi), -2**63))
 
 
 class StepEvent(NamedTuple):
@@ -168,12 +159,10 @@ def nspmr_step(state: NspmrState, world: Scenario, rules_enabled: bool = True) -
     if record is None:
         record = _visit(world, Point2(x0 + i * half, y0 + j * half))
         xmin, ymin, xmax, ymax = world.bounds
-        if state.box is None:
-            state.box = _inner_nodes(xmin, xmax, x0, half) + _inner_nodes(ymin, ymax, y0, half)
-        ilo, ihi, jlo, jhi = state.box
         # drop the moves whose target, computed as below, is not strictly inside the bounds;
-        # a node strictly inside the box has all 8 targets in it, and so inside
-        if not (ilo < i < ihi and jlo < j < jhi):
+        # rounding is monotone, so when the outermost targets are inside, every target is
+        if not (xmin < x0 + (i - 1) * half and x0 + (i + 1) * half < xmax
+                and ymin < y0 + (j - 1) * half and y0 + (j + 1) * half < ymax):
             record = record._replace(order=tuple([
                 (a, (sx, sy)) for a, (sx, sy) in record.order
                 if xmin < x0 + (i + sx) * half < xmax and ymin < y0 + (j + sy) * half < ymax

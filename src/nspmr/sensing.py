@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .geometry import EPS_GEOM, Point2, _cast, _require_origin_outside, compass_unit
 from .world import Scenario

@@ -11,7 +11,6 @@ import pytest
 
 from nspmr.geometry import (
     CollinearOverlap,
-    GeometryError,
     Point2,
     Polygon,
     distance,
@@ -20,13 +19,7 @@ from nspmr.geometry import (
     segment_intersection,
 )
 from nspmr.sim import audit_collisions, path_length, run
-from nspmr.bugs import (
-    BoundaryWalk,
-    _prepare,
-    bug1_result,
-    bug2_result,
-    follow_boundary,
-)
+from nspmr.bugs import _prepare, _Ring, bug1_result, bug2_result
 from nspmr.world import (
     OUTCOME_GOAL,
     OUTCOME_LIMIT,
@@ -116,64 +109,56 @@ def skin_goal_scene(goal, start=Point2(-3, 0.5)):
                     goal=goal, obstacles=(Obstacle(shape),))
 
 
-# --- follow_boundary -----------------------------------------------------------------
+# --- boundary walk ------------------------------------------------------------------
+
+def unit_ring():
+    return _Ring(unit_square_scene().obstacles[0].shape, 0.1)
+
 
 def test_full_circumnavigation_of_offset_unit_square():
-    s = unit_square_scene()
-    walk = follow_boundary(s, s.obstacles[0], Point2(-0.1, 0.5), "ccw", None)
-    assert isinstance(walk, BoundaryWalk)
-    assert walk.obstacle_index == 0
-    assert walk.direction == "ccw"
-    assert not walk.stopped
-    assert walk.polyline[0] == walk.polyline[-1]
-    assert path_length(list(walk.polyline)) == pytest.approx(4.8, abs=1e-9)
-    for a, b in zip(walk.polyline, walk.polyline[1:]):
+    ring = unit_ring()
+    shape = unit_square_scene().obstacles[0].shape
+    s0 = ring.closest_to(Point2(-0.1, 0.5))[1]
+    lap = ring.arc_points(s0, ring.perimeter, 1, 0.2)
+    assert ring.perimeter == pytest.approx(4.8, abs=1e-9)
+    assert lap[0] == lap[-1]
+    assert path_length(lap) == pytest.approx(ring.perimeter, abs=1e-9)
+    for a, b in zip(lap, lap[1:]):
         assert distance(a, b) <= 0.2 + 1e-9
-    for p in walk.polyline:
-        assert on_outline(p, s.obstacles[0].shape, 0.1, tol=1e-9)
+    for p in lap:
+        assert on_outline(p, shape, 0.1, tol=1e-9)
 
 
 def test_walk_direction_reverses_initial_heading():
-    s = unit_square_scene()
-    entry = Point2(-0.1, 0.5)
-    ccw = follow_boundary(s, s.obstacles[0], entry, "ccw", None)
-    cw = follow_boundary(s, s.obstacles[0], entry, "cw", None)
+    ring = unit_ring()
+    s0 = ring.closest_to(Point2(-0.1, 0.5))[1]
     # on the west face the outline's vertex order runs south
-    assert ccw.polyline[1].y < 0.5
-    assert cw.polyline[1].y > 0.5
+    assert ring.arc_points(s0, 0.2, 1, 0.2)[1].y < 0.5
+    assert ring.arc_points(s0, 0.2, -1, 0.2)[1].y > 0.5
+
+
+def test_closest_to_maps_walk_points_back_onto_themselves():
+    rings = [unit_ring()] + _prepare(builtin_scenario("scenario1"))
+    for ring in rings:
+        for sign in (1, -1):
+            for p in ring.arc_points(0.3, ring.perimeter, sign, 0.25):
+                assert distance(ring.point_at(ring.closest_to(p)[1]), p) <= 1e-9
 
 
 def test_walk_stops_at_precomputed_minimizer():
     s = unit_square_scene()
+    ring = unit_ring()
     spacing = 0.4 / 20
     sampled = oracle_min_dist_point(s.obstacles[0].shape, 0.1, s.goal, spacing)
     L = Point2(1.1, 0.5)  # east-face midpoint of the offset square
     assert distance(sampled, L) <= spacing
     assert distance(L, s.goal) <= distance(sampled, s.goal) + 1e-9
-    walk = follow_boundary(s, s.obstacles[0], Point2(-0.1, 0.5), "ccw",
-                           lambda p: distance(p, L) <= 1e-9)
-    assert walk.stopped
-    assert distance(walk.polyline[-1], L) <= 1e-9
-    assert path_length(list(walk.polyline)) == pytest.approx(2.4, abs=1e-9)
-
-
-def test_stop_true_at_entry_gives_zero_length_walk():
-    s = unit_square_scene()
-    walk = follow_boundary(s, s.obstacles[0], Point2(-0.1, 0.5), "cw", lambda p: True)
-    assert walk.stopped
-    assert len(walk.polyline) == 1
-
-
-def test_entry_off_boundary_rejected():
-    s = unit_square_scene()
-    with pytest.raises(GeometryError):
-        follow_boundary(s, s.obstacles[0], Point2(-0.5, 0.5), "ccw", None)
-
-
-def test_bad_direction_rejected():
-    s = unit_square_scene()
-    with pytest.raises(ValueError):
-        follow_boundary(s, s.obstacles[0], Point2(-0.1, 0.5), "inward", None)
+    leave, s_leave = ring.closest_to(s.goal)
+    assert distance(leave, L) <= 1e-9
+    s0 = ring.closest_to(Point2(-0.1, 0.5))[1]
+    arc = ring.arc_points(s0, (s_leave - s0) % ring.perimeter, 1, 0.2)
+    assert distance(arc[-1], L) <= 1e-9
+    assert path_length(arc) == pytest.approx(2.4, abs=1e-9)
 
 
 # --- straight-line behavior ----------------------------------------------------------
@@ -261,21 +246,23 @@ def test_bug2_square_leaves_at_second_crossing():
 
 
 def test_bug2_departures_on_mline_and_strictly_closer():
-    s = builtin_scenario("scenario1")
-    traj, outcome = bug2_result(s, 200000)
-    assert outcome == OUTCOME_GOAL
-    shapes = [ob.shape for ob in s.obstacles]
-
-    def boundary(p):
-        return any(on_outline(p, sh, s.delta / 4) for sh in shapes)
-
-    hit_dist = None
-    for a, b in zip(traj.waypoints, traj.waypoints[1:]):
-        if not boundary(a) and boundary(b):
-            hit_dist = distance(b, s.goal)
-        if boundary(a) and not boundary(b):
-            assert point_segment_distance(a, s.start, s.goal) <= 1e-6
-            assert distance(a, s.goal) < hit_dist - 1e-9
+    # no departure from an outline is farther from the goal than the hit that
+    # began that walk, and each lies on the start-goal line
+    for s in (square_scene(), builtin_scenario("scenario1")):
+        traj, outcome = bug2_result(s, 200000)
+        assert outcome == OUTCOME_GOAL
+        wps = traj.waypoints
+        on_ring = [any(on_outline(p, ob.shape, s.delta / 4) for ob in s.obstacles) for p in wps]
+        hit_dist = None
+        departures = 0
+        for k in range(1, len(wps)):
+            if on_ring[k] and not on_ring[k - 1]:
+                hit_dist = distance(wps[k], s.goal)
+            if on_ring[k - 1] and not on_ring[k]:
+                departures += 1
+                assert point_segment_distance(wps[k - 1], s.start, s.goal) <= 1e-6
+                assert distance(wps[k - 1], s.goal) < hit_dist - 1e-9
+        assert departures >= 1
 
 
 def test_bug2_scenario1_within_reference_band():
@@ -284,31 +271,6 @@ def test_bug2_scenario1_within_reference_band():
     length = path_length(traj)
     assert 38.8 <= length <= 52.6
     assert abs(length - 45.7185858) <= 0.5  # reference vertex-chain length
-
-
-def test_bug2_turn_side_changes_route():
-    s = builtin_scenario("scenario1")
-    t_cw, o_cw = bug2_result(s, 200000, turn="cw")
-    t_ccw, o_ccw = bug2_result(s, 200000, turn="ccw")
-    assert o_cw == o_ccw == OUTCOME_GOAL
-    assert path_length(t_ccw) > path_length(t_cw)
-
-
-def test_bug2_relaxed_leave_matches_strict_without_bad_crossings():
-    s = builtin_scenario("scenario1")
-    t_strict, _ = bug2_result(s, 200000, strict_leave=True)
-    t_relaxed, _ = bug2_result(s, 200000, strict_leave=False)
-    assert path_length(t_strict) == pytest.approx(path_length(t_relaxed), abs=1e-9)
-
-
-def test_relaxed_leave_accepts_farther_crossing():
-    from nspmr.bugs import _leave_ok
-    s = square_scene()
-    hit = Point2(9.875, 12.0)
-    farther = Point2(5.0, 12.0)
-    hd = distance(hit, s.goal)
-    assert not _leave_ok(farther, hit, hd, s, [], True)
-    assert _leave_ok(farther, hit, hd, s, [], False)
 
 
 def test_bug2_unreachable_returns_to_hit_point():
@@ -374,6 +336,16 @@ def test_reachable_goal_near_obstacle_is_rejected_not_unreachable():
     _, res = run(s, "nspmr")
     assert res.outcome == OUTCOME_GOAL
     assert res.length == pytest.approx(6.49, abs=0.005)
+
+
+def test_outline_leaving_bounds_rejected():
+    # the block lies inside the bounds, but its 0.1 outline reaches x = 1.1
+    s = unit_square_scene()
+    s = Scenario(name="edge", bounds=Bounds(-5, -5, 1.05, 5), start=s.start, goal=Point2(0.5, 3),
+                 obstacles=s.obstacles, delta=s.delta, sensor_range=s.sensor_range)
+    for runner in (bug1_result, bug2_result):
+        with pytest.raises(ScenarioError, match="obstacle 0: its outline at clearance 0.1 leaves the bounds"):
+            runner(s, 1000)
 
 
 def test_goal_clearance_check_accepts_builtins_and_generated_worlds():

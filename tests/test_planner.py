@@ -1,6 +1,5 @@
 """Direction selection, priority rules, lattice moves, backtracking."""
 
-import math
 import random
 from collections import Counter
 from dataclasses import replace
@@ -393,32 +392,6 @@ def test_records_drop_exactly_the_moves_that_leave_the_bounds():
                 nx = sum(-3 <= i + sx <= 4 for sx in (-1, 0, 1))
                 ny = sum(-4 <= j + sy <= 3 for sy in (-1, 0, 1))
                 assert len(record.order) == nx * ny - 1
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    x0=hst.floats(-100, 100),
-    half=hst.sampled_from((0.15, 0.25, 0.35, 0.5)) | hst.floats(1e-3, 10),
-    below=hst.integers(1, 200),
-    above=hst.integers(1, 200),
-    off=hst.sampled_from((0.0, 0.5)) | hst.floats(0, 1, exclude_max=True),
-)
-def test_node_box_lies_inside_the_bounds(x0, half, below, above, off):
-    # the box nspmr_step compares ints against holds exactly the nodes that the
-    # float test keeps: x0 + n * half strictly between the bounds. Bounds a
-    # whole number of steps away put the estimate's rounding on an integer.
-    lo, hi = x0 - (below - off) * half, x0 + (above - off) * half
-    assume(lo < x0 < hi)
-    a, b = planner._inner_nodes(lo, hi, x0, half)
-    assert a <= 0 <= b  # the start's own node is inside
-    inside = [n for n in range(a - 2, b + 3) if lo < x0 + n * half < hi]
-    assert inside == list(range(a, b + 1))
-
-
-def test_node_box_survives_a_lattice_finer_than_floats():
-    # a valid but degenerate lattice: the estimate overflows and is clamped
-    a, b = planner._inner_nodes(-1e10, 1e10, 0.0, 1e-300)
-    assert a <= 0 <= b and -1e10 < a * 1e-300 and b * 1e-300 < 1e10
 
 
 def test_moving_world_scans_every_step(monkeypatch):
