@@ -19,7 +19,7 @@ from nspmr.geometry import (
     segment_intersection,
 )
 from nspmr.sim import audit_collisions, path_length, run
-from nspmr.bugs import _prepare, _Ring, bug1_result, bug2_result
+from nspmr.bugs import _departure_free, _prepare, _Ring, bug1_result, bug2_result
 from nspmr.world import (
     OUTCOME_GOAL,
     OUTCOME_LIMIT,
@@ -95,6 +95,17 @@ def unit_square_scene():
     return Scenario(name="unit", bounds=Bounds(-5, -5, 5, 5), start=Point2(-3, 0.5),
                     goal=Point2(3, 0.5), obstacles=(Obstacle(shape),),
                     delta=0.4, sensor_range=1.0)
+
+
+def spiral_scene():
+    """Spiral block whose delta/4 = 0.125 outline meets the start-goal line y = 0
+    at x = -0.125, 1.125, 1.275, 2.525, 4.275 and 5.525. The 0.15 gap after
+    1.125 is shorter than a delta/2 step, so that departure is never free."""
+    outline = (Point2(0, 1), Point2(1, 1), Point2(1, -2), Point2(4.4, -2), Point2(4.4, 2),
+               Point2(2.4, 2), Point2(2.4, -1), Point2(1.4, -1), Point2(1.4, 3), Point2(5.4, 3),
+               Point2(5.4, -3), Point2(0, -3))
+    return Scenario(name="spiral", bounds=Bounds(-5, -5, 10, 5), start=Point2(-3, 0),
+                    goal=Point2(8, 0), obstacles=(Obstacle(Polygon(tuple(reversed(outline)))),))
 
 
 def skin_goal_scene(goal, start=Point2(-3, 0.5)):
@@ -263,6 +274,30 @@ def test_bug2_departures_on_mline_and_strictly_closer():
                 assert point_segment_distance(wps[k - 1], s.start, s.goal) <= 1e-6
                 assert distance(wps[k - 1], s.goal) < hit_dist - 1e-9
         assert departures >= 1
+
+
+def test_relaxed_leave_accepts_farther_crossing():
+    # Bug2 leaves the spiral at 2.525 and hits it again at 4.275. The clockwise
+    # walk from there crosses the line at 2.525 once more, farther from the goal
+    # than that hit, with a free departure: a relaxed rule asking only for a free
+    # departure accepts it and repeats the 2.525 -> 4.275 march forever, while
+    # the strict rule walks on to 5.525.
+    s = spiral_scene()
+    rings = _prepare(s)
+    traj, outcome = bug2_result(s, 20000)
+    assert outcome == OUTCOME_GOAL
+    wps = traj.waypoints
+    on_ring = [on_outline(p, s.obstacles[0].shape, 0.125) for p in wps]
+    hits = [k for k in range(1, len(wps)) if on_ring[k] and not on_ring[k - 1]]
+    leaves = [k - 1 for k in range(1, len(wps)) if on_ring[k - 1] and not on_ring[k]]
+    assert [wps[k].x for k in hits] == pytest.approx([-0.125, 4.275])
+    assert [wps[k].x for k in leaves] == pytest.approx([2.525, 5.525])
+    walk = wps[hits[1] : leaves[1] + 1]
+    crossings = [Point2(a.x + (b.x - a.x) * a.y / (a.y - b.y), 0.0)
+                 for a, b in zip(walk, walk[1:]) if a.y * b.y < 0]
+    hit_dist = distance(wps[hits[1]], s.goal)
+    relaxed = [x for x in crossings if distance(x, s.goal) > hit_dist and _departure_free(x, s.goal, rings, s.delta)]
+    assert [x.x for x in relaxed] == pytest.approx([wps[leaves[0]].x])
 
 
 def test_bug2_scenario1_within_reference_band():
