@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import compress, cycle, islice
 
 from .bugs import bug1_result, bug2_result
-from .geometry import EPS_GEOM, Point2, PointLocation, _segment_hits, point_in_polygon
+from .geometry import Point2, PointLocation, _segment_hits, point_in_polygon, segment_intersection
 from .lattice import _lattice_path, _lattice_shape
 from .planner import NspmrState, nspmr_step
 from .world import (
@@ -156,13 +156,12 @@ def run(s: Scenario, planner: str, max_iters: int | None = None, *, rules_enable
 # --- safety audit ------------------------------------------------------------------
 
 def audit_collisions(t: Trajectory, s: Scenario) -> list[str]:
-    """Check every waypoint and segment against the obstacle poses current at
-    its timestamp; an empty list means the trajectory is safe. A static world
-    is one pose: obstacle by obstacle, one bbox filter runs over all distinct
-    waypoints and directed segments (p, q), and the exact tests run only on
-    the survivors. A moving world audits each tick's waypoint and segment in
-    that tick's pose. A segment collides when it meets a boundary or its
-    midpoint lies INSIDE. Messages come by waypoint, segment, obstacle index."""
+    """Check every waypoint against the bounds, and every waypoint and segment against the obstacle
+    poses current at its timestamp; an empty list means the trajectory is safe. A static world is
+    one pose, audited obstacle by obstacle over all distinct waypoints and directed segments at
+    once; a moving world audits each tick's waypoint and segment in that tick's pose. A waypoint
+    not strictly inside the bounds is outside them, and a segment collides when it meets a boundary
+    or its midpoint lies INSIDE. Messages come by waypoint, segment, obstacle index."""
     wps = t.waypoints
     if not s.is_dynamic:
         return _pose_messages(wps, 0, len(wps), s)
@@ -174,26 +173,47 @@ def audit_collisions(t: Trajectory, s: Scenario) -> list[str]:
 
 
 def _pose_messages(wps, lo: int, hi: int, world: Scenario) -> list[str]:
-    """Audit messages for the waypoints wps[lo:hi] and the segments leaving them, in world's pose."""
+    """Audit messages for the waypoints wps[lo:hi] and the segments (p, q) leaving them, in world's pose.
+
+    A segment meets an obstacle's boundary when _segment_hits finds a hit. The spread L of the waypoints
+    bounds a segment's axis extent; with S = max(1, w, h, L) for a w x h bbox, a segment of axis extent
+    >= 2e-4 max(1, w, h) bounds _segment_hits' margin by 2e-5 S, so segment_intersection runs where its
+    bbox meets an edge's grown by m = 3e-5 S. Shorter ones near the bbox go to _segment_hits, which
+    farther out finds only what segment_intersection's parallel test takes, EPS_GEOM S^2 / |pq| off the
+    line. A waypoint near the bbox starts a kept segment or is the pose's last. A midpoint INSIDE lies
+    over EPS_GEOM from the boundary, where parity is exact for coordinates under 1e6: from an OUTSIDE p
+    the segment crosses an edge, which segment_intersection takes as parallel lines (|qp x r| <= |r x s|
+    <= EPS_GEOM S^2) or with t, u in [0, 1] up to rounding. So only a p not OUTSIDE needs the midpoint test."""
     points, segments = set(wps[lo:hi]), set(zip(wps[lo:hi], wps[lo + 1 : hi + 1]))
+    xs, ys = zip(*points, *wps[hi : hi + 1])  # the waypoints of the pose and the end of its last segment
+    (x_lo, x_hi), (y_lo, y_hi), b = (min(xs), max(xs)), (min(ys), max(ys)), world.bounds
+    outside = set() if b.xmin < x_lo <= x_hi < b.xmax and b.ymin < y_lo <= y_hi < b.ymax else {p for p in points if not b.contains(p)}
     touched: dict = {}  # waypoint or (p, q) -> indices of the obstacles it touches
     for i, shape in enumerate(world.shapes()):
         x0, y0, x1, y1 = shape.bbox()
-        # beyond EPS_GEOM of the bbox a point cannot even touch the boundary
-        lx, ly, hx, hy = x0 - EPS_GEOM, y0 - EPS_GEOM, x1 + EPS_GEOM, y1 + EPS_GEOM
-        for p in [p for p in points if lx <= p.x <= hx and ly <= p.y <= hy]:
-            if point_in_polygon(p, shape) is not PointLocation.OUTSIDE:
-                touched.setdefault(p, []).append(i)
-        for p, q in [
-            (p, q) for p, q in segments
-            if (p.x >= x0 or q.x >= x0) and (p.x <= x1 or q.x <= x1) and (p.y >= y0 or q.y >= y0) and (p.y <= y1 or q.y <= y1)
-        ]:
-            if _segment_hits(p, q, shape) or point_in_polygon(Point2((p.x + q.x) / 2, (p.y + q.y) / 2), shape) is PointLocation.INSIDE:
-                touched.setdefault((p, q), []).append(i)
-    if not touched:
+        m, cut = 3e-5 * max(1.0, x1 - x0, y1 - y0, x_hi - x_lo, y_hi - y_lo), 2e-4 * max(1.0, x1 - x0, y1 - y0)
+        lx, ly, hx, hy = x0 - m, y0 - m, x1 + m, y1 + m
+        if x_hi < lx or hx < x_lo or y_hi < ly or hy < y_lo:  # no waypoint comes near
+            continue
+        cands = [(p, q) for p, q in segments
+                 if (p.x >= lx or q.x >= lx) and (p.x <= hx or q.x <= hx) and (p.y >= ly or q.y >= ly) and (p.y <= hy or q.y <= hy)]
+        near = {p for p in {wps[hi - 1], *(p for p, _ in cands)} if point_in_polygon(p, shape) is not PointLocation.OUTSIDE}
+        if not (cands or near):
+            continue
+        hit = {(p, q) for p, q in cands if abs(q.x - p.x) < cut > abs(q.y - p.y) and _segment_hits(p, q, shape)}
+        for ea, eb, _, _, lx, ly, hx, hy in shape._edge_table:
+            lx, ly, hx, hy = lx - m, ly - m, hx + m, hy + m
+            hit.update([(p, q) for p, q in cands if (p.x >= lx or q.x >= lx) and (p.x <= hx or q.x <= hx)
+                        and (p.y >= ly or q.y >= ly) and (p.y <= hy or q.y <= hy) and segment_intersection(p, q, ea, eb) is not None])
+        hit.update([(p, q) for p, q in cands if p in near and (p, q) not in hit
+                    and point_in_polygon(Point2((p.x + q.x) / 2, (p.y + q.y) / 2), shape) is PointLocation.INSIDE])
+        for key in [*near, *hit]:
+            touched.setdefault(key, []).append(i)
+    if not (touched or outside):
         return []
     out = []
     for k in range(lo, hi):
+        out += [f"waypoint {k} outside bounds"] * (wps[k] in outside)
         out += [f"waypoint {k} inside obstacle {i}" for i in touched.get(wps[k], ())]
         # wps[k:k + 2] is segment k's key (p, q); at the last waypoint it is (p,), which is no key
         out += [f"segment {k} intersects obstacle {i}" for i in touched.get(wps[k : k + 2], ())]

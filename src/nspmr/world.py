@@ -110,6 +110,9 @@ def validate_scenario(s: Scenario) -> list[str]:
             continue
         if ob.velocity is not None and not all(math.isfinite(v) for v in ob.velocity):
             out.append(f"obstacle {i}: velocity must be finite")
+        x0, y0, x1, y1 = poly.bbox()
+        if not ob.moving and not (b.xmin <= x0 and b.ymin <= y0 and x1 <= b.xmax and y1 <= b.ymax):
+            out.append(f"obstacle {i}: a static obstacle must lie within bounds")
         for label, p in (("start", s.start), ("goal", s.goal)):
             if point_in_polygon(p, poly) is not PointLocation.OUTSIDE:
                 out.append(f"obstacle {i}: {label} must lie strictly outside")

@@ -1,13 +1,14 @@
 """Run loop, metrics, collision audit, grid oracle."""
 
 import math
+import random
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from nspmr import sim
-from nspmr.geometry import Point2, PointLocation, Polygon, distance, point_in_polygon, segment_intersection
+from nspmr.geometry import Point2, PointLocation, Polygon, _segment_hits, distance, point_in_polygon, segment_intersection
 from nspmr.planner import NspmrState, nspmr_step
 from nspmr.sim import (
     RunResult,
@@ -358,9 +359,6 @@ def _reference_audit(t, s):
     """audit_collisions without its bulk filter: every waypoint and segment tested afresh, in route order."""
 
     def segment_hits(a, b, poly):
-        x0, y0, x1, y1 = poly.bbox()
-        if max(a.x, b.x) < x0 or min(a.x, b.x) > x1 or max(a.y, b.y) < y0 or min(a.y, b.y) > y1:
-            return False
         if any(segment_intersection(a, b, ea, eb) is not None for ea, eb in poly.edges()):
             return True
         mid = Point2((a.x + b.x) / 2, (a.y + b.y) / 2)
@@ -480,6 +478,123 @@ def test_audit_tests_each_distinct_query_once_per_world_pose(monkeypatch):
     assert len(calls) > once * 5
     assert out == _reference_audit(_walk(moving, pts), moving)
     assert out[:2] == ["segment 3 intersects obstacle 0", "waypoint 4 inside obstacle 0"]
+
+
+def test_audit_flags_a_step_grazing_a_wall_beyond_its_bbox():
+    # 1e-7 m above the top of a 25 x 1 m wall: segment_intersection reads the
+    # step as touching, though both waypoints lie beyond the wall's bbox
+    s = Scenario("a", Bounds(-2, -2, 27, 27), Point2(0, 5), Point2(25, 5), (Obstacle(_rect(0, 0, 25, 1)),))
+    traj = _walk(s, [Point2(10, 1 + 1e-7), Point2(10.25, 1 + 1e-7)])
+    assert _segment_hits(*traj.waypoints, s.obstacles[0].shape)
+    assert audit_collisions(traj, s) == _reference_audit(traj, s) == ["segment 0 intersects obstacle 0"]
+    # at 1e-10 m the waypoints touch the wall too, and the segment joining them is flagged with them
+    traj = _walk(s, [Point2(10, 1 + 1e-10), Point2(10.25, 1 + 1e-10)])
+    assert audit_collisions(traj, s) == _reference_audit(traj, s) == [
+        "waypoint 0 inside obstacle 0",
+        "segment 0 intersects obstacle 0",
+        "waypoint 1 inside obstacle 0",
+    ]
+
+
+def test_audit_flags_a_segment_wholly_inside_an_obstacle():
+    s = Scenario("a", Bounds(-2, -2, 27, 27), Point2(0, 0), Point2(25, 25), (Obstacle(_rect(4, 4, 6, 6)),))
+    traj = _walk(s, [Point2(4.5, 5), Point2(5.5, 5.2)])
+    assert _segment_hits(*traj.waypoints, s.obstacles[0].shape) == []
+    assert audit_collisions(traj, s) == _reference_audit(traj, s) == [
+        "waypoint 0 inside obstacle 0",
+        "segment 0 intersects obstacle 0",
+        "waypoint 1 inside obstacle 0",
+    ]
+
+
+def test_audit_of_a_segment_leaving_a_boundary_point_matches_the_reference():
+    # p lies 5e-10 inside the top edge, ON_BOUNDARY: the step down meets the
+    # edge at t = -2e-9, beyond segment_intersection's tolerance, so only the
+    # midpoint test flags it; the step up crosses the edge at t = 2e-9
+    box = _rect(4, 4, 6, 6)
+    s = Scenario("a", Bounds(-2, -2, 27, 27), Point2(0, 0), Point2(25, 25), (Obstacle(box),))
+    p = Point2(5, 6 - 5e-10)
+    assert point_in_polygon(p, box) is PointLocation.ON_BOUNDARY
+    assert _segment_hits(p, Point2(5, 5.75), box) == []
+    for q in (Point2(5, 5.75), Point2(5, 6.25), Point2(5.25, 6 - 5e-10)):
+        traj = _walk(s, [p, q])
+        assert audit_collisions(traj, s) == _reference_audit(traj, s), q
+        assert audit_collisions(traj, s)[:2] == ["waypoint 0 inside obstacle 0", "segment 0 intersects obstacle 0"], q
+
+
+def _random_segments(rng, poly, n):
+    """n segments near poly's boundary: from a vertex or an edge point, up to 1e-10..1e-7 m or
+    up to 1 m off its line, grazing along it, crossing it or leaving it, 0 to 3 m long."""
+    out = []
+    for _ in range(n):
+        a, b = poly.edges()[rng.randrange(len(poly.vertices))]
+        ex, ey = b.x - a.x, b.y - a.y
+        norm = math.hypot(ex, ey)
+        ux, uy = ex / norm, ey / norm
+        t = rng.choice([0.0, 1.0, rng.random()])
+        off = rng.choice([0.0, 1e-10, -1e-10, 1e-9, 1e-8, -1e-8, 1e-7, -1e-7, rng.uniform(-1, 1)])
+        p = Point2(a.x + t * ex + off * uy, a.y + t * ey - off * ux)  # (uy, -ux) points outward on a CCW ring
+        length = rng.choice([0.0, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 0.25, rng.uniform(0, 3)])
+        angle = rng.choice([0.0, math.pi, 1e-9, -1e-9, 1e-6, rng.uniform(0, 2 * math.pi)])
+        dx, dy = math.cos(angle), math.sin(angle)
+        out.append((p, Point2(p.x + length * (dx * ux - dy * uy), p.y + length * (dx * uy + dy * ux))))
+    return out
+
+
+def test_audit_segment_answers_equal_segment_hits_on_random_segments():
+    # a segment is flagged exactly when _segment_hits finds a hit or its midpoint
+    # lies INSIDE; from an OUTSIDE start the midpoint never decides, so there
+    # the answer is _segment_hits' alone. Each segment is audited on its own and
+    # all of them as one walk, whose joining segments are random too and whose
+    # spread widens the audit's margin. The exception: a segment under 2e-4 of
+    # max(1, w, h) more than 1 cm beyond the bbox, where _segment_hits reads
+    # only the parallel test's EPS_GEOM S^2 / |pq| tolerance, is not tested
+    rng = random.Random(15)
+    concave = Polygon((Point2(0, 0), Point2(3, 0), Point2(3, 3), Point2(2, 3), Point2(2, 1), Point2(1, 1), Point2(1, 3), Point2(0, 3)))
+    polys = [_rect(4, 4, 6, 6), _rect(0, 0, 25, 1), concave, concave.translated(1e3, -2e3)]
+    polys += [ob.shape for ob in generate_world(3).obstacles[:2]]
+    flagged = midpoint_only = 0
+    for poly in polys:
+        x0, y0, x1, y1 = poly.bbox()
+        s = Scenario("r", Bounds(x0 - 10, y0 - 10, x1 + 10, y1 + 10), Point2(x0 - 5, y0 - 5), Point2(x1 + 5, y1 + 5), (Obstacle(poly),))
+        segments = _random_segments(rng, poly, 300)
+        walk = [p for pq in segments for p in pq]
+        whole = set(audit_collisions(_walk(s, walk), s))
+        for k, (p, q) in enumerate(zip(walk, walk[1:])):
+            boundary = bool(_segment_hits(p, q, poly))
+            gap = max(x0 - max(p.x, q.x), min(p.x, q.x) - x1, y0 - max(p.y, q.y), min(p.y, q.y) - y1)
+            if max(abs(q.x - p.x), abs(q.y - p.y)) < 2e-4 * max(1.0, x1 - x0, y1 - y0) and gap > 1e-6:
+                if gap <= 1e-2:
+                    continue  # within the audit's margin or beyond it, by the spread
+                boundary = False
+            mid = point_in_polygon(Point2((p.x + q.x) / 2, (p.y + q.y) / 2), poly) is PointLocation.INSIDE
+            start_outside = point_in_polygon(p, poly) is PointLocation.OUTSIDE
+            assert not (start_outside and mid and not boundary), (p, q)
+            want = boundary or mid
+            assert (f"segment {k} intersects obstacle 0" in whole) == want, (p, q)
+            if k % 2 == 0:
+                assert ("segment 0 intersects obstacle 0" in audit_collisions(_walk(s, [p, q]), s)) == want, (p, q)
+            flagged += want
+            midpoint_only += mid and not boundary
+    assert flagged > 500 and midpoint_only > 10
+
+
+def test_audit_flags_waypoints_outside_the_bounds():
+    # on a bound is not strictly inside; the bounds message leads its waypoint's messages
+    s = Scenario("a", Bounds(0, 0, 10, 10), Point2(1, 5), Point2(9, 9), (Obstacle(_rect(9, 4, 11, 6)),))
+    traj = _walk(s, [Point2(8.5, 5), Point2(10, 5), Point2(10.5, 5), Point2(10.5, 12), Point2(8.5, 9)])
+    assert audit_collisions(traj, s) == [
+        "segment 0 intersects obstacle 0",
+        "waypoint 1 outside bounds",
+        "waypoint 1 inside obstacle 0",
+        "segment 1 intersects obstacle 0",
+        "waypoint 2 outside bounds",
+        "waypoint 2 inside obstacle 0",
+        "segment 2 intersects obstacle 0",
+        "waypoint 3 outside bounds",
+    ]
+    moving = replace(s, obstacles=(Obstacle(_rect(2, 2, 3, 3), (0.0, 1.0)),))
+    assert audit_collisions(_walk(moving, traj.waypoints), moving) == [f"waypoint {k} outside bounds" for k in (1, 2, 3)]
 
 
 # --- grid oracle ------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 
 from nspmr.geometry import Point2, Polygon
 from nspmr.lattice import _lattice_path
-from nspmr.sim import grid_oracle
+from nspmr.sim import grid_oracle, run
 from nspmr.world import (
     BUILTIN_NAMES,
     Bounds,
@@ -250,6 +250,17 @@ def test_validate_velocity_finite():
     sq = Polygon((Point2(4, 4), Point2(6, 4), Point2(6, 6), Point2(4, 6)))
     out = validate_scenario(_base(obstacles=(Obstacle(sq, (math.inf, 0)),)))
     assert any("velocity" in v for v in out)
+
+
+def test_validate_static_obstacle_within_bounds():
+    # 0.1 m past xmax is rejected; on the bounds is within them, as office_like's walls are
+    poke = Polygon((Point2(8, 4), Point2(10.1, 4), Point2(10.1, 6), Point2(8, 6)))
+    out = validate_scenario(_base(obstacles=(Obstacle(poke),)))
+    assert out == ["obstacle 0: a static obstacle must lie within bounds"]
+    with pytest.raises(ScenarioError, match="within bounds"):
+        run(_base(obstacles=(Obstacle(poke),)), "nspmr")
+    flush = Polygon((Point2(8, 0), Point2(10, 0), Point2(10, 6), Point2(8, 6)))
+    assert validate_scenario(_base(obstacles=(Obstacle(flush),))) == []
 
 
 # --- builtins --------------------------------------------------------------------

@@ -6,6 +6,8 @@ routes: repr(RunResult) and the trajectory CSV bytes of every builtin under
 nspmr (rules on, and rules off at 2000 iterations) and under bug1 and bug2,
 of office_like under nspmr at d = 2 and 20, and of worlds 0-49 under all
 three planners (a planner's ScenarioError is hashed in place of its route),
+one SHA-256 over the audit_collisions messages of each of those routes, as
+it is and with a box of half-width delta/2 added around its middle waypoint,
 and one SHA-256 over repr of the readings of scan at 100 seeded positions
 and the bbox corners of every obstacle in worlds 0-49 at d = 1 and 10, and
 at every 0.25 m node of office_like at d = 2 and 20 (a GeometryError is
@@ -14,7 +16,7 @@ equal. It also computes
 grid_oracle(s, r) for the builtins at r = delta/2, 0.25, 0.3 and 0.7 and for
 seeds 0-49 at r = delta/2. The oracle is a shortest lattice length, equal
 across search orders only to rounding, so its values are compared with a
-tolerance instead. --save writes the four lines and the oracle values as
+tolerance instead. --save writes the five lines and the oracle values as
 JSON; --against compares them with a saved file, the lines exactly and the
 oracle values at abs 1e-12, and exits 1 naming each line or value that
 differs. Run it once against each source tree, from this checkout, e.g.
@@ -37,8 +39,11 @@ from nspmr import (
     BUILTIN_NAMES,
     PLANNERS,
     GeometryError,
+    Obstacle,
     Point2,
+    Polygon,
     ScenarioError,
+    audit_collisions,
     builtin_scenario,
     generate_world,
     grid_oracle,
@@ -79,9 +84,11 @@ def route_runs():
             yield s, planner, {}
 
 
-def routes_digest() -> tuple[str, int]:
-    """SHA-256 over each covered run's repr(RunResult) and CSV bytes, and the number of runs."""
-    digest = hashlib.sha256()
+def routes_digests() -> tuple[str, str, int]:
+    """SHA-256 over each covered run's repr(RunResult) and CSV bytes, SHA-256 over the audit
+    messages of its trajectory without and with a box of half-width delta/2 around its middle
+    waypoint, and the number of runs."""
+    digest, audits = hashlib.sha256(), hashlib.sha256()
     count = 0
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "route.csv")
@@ -96,7 +103,11 @@ def routes_digest() -> tuple[str, int]:
             digest.update(repr(result).encode())
             with open(path, "rb") as f:
                 digest.update(f.read())
-    return digest.hexdigest(), count
+            p, h = traj.waypoints[len(traj.waypoints) // 2], s.delta / 2
+            box = Polygon((Point2(p.x - h, p.y - h), Point2(p.x + h, p.y - h), Point2(p.x + h, p.y + h), Point2(p.x - h, p.y + h)))
+            for world in (s, dataclasses.replace(s, obstacles=s.obstacles + (Obstacle(box),))):
+                audits.update(repr(audit_collisions(traj, world)).encode())
+    return digest.hexdigest(), audits.hexdigest(), count
 
 
 def scan_sites():
@@ -154,17 +165,19 @@ def main() -> int:
         worlds.update(serialize_scenario(s).encode())
         if seed < 50:
             oracles[f"{seed} {s.delta / 2}"] = grid_oracle(s, s.delta / 2)
-    routes, runs = routes_digest()
+    routes, audits, runs = routes_digests()
     scans, scanned = scans_digest()
     lines = {
         "worlds": worlds.hexdigest(),
         "ceilings": [iteration_ceiling(builtin_scenario(n)) for n in BUILTIN_NAMES],
         "routes": f"{routes} ({runs} runs)",
+        "audits": f"{audits} ({runs} runs)",
         "scans": f"{scans} ({scanned} scans)",
     }
     print("worlds 0-499  ", lines["worlds"])
     print("ceilings      ", lines["ceilings"])
     print("routes        ", lines["routes"])
+    print("audits        ", lines["audits"])
     print("scans         ", lines["scans"])
     print("oracles       ", len(oracles), "values")
     if args.save:

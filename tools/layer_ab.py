@@ -8,7 +8,9 @@ of PASSES back-to-back passes over the layer's whole input. A host that
 drifts over tens of seconds moves both sides of a pair alike, so the
 per-pair ratio B/A is steadier than either side's time. Layers:
 
-    audit   audit_collisions on the bug1, bug2 and nspmr routes of worlds 0-49
+    audit   audit_collisions on the bug1, bug2 and nspmr routes of worlds 0-49,
+            on the six routes of the trap layer and on office_like's nspmr
+            route at d = 2
     scan    scan at every node the nspmr routes of worlds 0-49 visit
     office  scan at every node the nspmr routes of office_like visit at
             d = 2, 10 and 20
@@ -67,6 +69,9 @@ def routes(nspmr, planners):
 
 def audit_layer(nspmr):
     jobs = routes(nspmr, PLANNERS)
+    jobs += [(s, nspmr.run(s, "nspmr", budget, rules_enabled=rules)[0]) for s, budget, rules in trap_runs(nspmr)]
+    office = dataclasses.replace(nspmr.builtin_scenario("office_like"), sensor_range=2.0)
+    jobs.append((office, nspmr.run(office, "nspmr")[0]))
     audit = nspmr.audit_collisions
     return lambda: [audit(t, s) for s, t in jobs]
 
@@ -110,9 +115,14 @@ def random_layer(nspmr):
     return one_pass
 
 
-def trap_layer(nspmr):
+def trap_runs(nspmr):
+    """(scenario, budget, rules_enabled) of the six runs of a trap_escape pass."""
     fixtures = [nspmr.builtin_scenario(name) for name in ("concave_trap", "corridor_loop", "triangle_loop")]
-    jobs = [(s, budget, rules) for s in fixtures for budget, rules in ((nspmr.iteration_ceiling(s), True), (1000, False))]
+    return [(s, budget, rules) for s in fixtures for budget, rules in ((nspmr.iteration_ceiling(s), True), (1000, False))]
+
+
+def trap_layer(nspmr):
+    jobs = trap_runs(nspmr)
     run = nspmr.run
 
     def one_pass():
