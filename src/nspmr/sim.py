@@ -3,7 +3,7 @@
 run() dispatches to the NSPMR loop here or to the Bug planners in bugs; every
 planner returns a world.Trajectory and one of the world.OUTCOME_* values.
 One robot step per tick: the robot covers delta/2 (or its diagonal) while
-moving obstacles hold still, then the world advances by dt = (delta/2)/V.
+moving obstacles hold still, then the world advances one tick, (delta/2)/V.
 Travel time is derived from path length, not ticks, so diagonal steps are
 not undercharged.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress, cycle, islice
 
 from .bugs import bug1_result, bug2_result
@@ -27,8 +27,6 @@ from .world import (
     ScenarioError,
     Trajectory,
     make_trajectory,
-    step_dynamics,
-    tick_duration,
     validate_scenario,
 )
 
@@ -77,7 +75,6 @@ def _run_nspmr(s: Scenario, max_iters: int, rules_enabled: bool):
     a static world the next node depends on the node alone, so the walk is
     periodic from its first repeated node: it is stepped up to that node, and
     the rest of the budget repeats the cycle's waypoints, directions and events."""
-    dt = tick_duration(s)
     state = NspmrState(start=s.start)
     world = s
     waypoints = [s.start]
@@ -97,7 +94,7 @@ def _run_nspmr(s: Scenario, max_iters: int, rules_enabled: bool):
         events.append(ev.kind)
         directions.append(ev.direction)
         if s.is_dynamic:
-            world = step_dynamics(world, dt)
+            world = world.next_tick
         elif first is not None and (j := first.setdefault(state.node, k)) < k:
             # waypoint k repeats waypoint j, so every later step repeats the one k - j before it
             for seq in (waypoints, events, directions):
@@ -122,6 +119,7 @@ def run(s: Scenario, planner: str, max_iters: int | None = None, *, rules_enable
         max_iters = default_max_iters(s)
     if max_iters <= 0:
         raise ValueError("max_iters must be positive")
+    s = replace(s)  # a copy: the planner and the audit share the poses cached along its next_tick, freed on return
     if planner == "nspmr":
         traj, outcome = _run_nspmr(s, max_iters, rules_enabled)
     elif planner == "bug1":
@@ -157,18 +155,18 @@ def run(s: Scenario, planner: str, max_iters: int | None = None, *, rules_enable
 
 def audit_collisions(t: Trajectory, s: Scenario) -> list[str]:
     """Check every waypoint against the bounds, and every waypoint and segment against the obstacle
-    poses current at its timestamp; an empty list means the trajectory is safe. A static world is
-    one pose, audited obstacle by obstacle over all distinct waypoints and directed segments at
-    once; a moving world audits each tick's waypoint and segment in that tick's pose. A waypoint
-    not strictly inside the bounds is outside them, and a segment collides when it meets a boundary
-    or its midpoint lies INSIDE. Messages come by waypoint, segment, obstacle index."""
+    poses current at its timestamp; an empty list means the trajectory is safe. A static world is one
+    pose, audited obstacle by obstacle over all distinct waypoints and directed segments at once; a
+    moving world audits each tick's waypoint and segment in that tick's pose, read along s.next_tick.
+    A waypoint not strictly inside the bounds is outside them, and a segment collides when it meets a
+    boundary or its midpoint lies INSIDE. Messages come by waypoint, segment, obstacle index."""
     wps = t.waypoints
     if not s.is_dynamic:
         return _pose_messages(wps, 0, len(wps), s)
-    out, world, dt = [], s, tick_duration(s)
+    out, world = [], s
     for k in range(len(wps) - 1):
         out += _pose_messages(wps, k, k + 1, world)
-        world = step_dynamics(world, dt)
+        world = world.next_tick
     return out + _pose_messages(wps, len(wps) - 1, len(wps), world)
 
 
@@ -223,13 +221,11 @@ def _pose_messages(wps, lo: int, hi: int, world: Scenario) -> list[str]:
 # --- optimality oracle ----------------------------------------------------------------
 
 def grid_oracle(s: Scenario, resolution: float) -> float | None:
-    """Shortest 8-connected lattice path start->goal, or None when the grid
-    disconnects them. A lower-bound reference: the grid ignores clearance.
-
-    The value is the shortest lattice length a*resolution + b*resolution*sqrt(2),
-    found by jump-point search with its pruning rules for steps that may cut
-    corners (see lattice._lattice_path). Another search order may add the
-    steps in another order, so values agree to within 1e-12, not bit for bit."""
+    """Shortest 8-connected lattice length start->goal, a*resolution + b*resolution*sqrt(2), or None
+    when the grid disconnects them. The lattice snaps the start and goal to nodes, ignores clearance
+    and lets diagonal steps cut corners, so the value is neither a bound on a route's length nor a
+    reachability test. Jump-point search finds it (see lattice._lattice_path); another search order
+    may add the steps in another order, so values agree to within 1e-12, not bit for bit."""
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError("resolution must be finite and positive")
     return _lattice_path(s, resolution, 0.0)

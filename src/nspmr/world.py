@@ -1,8 +1,8 @@
 """Scenario model: bounds, obstacles, file format, dynamics, trajectories,
 builtin and generated worlds.
 
-A scenario is immutable; advancing moving obstacles produces a new scenario
-(see step_dynamics). Every planner returns a Trajectory, whose timestamps
+A scenario is immutable; advancing moving obstacles by one tick produces a new
+scenario (see step_dynamics and Scenario.next_tick). Every planner returns a Trajectory, whose timestamps
 advance one tick_duration per waypoint, and one of the OUTCOME_* values.
 All distances are meters, headings are compass degrees.
 """
@@ -78,6 +78,11 @@ class Scenario:
         """The obstacles' polygons in order, built once per scenario."""
         return self._shapes
 
+    @cached_property
+    def next_tick(self) -> Scenario:
+        """step_dynamics(self), built once per scenario: a walk along next_tick builds each pose once."""
+        return step_dynamics(self)
+
 
 def validate_scenario(s: Scenario) -> list[str]:
     """Collect semantic violations; an empty list means the scenario is usable."""
@@ -111,8 +116,8 @@ def validate_scenario(s: Scenario) -> list[str]:
         if ob.velocity is not None and not all(math.isfinite(v) for v in ob.velocity):
             out.append(f"obstacle {i}: velocity must be finite")
         x0, y0, x1, y1 = poly.bbox()
-        if not ob.moving and not (b.xmin <= x0 and b.ymin <= y0 and x1 <= b.xmax and y1 <= b.ymax):
-            out.append(f"obstacle {i}: a static obstacle must lie within bounds")
+        if not (b.xmin <= x0 and b.ymin <= y0 and x1 <= b.xmax and y1 <= b.ymax):
+            out.append(f"obstacle {i}: must lie within bounds")
         for label, p in (("start", s.start), ("goal", s.goal)):
             if point_in_polygon(p, poly) is not PointLocation.OUTSIDE:
                 out.append(f"obstacle {i}: {label} must lie strictly outside")
@@ -222,18 +227,16 @@ def serialize_scenario(s: Scenario) -> str:
 
 # --- dynamics --------------------------------------------------------------------
 
-def step_dynamics(s: Scenario, dt: float) -> Scenario:
-    """Advance moving obstacles by dt: rigid translation, velocity reflecting at bounds.
+def step_dynamics(s: Scenario) -> Scenario:
+    """Advance moving obstacles by one tick_duration(s): rigid translation, velocity reflecting at bounds.
 
     On an axis where the translation would push the shape past the bounds,
     the velocity component flips and the shape holds that axis for this tick,
     so obstacles never leave the arena and never deform.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError("dt must be positive")
     if not s.is_dynamic:
         return s
-    b = s.bounds
+    b, dt = s.bounds, tick_duration(s)
     new_obstacles = []
     for ob in s.obstacles:
         if not ob.moving:

@@ -7,8 +7,8 @@ from dataclasses import replace
 
 import pytest
 
-from nspmr import sim
-from nspmr.geometry import Point2, PointLocation, Polygon, _segment_hits, distance, point_in_polygon, segment_intersection
+from nspmr import sim, world as world_module
+from nspmr.geometry import GeometryError, Point2, PointLocation, Polygon, _segment_hits, distance, point_in_polygon, segment_intersection
 from nspmr.planner import NspmrState, nspmr_step
 from nspmr.sim import (
     RunResult,
@@ -233,7 +233,7 @@ def _stepped_rules_off(s, max_iters):
         events.append(ev.kind)
         directions.append(ev.direction)
         if s.is_dynamic:
-            world = step_dynamics(world, tick_duration(s))
+            world = step_dynamics(world)
     traj = make_trajectory(s, waypoints, events, directions)
     return traj, _recount(s, traj, outcome)
 
@@ -355,6 +355,40 @@ def test_dynamic_crossing_run_is_collision_free():
     assert audit_collisions(traj, s) == []
 
 
+def test_run_builds_each_pose_once_on_a_copy(monkeypatch):
+    # the planner and the audit walk one chain of poses, cached on a copy of s that the run drops
+    poses = []
+
+    def counting(world):
+        poses.append(world)
+        return step_dynamics(world)
+
+    monkeypatch.setattr(world_module, "step_dynamics", counting)
+    s = builtin_scenario("dynamic_crossing")
+    traj, _ = run(s, "nspmr")
+    assert len(poses) == len(traj.waypoints) - 1 == 105
+    assert "next_tick" not in vars(s)
+
+
+def _fast_mover(x, y, v):
+    """dynamic_crossing with its mover swapped for a 1x1 block at (x, y) moving north at v m/s."""
+    return replace(builtin_scenario("dynamic_crossing"), obstacles=(Obstacle(_rect(x, y, x + 1, y + 1), (0.0, v)),))
+
+
+@pytest.mark.parametrize(
+    "mover, error, message",
+    [
+        ((8.0, 9.0, 40.0), SimulationError, "collision audit failed: waypoint 36 inside obstacle 0"),
+        ((15.0, 6.0, 20.0), GeometryError, "ray origin strictly inside an obstacle"),
+    ],
+)
+def test_fast_movers_that_reach_the_robot_raise(mover, error, message):
+    # a known defect (ROADMAP item 2): these valid worlds should end in an outcome, not raise
+    with pytest.raises(error) as info:
+        run(_fast_mover(*mover), "nspmr")
+    assert str(info.value).startswith(message)
+
+
 def _reference_audit(t, s):
     """audit_collisions without its bulk filter: every waypoint and segment tested afresh, in route order."""
 
@@ -376,7 +410,7 @@ def _reference_audit(t, s):
                 if segment_hits(p, t.waypoints[k + 1], ob.shape):
                     out.append(f"segment {k} intersects obstacle {i}")
             if world.is_dynamic:
-                world = step_dynamics(world, tick_duration(s))
+                world = step_dynamics(world)
     return out
 
 

@@ -253,14 +253,16 @@ def test_validate_velocity_finite():
 
 
 def test_validate_static_obstacle_within_bounds():
-    # 0.1 m past xmax is rejected; on the bounds is within them, as office_like's walls are
+    # 0.1 m past xmax is rejected, static or moving; on the bounds is within them, as office_like's walls are
     poke = Polygon((Point2(8, 4), Point2(10.1, 4), Point2(10.1, 6), Point2(8, 6)))
-    out = validate_scenario(_base(obstacles=(Obstacle(poke),)))
-    assert out == ["obstacle 0: a static obstacle must lie within bounds"]
-    with pytest.raises(ScenarioError, match="within bounds"):
-        run(_base(obstacles=(Obstacle(poke),)), "nspmr")
+    for velocity in (None, (1.0, 0.0), (-1.0, 0.0)):
+        out = validate_scenario(_base(obstacles=(Obstacle(poke, velocity),)))
+        assert out == ["obstacle 0: must lie within bounds"], velocity
+        with pytest.raises(ScenarioError, match="within bounds"):
+            run(_base(obstacles=(Obstacle(poke, velocity),)), "nspmr")
     flush = Polygon((Point2(8, 0), Point2(10, 0), Point2(10, 6), Point2(8, 6)))
     assert validate_scenario(_base(obstacles=(Obstacle(flush),))) == []
+    assert validate_scenario(_base(obstacles=(Obstacle(flush, (1.0, 0.0)),))) == []
 
 
 # --- builtins --------------------------------------------------------------------
@@ -298,7 +300,8 @@ def test_only_dynamic_crossing_moves():
     # computed once per scenario; replace() builds a new one, which computes its own
     s = builtin_scenario("dynamic_crossing")
     assert s.is_dynamic and "is_dynamic" in vars(s)
-    assert step_dynamics(s, 0.1).is_dynamic
+    assert step_dynamics(s).is_dynamic
+    assert s.next_tick is s.next_tick and s.next_tick == step_dynamics(s)
     assert not replace(s, obstacles=(Obstacle(s.obstacles[0].shape),)).is_dynamic
 
 
@@ -318,8 +321,8 @@ def test_trap_scenarios_have_straight_route_blocked():
 # --- dynamics --------------------------------------------------------------------
 
 def test_step_dynamics_translates_rigidly():
-    s = builtin_scenario("dynamic_crossing")
-    s2 = step_dynamics(s, 0.1)
+    s = replace(builtin_scenario("dynamic_crossing"), speed=2.5)  # a tick of 0.25 m / 2.5 m/s = 0.1 s
+    s2 = step_dynamics(s)
     before = s.obstacles[0].shape.vertices
     after = s2.obstacles[0].shape.vertices
     for a, b in zip(before, after):
@@ -335,30 +338,25 @@ def test_step_dynamics_translates_rigidly():
 
 def test_step_dynamics_static_world_untouched():
     s = builtin_scenario("scenario1")
-    assert step_dynamics(s, 0.5) is s
+    assert step_dynamics(s) is s
 
 
 def test_step_dynamics_reflects_at_bounds_and_holds_axis():
     sq = Polygon((Point2(8, 4), Point2(9.5, 4), Point2(9.5, 6), Point2(8, 6)))
-    s = _base(obstacles=(Obstacle(sq, (10.0, 1.0)),))
-    s2 = step_dynamics(s, 0.1)  # dx would push bbox to 10.5 > xmax
+    s = _base(obstacles=(Obstacle(sq, (10.0, 1.0)),), speed=2.5)  # a 0.1 s tick
+    s2 = step_dynamics(s)  # dx would push bbox to 10.5 > xmax
     ob = s2.obstacles[0]
     assert ob.velocity == (-10.0, 1.0)
     assert ob.shape.vertices[0] == pytest.approx((8.0, 4.1))
-    s3 = step_dynamics(s2, 0.1)  # now moving away from the wall, both axes advance
+    s3 = step_dynamics(s2)  # now moving away from the wall, both axes advance
     assert s3.obstacles[0].velocity == (-10.0, 1.0)
     assert s3.obstacles[0].shape.vertices[0] == pytest.approx((7.0, 4.2))
-
-
-def test_step_dynamics_requires_positive_dt():
-    with pytest.raises(ValueError):
-        step_dynamics(builtin_scenario("dynamic_crossing"), 0.0)
 
 
 def test_repeated_steps_keep_obstacle_inside_bounds():
     s = builtin_scenario("dynamic_crossing")
     for _ in range(3000):
-        s = step_dynamics(s, 0.025)
+        s = step_dynamics(s)  # 0.025 s ticks
         x0, y0, x1, y1 = s.obstacles[0].shape.bbox()
         b = s.bounds
         assert b.xmin <= x0 and x1 <= b.xmax and b.ymin <= y0 and y1 <= b.ymax

@@ -20,6 +20,8 @@ per-pair ratio B/A is steadier than either side's time. Layers:
     trap    the six runs of a trap_escape pass: nspmr on concave_trap,
             corridor_loop and triangle_loop with the rules at
             iteration_ceiling, and without them at 1000 iterations
+    moving  run(s, "nspmr") on dynamic_crossing and on paper_suite's two
+            fast movers, whose errors count as their answers
 
 It prints each tree's median sample, the median of the per-pair ratios B/A
 and the pairs that B wins, after checking that both trees give the same
@@ -135,7 +137,27 @@ def trap_layer(nspmr):
     return one_pass
 
 
-LAYERS = {"audit": audit_layer, "scan": scan_layer, "office": office_layer, "nspmr": nspmr_layer, "random": random_layer, "trap": trap_layer}
+def moving_layer(nspmr):
+    base = nspmr.builtin_scenario("dynamic_crossing")
+    worlds = [base]
+    for x, y, v in ((8.0, 9.0, 40.0), (15.0, 6.0, 20.0)):  # a 1x1 block at (x, y) moving north at v m/s
+        block = nspmr.Polygon((nspmr.Point2(x, y), nspmr.Point2(x + 1, y), nspmr.Point2(x + 1, y + 1), nspmr.Point2(x, y + 1)))
+        worlds.append(dataclasses.replace(base, obstacles=(nspmr.Obstacle(block, (0.0, v)),)))
+    run = nspmr.run
+
+    def one_pass():
+        out = []
+        for s in worlds:
+            try:
+                out.append(run(s, "nspmr")[0].waypoints)
+            except (nspmr.SimulationError, nspmr.GeometryError) as e:
+                out.append(f"{type(e).__name__}: {e}")
+        return out
+
+    return one_pass
+
+
+LAYERS = {"audit": audit_layer, "scan": scan_layer, "office": office_layer, "nspmr": nspmr_layer, "random": random_layer, "trap": trap_layer, "moving": moving_layer}
 
 
 def sample(fn) -> float:
