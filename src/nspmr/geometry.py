@@ -170,13 +170,6 @@ class Polygon:
         return tuple((a, b, b.x - a.x, b.y - a.y, min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y))
                      for a, b in self._edges)
 
-    @cached_property
-    def _circle(self) -> tuple[float, float, float]:  # (cx, cy, r) around the bbox, for _cast
-        xmin, ymin, xmax, ymax = self._bbox
-        w, h = xmax - xmin, ymax - ymin
-        # _cast accepts a hit EPS_GEOM * |edge| past an edge's end, and |edge| <= w + h
-        return 0.5 * (xmin + xmax), 0.5 * (ymin + ymax), math.hypot(w, h) * 0.5 + EPS_GEOM * (1 + w + h)
-
     def edges(self) -> tuple[tuple[Point2, Point2], ...]:
         """The edges (v[i], v[i + 1 mod n]) in vertex order, built once per polygon."""
         return self._edges
@@ -231,7 +224,11 @@ class Polygon:
         return self._bbox
 
     def translated(self, dx: float, dy: float) -> "Polygon":
-        return Polygon(tuple(Point2(v.x + dx, v.y + dy) for v in self.vertices))
+        """This polygon moved by (dx, dy), with no cached value carried over. A translation keeps the
+        vertex count, so __post_init__ is not rerun: the caller keeps the moved vertices finite."""
+        moved = object.__new__(Polygon)
+        object.__setattr__(moved, "vertices", tuple(Point2(v.x + dx, v.y + dy) for v in self.vertices))
+        return moved
 
 
 def point_in_polygon(p: Point2, poly: Polygon) -> PointLocation:
@@ -298,13 +295,15 @@ def ray_cast(
     The origin must not be strictly inside any obstacle; ray_cast tests that
     on every call and raises GeometryError otherwise. It casts its one ray
     through ``_cast``, the kernel that ``sensing.scan`` runs once for all 8
-    rays after making the same test once, with every bound 0, so it skips no
-    shape. Hits at parameter <= EPS_GEOM are ignored so standing exactly on a
-    boundary point does not read as an immediate collision; collinear grazing
-    along an edge counts as a hit at the nearest overlap point.
+    rays after making the same test once, handing every obstacle the ray
+    with bound 0, so only the kernel's edge skip prunes. Hits at parameter
+    <= EPS_GEOM are ignored so standing exactly on a boundary point does not
+    read as an immediate collision; collinear grazing along an edge counts
+    as a hit at the nearest overlap point.
     """
     _require_origin_outside(origin, obstacles)
-    return _cast(origin, (compass_unit(compass_deg),), max_range, [(0.0, poly) for poly in obstacles])[0]
+    ray = ((0, *compass_unit(compass_deg)),)
+    return _cast(origin, 1, max_range, [(0.0, poly, ray) for poly in obstacles])[0]
 
 
 def _require_origin_outside(origin: Point2, obstacles: Sequence[Polygon]) -> None:
@@ -313,40 +312,44 @@ def _require_origin_outside(origin: Point2, obstacles: Sequence[Polygon]) -> Non
             raise GeometryError("ray origin strictly inside an obstacle")
 
 
-def _cast(origin: Point2, units: Sequence[tuple[float, float]], max_range: float,
-          shapes: Sequence[tuple[float, Polygon]]) -> list[float | None]:
-    """ray_cast's result for the ray along each unit vector of ``units``, without the origin test,
-    which the caller has made. ``shapes`` are (bound, polygon) pairs in ascending bound order, and
-    no hit the kernel accepts on a polygon is nearer than its bound. A ray skips a shape whose bound
-    is not below its best hit, and the loop stops once every ray does; one pass over a shape's edge
-    table tests the other rays that pass its bbox circle. A result is a minimum, so no value changes.
+def _cast(origin: Point2, count: int, max_range: float,
+          shapes: Sequence[tuple[float, Polygon, Sequence[tuple[int, float, float]]]]) -> list[float | None]:
+    """ray_cast's result for each of ``count`` rays, without the origin test, which the caller has made.
+    ``shapes`` are (bound, polygon, rays) triples in ascending bound order: ``rays`` holds (k, ux, uy),
+    with (ux, uy) the unit vector of ray k < count, for each ray that may hit the polygon, and no hit the
+    kernel accepts on the polygon is nearer than its bound. A ray skips a shape whose bound is not below
+    its best hit, and the loop stops once every ray does. One pass over a shape's edge table tests its
+    rays that do not skip it, and skips each edge whose bbox lies more than R + 2 M from the origin o
+    along an axis. A result is a minimum, so no value changes.
 
-    scan's bound, with u = 2**-53, R = max_range, G the exact gap to a shape's bbox and W = w + h >=
-    every |e|: scan keeps G <= R + EPS_GEOM (1 + W), so |a - o| <= 1 + R + W. A crossing with s
-    within EPS_GEOM of [0, 1] lies within EPS_GEOM W of the bbox. If W <= 2e6, denom's error 2u W is
-    under EPS_GEOM / 2 < |denom| / 2, so rounding moves t by under 2 (3u |a - o| + 2u R) W / EPS_GEOM
-    and s W by under 2 (3u |a - o| + 2u W) W / EPS_GEOM: under 1.8e-6 W (1 + R + W) in all. A grazing
-    hit projects a vertex on a ray passing within a few EPS_GEOM of it; as t > EPS_GEOM, it falls
-    short of G by under 1e-7 (1 + R + W). So t >= G - (1 + W) (EPS_GEOM + 2e-6 (1 + R + W)), < 0 past W = 2e6."""
+    With u = 2**-53, R = max_range, W = w + h >= every |e|, D = |a - o| and M = (1 + W) (EPS_GEOM + 2e-6
+    (1 + R + W)): if W <= 2e6, denom's error 2u W is under EPS_GEOM / 2 < |denom| / 2, so rounding moves
+    t by under 2 (3u D + 2u R) W / EPS_GEOM and s W by under 2 (3u D + 2u W) W / EPS_GEOM, under 1.8e-6 W
+    (1 + R + W) in all when D <= 1 + R + W. A crossing with s within EPS_GEOM of [0, 1] then puts the hit
+    o + t u within EPS_GEOM W + 1.8e-6 W (1 + R + W) of the edge; a grazing hit projects a vertex on a ray
+    passing within a few EPS_GEOM of it, off by under 1e-7 (1 + R + W). So every hit lies within M of its
+    edge and, as |u| <= 1, t >= G - M with G the exact gap to the bbox: scan's bound. Also |t ux| and
+    |t uy| <= R, so the edge's bbox lies within R + M of o on each axis and the skip keeps it: rounding
+    o +- fl(R + 2 M) cannot carry a comparison with a float across the exact limit. scan passes only
+    shapes with G <= R + EPS_GEOM (1 + W), so D <= 1 + R + W; past W = 2e6, M > 4 (1 + R + W) > G, so
+    the bound is below 0 and the skip keeps all their edges. ray_cast casts at every shape: for D > 1 + R
+    + W, solving the same bounds for D puts the hit within 3e-6 W (1 + R + W) + EPS_GEOM W < 2 M of the
+    edge when W <= 3e5."""
     ox, oy = origin
-    best = [math.inf] * len(units)
-    for bound, poly in shapes:
-        # cheap reject per ray: ray sphere around the bbox
-        cx, cy, r = poly._circle
-        dx, dy = cx - ox, cy - oy
-        rays = []
-        settled = True
-        for k, (ux, uy) in enumerate(units):
-            if bound < best[k]:
-                settled = False
-                tc = dx * ux + dy * uy
-                if -r <= tc and tc - r <= max_range and math.hypot(dx - tc * ux, dy - tc * uy) <= r:
-                    rays.append((k, ux, uy))
-        if settled:
-            break
+    best = [math.inf] * count
+    for bound, poly, rays in shapes:
+        rays = [ray for ray in rays if bound < best[ray[0]]]
         if not rays:
+            if bound >= max(best):  # every ray settled
+                break
             continue
-        for a, b, ex, ey, _, _, _, _ in poly._edge_table:
+        x0, y0, x1, y1 = poly._bbox
+        w = x1 - x0 + y1 - y0
+        r = max_range + 2 * (1 + w) * (EPS_GEOM + 2e-6 * (1 + max_range + w))
+        xlo, xhi, ylo, yhi = ox - r, ox + r, oy - r, oy + r
+        for a, b, ex, ey, lx, ly, hx, hy in poly._edge_table:
+            if lx > xhi or hx < xlo or ly > yhi or hy < ylo:
+                continue
             ax, ay = a.x - ox, a.y - oy
             num = ax * ey - ay * ex
             for k, ux, uy in rays:

@@ -17,7 +17,12 @@ from .world import Scenario
 
 SENSOR_COUNT = 8
 SENSOR_ANGLES = tuple(45.0 * i for i in range(SENSOR_COUNT))
-_UNITS = tuple(compass_unit(a) for a in SENSOR_ANGLES)
+# The rays _cast takes, (k, ux, uy), and the ones scan keeps for a shape by the sides of the shape's bbox
+# that reach past the robot along x, y, x - y and x + y: bit 2i means the i-th interval reaches below the
+# robot's coordinate, bit 2i + 1 above it. Ray k lies on one coordinate's line and runs up or down another.
+_RAYS = tuple((k, *compass_unit(a)) for k, a in enumerate(SENSOR_ANGLES))
+_NEEDS = (0b1011, 0b10110000, 0b1110, 0b11100000, 0b0111, 0b01110000, 0b1101, 0b11010000)
+_SELECT = tuple(tuple(ray for ray, need in zip(_RAYS, _NEEDS) if mask & need == need) for mask in range(256))
 
 _DIAG = math.sqrt(2.0) / 2.0
 
@@ -54,17 +59,24 @@ def scan(pos: Point2, world: Scenario, d: float, delta: float) -> SensorScan:
 
     Shapes whose bbox is out of range are dropped once per scan, by the gap
     to the bbox along each axis first and by the Euclidean gap only for the
-    rest; with none left every direction reads free at range d and no ray
-    is cast. Raises GeometryError when pos is strictly inside an obstacle,
+    rest. Raises GeometryError when pos is strictly inside an obstacle,
     testing once per scan only the shapes whose closed bbox holds pos (from
     outside a bbox, point_in_polygon miscounts only within rounding of an
-    edge, which reads ON_BOUNDARY). The 8 rays then go through one pass of
-    ``geometry._cast``, the kernel ``ray_cast`` uses for its single ray,
-    nearest shape first by the bound ``_cast`` proves, so each reading
-    equals ``ray_cast`` along its direction. The result depends only on pos
-    and the shapes, so in a static world the planner decides each lattice
-    node once (``NspmrState.records``); in a moving world every step scans
-    afresh.
+    edge, which reads ON_BOUNDARY). The 8 rays lie on four lines through
+    pos, along x, y, x - y and x + y; a shape keeps ray k only when k's line
+    meets the bbox's interval in that coordinate, and the bbox reaches ahead
+    of pos along k, each grown by 2 M (M as in ``geometry._cast``). A hit
+    lies within M of the bbox, so within sqrt(2) M of it in each coordinate,
+    and the coordinates are taken relative to pos, off by under 6u (1 + d +
+    W) with u = 2**-53, well inside the (2 - sqrt(2)) M to spare; past W =
+    2e6, 2 M > 8 (1 + d + W) keeps every ray. With no shape left every
+    direction reads free at range d and no ray is cast. The rest go through
+    one pass of ``geometry._cast``, the kernel ``ray_cast`` uses for its
+    single ray, nearest shape first by the bound ``_cast`` proves, so each
+    reading equals ``ray_cast`` along its direction. The result depends only
+    on pos and the shapes, so in a static world the planner decides each
+    lattice node once (``NspmrState.records``); in a moving world every step
+    scans afresh.
     """
     if not d > delta > 0:
         raise ValueError("require sensing range d > delta > 0")
@@ -80,8 +92,13 @@ def scan(pos: Point2, world: Scenario, d: float, delta: float) -> SensorScan:
             continue
         gy = y0 - y if y < y0 else y - y1 if y > y1 else 0.0
         if gy <= reach and (g := math.hypot(gx, gy)) <= reach:
-            w = x1 - x0 + y1 - y0  # the bound no hit on poly undercuts, proved in _cast's docstring
-            shapes.append((g - (1 + w) * (EPS_GEOM + 2e-6 * (1 + d + w)), poly))
+            w = x1 - x0 + y1 - y0  # M of _cast's docstring: every hit on poly lies within M of its bbox
+            half = (1 + w) * (EPS_GEOM + 2e-6 * (1 + d + w))
+            m, lx, hx, ly, hy = 2 * half, x0 - x, x1 - x, y0 - y, y1 - y
+            rays = _SELECT[(lx <= m) | (hx >= -m) << 1 | (ly <= m) << 2 | (hy >= -m) << 3
+                           | (lx - hy <= m) << 4 | (hx - ly >= -m) << 5 | (lx + ly <= m) << 6 | (hx + hy >= -m) << 7]
+            if rays:
+                shapes.append((g - half, poly, rays))
             if not g:
                 holders.append(poly)
     if not shapes:
@@ -92,5 +109,5 @@ def scan(pos: Point2, world: Scenario, d: float, delta: float) -> SensorScan:
         shapes.sort(key=itemgetter(0))
     return SensorScan(tuple(
         SensorReading(True, d) if hit is None else SensorReading(hit > blocking_threshold(angle, delta), hit)
-        for angle, hit in zip(SENSOR_ANGLES, _cast(pos, _UNITS, d, shapes))
+        for angle, hit in zip(SENSOR_ANGLES, _cast(pos, SENSOR_COUNT, d, shapes))
     ))

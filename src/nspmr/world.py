@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -232,7 +232,9 @@ def step_dynamics(s: Scenario) -> Scenario:
 
     On an axis where the translation would push the shape past the bounds,
     the velocity component flips and the shape holds that axis for this tick,
-    so obstacles never leave the arena and never deform.
+    so obstacles never leave the arena and never deform. The next pose is
+    built field by field, so none of s's cached values carries over, and
+    each shape is translated from its previous pose with no revalidation.
     """
     if not s.is_dynamic:
         return s
@@ -251,7 +253,7 @@ def step_dynamics(s: Scenario) -> Scenario:
             vy, dy = -vy, 0.0
         shape = ob.shape.translated(dx, dy) if (dx or dy) else ob.shape
         new_obstacles.append(Obstacle(shape, (vx, vy)))
-    return replace(s, obstacles=tuple(new_obstacles))
+    return Scenario(s.name, b, s.start, s.goal, tuple(new_obstacles), s.delta, s.sensor_range, s.speed)
 
 
 # --- trajectories and outcomes -----------------------------------------------------

@@ -161,15 +161,11 @@ def test_scan_deterministic():
 
 
 def _reference_ray(origin, angle, max_range, obstacles):
-    """One ray at a time, shape by shape and edge by edge, with the arithmetic of scan's kernel."""
+    """One ray at a time, against every edge of every shape, with the arithmetic of scan's kernel."""
     ux, uy = compass_unit(angle)
     ox, oy = origin
     best = None
     for poly in obstacles:
-        cx, cy, r = poly._circle
-        tc = (cx - ox) * ux + (cy - oy) * uy
-        if tc < -r or tc - r > max_range or math.hypot(cx - ox - tc * ux, cy - oy - tc * uy) > r:
-            continue
         for a, b in poly.edges():
             ex, ey = b.x - a.x, b.y - a.y
             ax, ay = a.x - ox, a.y - oy
@@ -185,6 +181,36 @@ def _reference_ray(origin, angle, max_range, obstacles):
                 if EPS_GEOM < t <= max_range and (best is None or t < best):
                     best = t
     return best
+
+
+def _margin(poly, d):
+    """The margin scan grows poly's bbox intervals by: twice the M of _cast's docstring."""
+    x0, y0, x1, y1 = poly.bbox()
+    w = x1 - x0 + y1 - y0
+    return 2 * (1 + w) * (EPS_GEOM + 2e-6 * (1 + d + w))
+
+
+def _corner_line_site(poly, corner, angle, t, off):
+    """The point t back along the ray at compass angle from one of poly's bbox corners (corner 0-3 from
+    (xmin, ymin) counterclockwise), so that the ray runs at the corner, moved off that ray's lattice line
+    by off in the line's coordinate: along y for the east-west line, along x for the other three."""
+    x0, y0, x1, y1 = poly.bbox()
+    cx, cy = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))[corner]
+    ux, uy = compass_unit(angle)
+    if angle % 180 == 90:
+        return Point2(cx - t * ux, cy - t * uy + off)
+    return Point2(cx - t * ux + off, cy - t * uy)
+
+
+@st.composite
+def _corner_line_sites(draw, world, d):
+    """A point on a lattice line through a bbox corner of one of world's shapes, on it or off it by
+    EPS_GEOM or by scan's margin, anywhere from 1 behind the corner to 1 past the range d before it."""
+    poly = draw(st.sampled_from(world.shapes()), label="shape")
+    m = _margin(poly, d)
+    t = draw(st.sampled_from((-EPS_GEOM, 0.0, EPS_GEOM, 0.5 * d, d, d + EPS_GEOM)) | st.floats(-1.0, d + 1.0), label="t")
+    off = draw(st.sampled_from((0.0, EPS_GEOM, -EPS_GEOM, m, -m)), label="off")
+    return _corner_line_site(poly, draw(st.integers(0, 3), label="corner"), draw(st.sampled_from(SENSOR_ANGLES), label="angle"), t, off)
 
 
 def _unculled_scan(pos, world, d, delta):
@@ -207,7 +233,8 @@ def _unculled_scan(pos, world, d, delta):
 def test_range_cull_leaves_scans_unchanged(seed, d, data):
     world = generate_world(seed)
     b = world.bounds
-    if data.draw(st.booleans(), label="near a bbox"):
+    near = data.draw(st.sampled_from(("anywhere", "bbox side", "corner line")), label="near")
+    if near == "bbox side":
         # on a side of some obstacle's bbox, EPS_GEOM off it, or d (+-EPS_GEOM) out from it
         x0, y0, x1, y1 = data.draw(st.sampled_from(world.shapes()), label="shape").bbox()
         along = data.draw(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.0), label="along")
@@ -215,6 +242,8 @@ def test_range_cull_leaves_scans_unchanged(seed, d, data):
         side = data.draw(st.sampled_from("WESN"), label="side")
         x, y = x0 + along * (x1 - x0), y0 + along * (y1 - y0)
         pos = {"W": Point2(x0 - out, y), "E": Point2(x1 + out, y), "S": Point2(x, y0 - out), "N": Point2(x, y1 + out)}[side]
+    elif near == "corner line":
+        pos = data.draw(_corner_line_sites(world, d), label="pos")
     else:
         pos = Point2(data.draw(st.floats(b.xmin, b.xmax), label="x"), data.draw(st.floats(b.ymin, b.ymax), label="y"))
     try:
@@ -241,21 +270,19 @@ def _edge_slack(poly):
 
 
 def _bound(x, y, poly, d):
-    """The bound scan hands _cast with poly: its Euclidean gap less the margin _cast's docstring proves."""
-    x0, y0, x1, y1 = poly.bbox()
-    w = x1 - x0 + y1 - y0
-    return _euclidean_gap(x, y, poly) - (1 + w) * (EPS_GEOM + 2e-6 * (1 + d + w))
+    """The bound scan hands _cast with poly: its Euclidean gap less the M of _cast's docstring."""
+    return _euclidean_gap(x, y, poly) - _margin(poly, d) / 2
 
 
 def test_range_cull_keeps_the_shapes_within_euclidean_reach(monkeypatch):
-    # the per-axis gaps only reject early: the kernel gets exactly the shapes
-    # whose bbox lies within reach by the Euclidean gap, each with its bound,
-    # nearest bound first
+    # the per-axis gaps only reject early: the kernel gets the shapes whose bbox
+    # lies within reach by the Euclidean gap and that keep a ray, each with its
+    # bound, nearest bound first, and no ray the cull drops can hit its shape
     passed = []
 
-    def kernel(origin, units, max_range, shapes):
+    def kernel(origin, count, max_range, shapes):
         passed.append(list(shapes))
-        return [None] * len(units)
+        return [None] * count
 
     monkeypatch.setattr(sensing, "_cast", kernel)
     rng = random.Random(SEED)
@@ -269,29 +296,43 @@ def test_range_cull_keeps_the_shapes_within_euclidean_reach(monkeypatch):
             for out in (0.0, 1.0, 1.0 + EPS_GEOM, 1.0 + slack, 1.0 + 2 * slack, 10.0 + slack, 10.0 + 1e-6):
                 sites += [Point2(x0 - out, y0 - out), Point2(x1 + out, y1), Point2(x0, y1 + out), Point2(x1 + out, y0 - out)]
         for d in (1.0, 10.0):
-            for x, y in sites:
-                want = sorted(
-                    ((_bound(x, y, poly, d), poly) for poly in world.shapes() if _euclidean_gap(x, y, poly) <= d + _edge_slack(poly)),
-                    key=lambda pair: pair[0],
-                )
+            # and where a ray's lattice line passes a bbox corner off by scan's margin either way
+            lines = [_corner_line_site(poly, corner, angle, 0.5, sign * _margin(poly, d))
+                     for poly in world.shapes() for corner in range(4) for angle in SENSOR_ANGLES for sign in (1, -1)]
+            for x, y in sites + lines:
+                reach = [poly for poly in world.shapes() if _euclidean_gap(x, y, poly) <= d + _edge_slack(poly)]
                 passed.clear()
                 try:
                     scan(Point2(x, y), world, d, 0.5)
                 except GeometryError:
                     continue
-                assert passed == ([want] if want else []), (seed, d, x, y)
+                got = passed[0] if passed else []
+                assert passed == ([got] if got else []), (seed, d, x, y)  # no empty cast
+                kept = {id(poly): rays for _, poly, rays in got}
+                want = sorted(((_bound(x, y, poly, d), poly) for poly in reach if id(poly) in kept), key=lambda pair: pair[0])
+                assert [(bound, poly) for bound, poly, _ in got] == want, (seed, d, x, y)
+                for poly in reach:
+                    rays = kept.get(id(poly), ())
+                    assert all(ray in sensing._RAYS for ray in rays)
+                    for k, angle in enumerate(SENSOR_ANGLES):
+                        if all(ray[0] != k for ray in rays):
+                            assert _reference_ray(Point2(x, y), angle, d, [poly]) is None, (seed, d, x, y, angle)
 
 
 OFFICE = builtin_scenario("office_like")
 
 
 @st.composite
-def _office_sites(draw):
-    """A point in office_like: anywhere, or where one shape's side lies t away along x and another's
-    along y, so that a ray's hit distance can equal a farther shape's gap."""
+def _office_sites(draw, d):
+    """A point in office_like: anywhere, on or near a lattice line through a shape's bbox corner, or
+    where one shape's side lies t away along x and another's along y, so that a ray's hit distance can
+    equal a farther shape's gap."""
     b = OFFICE.bounds
-    if draw(st.booleans(), label="anywhere"):
+    near = draw(st.sampled_from(("anywhere", "corner line", "two sides")), label="near")
+    if near == "anywhere":
         return Point2(draw(st.floats(b.xmin, b.xmax), label="x"), draw(st.floats(b.ymin, b.ymax), label="y"))
+    if near == "corner line":
+        return draw(_corner_line_sites(OFFICE, d))
     shapes = OFFICE.shapes()
     xs = draw(st.sampled_from(shapes), label="x shape").bbox()
     ys = draw(st.sampled_from(shapes), label="y shape").bbox()
@@ -302,8 +343,9 @@ def _office_sites(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(d=st.sampled_from((2.0, 10.0, 20.0)), pos=_office_sites())
-def test_nearest_first_cast_leaves_office_scans_unchanged(d, pos):
+@given(d=st.sampled_from((2.0, 10.0, 20.0)), data=st.data())
+def test_nearest_first_cast_leaves_office_scans_unchanged(d, data):
+    pos = data.draw(_office_sites(d), label="pos")
     # office_like puts up to 25 shapes in range, so rays settle and shapes are skipped
     try:
         want = _unculled_scan(pos, OFFICE, d, OFFICE.delta)

@@ -655,7 +655,7 @@ def test_oracle_unreachable_returns_none():
     assert grid_oracle(s, 0.25) is None
 
 
-def test_oracle_is_a_lower_bound_on_fixture_runs():
+def test_fixture_run_lengths_are_at_least_oracle_less_delta():
     for name in ("scenario1", "concave_trap", "corridor_loop"):
         s = builtin_scenario(name)
         oracle = grid_oracle(s, s.delta / 2)

@@ -10,8 +10,11 @@ one SHA-256 over the audit_collisions messages of each of those routes, as
 it is and with a box of half-width delta/2 added around its middle waypoint,
 and one SHA-256 over repr of the readings of scan at 100 seeded positions
 and the bbox corners of every obstacle in worlds 0-49 at d = 1 and 10, and
-at every 0.25 m node of office_like at d = 2 and 20 (a GeometryError is
-hashed in place of its readings). Two checkouts agree when those lines are
+at every 0.25 m node of office_like at d = 2 and 20, and in both at the
+lattice-line sites of every bbox corner: d/2 back from the corner along
+each of the 8 sensor rays, on the ray's line or off it by +-EPS_GEOM or
++- the margin scan grows a bbox by (a GeometryError is hashed in place of
+its readings). Two checkouts agree when those lines are
 equal. It also computes
 grid_oracle(s, r) for the builtins at r = delta/2, 0.25, 0.3 and 0.7 and for
 seeds 0-49 at r = delta/2. The oracle is a shortest lattice length, equal
@@ -45,6 +48,7 @@ from nspmr import (
     ScenarioError,
     audit_collisions,
     builtin_scenario,
+    compass_unit,
     generate_world,
     grid_oracle,
     iteration_ceiling,
@@ -53,6 +57,7 @@ from nspmr import (
     serialize_scenario,
     write_trajectory_csv,
 )
+from nspmr.geometry import EPS_GEOM
 
 TOLERANCE = 1e-12
 
@@ -110,6 +115,22 @@ def routes_digests() -> tuple[str, str, int]:
     return digest.hexdigest(), audits.hexdigest(), count
 
 
+def corner_line_sites(s, d):
+    """For each of s's shapes, each bbox corner and each sensor ray: the point d/2 back from the corner
+    along the ray, on the ray's line or moved off it along x (along y for the east-west line) by
+    +-EPS_GEOM or by +- the margin scan grows the shape's bbox by at range d."""
+    for poly in s.shapes():
+        x0, y0, x1, y1 = poly.bbox()
+        w = x1 - x0 + y1 - y0
+        m = 2 * (1 + w) * (EPS_GEOM + 2e-6 * (1 + d + w))
+        for cx, cy in ((x0, y0), (x1, y0), (x1, y1), (x0, y1)):
+            for angle in range(0, 360, 45):
+                ux, uy = compass_unit(angle)
+                px, py = cx - 0.5 * d * ux, cy - 0.5 * d * uy
+                for off in (0.0, EPS_GEOM, -EPS_GEOM, m, -m):
+                    yield Point2(px, py + off) if angle % 180 == 90 else Point2(px + off, py)
+
+
 def scan_sites():
     """(scenario, position, d) of every scan the scans digest covers, in a fixed order."""
     for seed in range(50):
@@ -121,7 +142,7 @@ def scan_sites():
             x0, y0, x1, y1 = poly.bbox()
             sites += [Point2(x0, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1)]
         for d in (1.0, 10.0):
-            for pos in sites:
+            for pos in sites + list(corner_line_sites(s, d)):
                 yield s, pos, d
     s = builtin_scenario("office_like")
     b = s.bounds
@@ -131,7 +152,7 @@ def scan_sites():
         for j in range(int((b.ymax - b.ymin) / 0.25) + 1)
     ]
     for d in (2.0, 20.0):
-        for pos in nodes:
+        for pos in nodes + list(corner_line_sites(s, d)):
             yield s, pos, d
 
 
