@@ -224,10 +224,13 @@ class Polygon:
         return self._bbox
 
     def translated(self, dx: float, dy: float) -> "Polygon":
-        """This polygon moved by (dx, dy), with no cached value carried over. A translation keeps the
-        vertex count, so __post_init__ is not rerun: the caller keeps the moved vertices finite."""
+        """This polygon moved by (dx, dy), with only its bbox cached, moved exactly: rounding is monotone, so min
+        and max commute with adding an offset. A translation keeps the vertex count, so __post_init__ is not
+        rerun: the caller keeps the moved vertices finite."""
         moved = object.__new__(Polygon)
         object.__setattr__(moved, "vertices", tuple(Point2(v.x + dx, v.y + dy) for v in self.vertices))
+        x0, y0, x1, y1 = self._bbox
+        moved.__dict__["_bbox"] = (x0 + dx, y0 + dy, x1 + dx, y1 + dy)
         return moved
 
 

@@ -40,6 +40,7 @@ _MOVE = {a: (a, _SIGNS[a]) for a in DIRECTIONS}
 _REVERSE = {a: (a + 180.0) % 360.0 for a in DIRECTIONS}
 _INDEX = {a: k for k, a in enumerate(DIRECTIONS)}
 _DIRECTION_OF = {signs: a for a, signs in _SIGNS.items()}
+_new = tuple.__new__  # builds a named tuple on the step path without its Python-level __new__
 
 Node = tuple[int, int]
 
@@ -122,14 +123,15 @@ def free_directions(scan_: SensorScan) -> list[float]:
     return [a for a, reading in zip(DIRECTIONS, scan_.readings) if reading.free]
 
 
-def _preference(angles, theta_d: float, readings) -> list[tuple[float, float, float]]:
-    """select_direction's key of each angle: the angular gap to the desired
-    bearing, then the longer measured distance, then the lower angle (sensor
-    index). The angle itself ends the key, so the keys sort like the angles."""
+def _preference(pairs, theta_d: float) -> list[tuple[float, float, float]]:
+    """select_direction's key of each (angle, (free, measured distance)) pair that
+    reads free: the angular gap to the desired bearing, then the longer distance,
+    then the lower angle (sensor index). The angle ends the key, so keys sort like angles."""
     keys = []
-    for a in angles:
-        d = abs(a - theta_d) % 360.0  # circular_diff(a, theta_d) is min(d, 360 - d)
-        keys.append((d if d <= 180.0 else 360.0 - d, -readings[_INDEX[a]].dist, a))
+    for a, (free, dist) in pairs:
+        if free:
+            d = abs(a - theta_d) % 360.0  # circular_diff(a, theta_d) is min(d, 360 - d)
+            keys.append((d if d <= 180.0 else 360.0 - d, -dist, a))
     return keys
 
 
@@ -138,16 +140,19 @@ def select_direction(candidates: list[float], theta_d: float, scan_: SensorScan)
     the longer measured distance, then to the lower sensor index."""
     if not candidates:
         raise ValueError("no candidate directions")
-    return min(_preference(candidates, theta_d, scan_.readings))[2]
+    readings = scan_.readings  # every candidate counts, whatever its reading's free flag
+    return min(_preference([(a, (True, readings[_INDEX[a]].dist)) for a in candidates], theta_d))[2]
 
 
 def _visit(world: Scenario, pos: Point2) -> _NodeRecord:
-    """The record of the node at pos, from a fresh scan unless pos is at the goal."""
+    """The record of the node at pos, from a fresh scan unless pos is at the goal,
+    its free moves keyed in one pass over the readings and sorted."""
     if distance(pos, world.goal) <= world.delta / 2:
-        return _NodeRecord(pos, True, ())
-    scan_ = scan(pos, world, world.sensor_range, world.delta)
-    keys = sorted(_preference(free_directions(scan_), desired_angle(pos, world.goal), scan_.readings))
-    return _NodeRecord(pos, False, tuple([_MOVE[a] for _, _, a in keys]))
+        return _new(_NodeRecord, (pos, True, ()))
+    readings = scan(pos, world, world.sensor_range, world.delta).readings
+    keys = _preference(zip(DIRECTIONS, readings), desired_angle(pos, world.goal))
+    keys.sort()
+    return _new(_NodeRecord, (pos, False, tuple([_MOVE[a] for _, _, a in keys])))
 
 
 def nspmr_step(state: NspmrState, world: Scenario, rules_enabled: bool = True) -> tuple[NspmrState, StepEvent]:
@@ -157,21 +162,21 @@ def nspmr_step(state: NspmrState, world: Scenario, rules_enabled: bool = True) -
     i, j = node = state.node
     record = state.records.get(node)
     if record is None:
-        record = _visit(world, Point2(x0 + i * half, y0 + j * half))
+        record = _visit(world, _new(Point2, (x0 + i * half, y0 + j * half)))
         xmin, ymin, xmax, ymax = world.bounds
         # drop the moves whose target, computed as below, is not strictly inside the bounds;
         # rounding is monotone, so when the outermost targets are inside, every target is
         if not (xmin < x0 + (i - 1) * half and x0 + (i + 1) * half < xmax
                 and ymin < y0 + (j - 1) * half and y0 + (j + 1) * half < ymax):
-            record = record._replace(order=tuple([
+            record = _new(_NodeRecord, (record.pos, record.at_goal, tuple([
                 (a, (sx, sy)) for a, (sx, sy) in record.order
                 if xmin < x0 + (i + sx) * half < xmax and ymin < y0 + (j + sy) * half < ymax
-            ]))
+            ])))
         if not world.is_dynamic:
             state.records[node] = record
     pos, at_goal, order = record
     if at_goal:
-        return state, StepEvent("goal_reached", None, pos)
+        return state, _new(StepEvent, ("goal_reached", None, pos))
     # the first survivor in preference order is select_direction's pick
     move = next(_survivors(order, state) if rules_enabled else iter(order), None)
     if move is not None:
@@ -181,9 +186,9 @@ def nspmr_step(state: NspmrState, world: Scenario, rules_enabled: bool = True) -
             state.used.setdefault(node, set()).add(direction)
             state.trail.append(state.node)
         state.prev_dir = direction
-        return state, StepEvent("moved", direction, Point2(x0 + i * half, y0 + j * half))
+        return state, _new(StepEvent, ("moved", direction, _new(Point2, (x0 + i * half, y0 + j * half))))
     if not rules_enabled or len(state.trail) <= 1:
-        return state, StepEvent("stuck", None, pos)
+        return state, _new(StepEvent, ("stuck", None, pos))
     # rule III: retire this node and retrace one step of the trail. The goal's
     # own node is never retired: it lies within delta/4 of the goal on each
     # axis, so within delta/2, and the run has stopped there already.
@@ -194,4 +199,4 @@ def nspmr_step(state: NspmrState, world: Scenario, rules_enabled: bool = True) -
     # the departure consumed by the retreat is recorded like any other
     state.used.setdefault(node, set()).add(back_dir)
     state.prev_dir = None
-    return state, StepEvent("backtracked", back_dir, Point2(x0 + i * half, y0 + j * half))
+    return state, _new(StepEvent, ("backtracked", back_dir, _new(Point2, (x0 + i * half, y0 + j * half))))

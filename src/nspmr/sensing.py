@@ -73,7 +73,9 @@ def scan(pos: Point2, world: Scenario, d: float, delta: float) -> SensorScan:
     direction reads free at range d and no ray is cast. The rest go through
     one pass of ``geometry._cast``, the kernel ``ray_cast`` uses for its
     single ray, nearest shape first by the bound ``_cast`` proves, so each
-    reading equals ``ray_cast`` along its direction. The result depends only
+    reading equals ``ray_cast`` along its direction; the blocking thresholds
+    along an axis and along a diagonal are taken once per such scan, from
+    ``blocking_threshold``. The result depends only
     on pos and the shapes, so in a static world the planner decides each
     lattice node once (``NspmrState.records``); in a moving world every step
     scans afresh.
@@ -101,13 +103,17 @@ def scan(pos: Point2, world: Scenario, d: float, delta: float) -> SensorScan:
                 shapes.append((g - half, poly, rays))
             if not g:
                 holders.append(poly)
+    new = tuple.__new__  # the named tuples' own __new__ is a Python-level call
+    free = new(SensorReading, (True, d))
     if not shapes:
-        return SensorScan((SensorReading(True, d),) * SENSOR_COUNT)
+        return new(SensorScan, ((free,) * SENSOR_COUNT,))
     if holders:
         _require_origin_outside(pos, holders)
     if len(shapes) > 1:
         shapes.sort(key=itemgetter(0))
-    return SensorScan(tuple(
-        SensorReading(True, d) if hit is None else SensorReading(hit > blocking_threshold(angle, delta), hit)
-        for angle, hit in zip(SENSOR_ANGLES, _cast(pos, SENSOR_COUNT, d, shapes))
-    ))
+    # sensor k looks along an axis for even k and along a diagonal for odd k
+    limits = (blocking_threshold(0.0, delta), blocking_threshold(45.0, delta)) * (SENSOR_COUNT // 2)
+    return new(SensorScan, (tuple([
+        free if hit is None else new(SensorReading, (hit > limit, hit))
+        for limit, hit in zip(limits, _cast(pos, SENSOR_COUNT, d, shapes))
+    ]),))

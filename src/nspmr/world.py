@@ -253,7 +253,9 @@ def step_dynamics(s: Scenario) -> Scenario:
             vy, dy = -vy, 0.0
         shape = ob.shape.translated(dx, dy) if (dx or dy) else ob.shape
         new_obstacles.append(Obstacle(shape, (vx, vy)))
-    return Scenario(s.name, b, s.start, s.goal, tuple(new_obstacles), s.delta, s.sensor_range, s.speed)
+    nxt = Scenario(s.name, b, s.start, s.goal, tuple(new_obstacles), s.delta, s.sensor_range, s.speed)
+    nxt.__dict__["is_dynamic"] = True  # a reflected velocity stays nonzero; skips cached_property's lock
+    return nxt
 
 
 # --- trajectories and outcomes -----------------------------------------------------

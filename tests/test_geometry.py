@@ -405,6 +405,23 @@ def test_polygon_bbox_matches_vertices():
             poly = poly.translated(rng.uniform(-5, 5), rng.uniform(-5, 5))
 
 
+def test_translated_bbox_equals_bbox_of_moved_vertices():
+    # translated carries the bbox over moved by (dx, dy) instead of recomputing it from the vertices
+    rng = random.Random(SEED + 23)
+    offsets = [(0.0, 0.0), (0.0, 3.7), (-2.9, 0.0), (1e6, 0.0), (0.0, -1e6), (1e6 + 0.1, 1e6 - 0.3), (-1e6 + 1e-9, 0.0)]
+    offsets += [(rng.uniform(-1e6, 1e6), rng.uniform(-1e6, 1e6)) for _ in range(20)]
+    offsets += [(rng.uniform(-5, 5), 0.0) for _ in range(10)] + [(0.0, rng.uniform(-5, 5)) for _ in range(10)]
+    jagged = Polygon(tuple(Point2(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(7)))
+    concave = builtin_scenario("concave_trap").obstacles[0].shape
+    for poly in (SQUARE, LSHAPE, TRIANGLE, jagged, concave):
+        chained = poly
+        for dx, dy in offsets:
+            moved = poly.translated(dx, dy)
+            assert moved.bbox() == Polygon(moved.vertices).bbox(), (dx, dy)
+            chained = chained.translated(dx, dy)  # as step_dynamics moves a shape tick by tick
+            assert chained.bbox() == Polygon(chained.vertices).bbox(), (dx, dy)
+
+
 def test_polygon_edge_table_matches_vertices():
     parsed = parse_scenario(serialize_scenario(builtin_scenario("concave_trap"))).obstacles[0].shape
     for poly in (parsed, parsed.translated(0.3, -7.1), polygon_offset(parsed, 0.125), LSHAPE.translated(1e6, 1e6)):

@@ -23,7 +23,7 @@ from nspmr.planner import (
 )
 from nspmr.sensing import SensorReading, SensorScan, scan
 from nspmr.sim import iteration_ceiling, run
-from nspmr.world import BUILTIN_NAMES, Bounds, Obstacle, Scenario, builtin_scenario
+from nspmr.world import BUILTIN_NAMES, Bounds, Obstacle, Scenario, builtin_scenario, generate_world
 
 SEED = 20260817
 
@@ -375,6 +375,26 @@ def test_memoized_scans_equal_fresh_scans(name, monkeypatch):
         assert len(st.records) >= len(visited) - 1
         for node, record in st.records.items():
             assert record == _fresh_record(s, positions[node])
+
+
+def _ranked_world(key):
+    kind, value = key
+    if kind == "world":
+        return generate_world(value)
+    return replace(builtin_scenario("office_like"), sensor_range=value)
+
+
+@pytest.mark.parametrize("key", [("world", seed) for seed in range(20)] + [("office_like", d) for d in (2.0, 10.0, 20.0)],
+                         ids=lambda key: f"{key[0]}-{key[1]}")
+def test_records_equal_fresh_records_on_generated_and_office_runs(key):
+    # every node record the run builds, with the rules on to the end and off for 2000 steps,
+    # ranks its moves as select_direction picks them one by one from a fresh scan
+    s = _ranked_world(key)
+    for rules, steps in ((True, iteration_ceiling(s)), (False, 2000)):
+        st, _ = _walk(s, rules, steps)
+        assert len(st.records) > 10
+        for node, record in st.records.items():
+            assert record == _fresh_record(s, _position(s.start, node, s.delta)), node
 
 
 def test_records_drop_exactly_the_moves_that_leave_the_bounds():

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nspmr.geometry import EPS_GEOM, GeometryError, Point2, Polygon, _require_origin_outside, compass_unit, ray_cast
@@ -60,6 +60,16 @@ def test_hit_exactly_at_threshold_blocks():
     s = scan(Point2(0, 0), _world(_rect(-1, 0.375, 1, 0.6)), d=1.0, delta=0.5)
     assert not s.reading(0).free
     assert s.reading(0).dist == pytest.approx(0.375)
+
+
+@pytest.mark.parametrize("delta", (0.3, 0.7, 1.0))
+def test_hit_exactly_at_threshold_blocks_at_other_deltas(delta):
+    # delta/2 + delta/4 rounds at 0.3 and 0.7; a hit at the rounded threshold still blocks
+    tau = blocking_threshold(0.0, delta)
+    s = scan(Point2(0, 0), _world(_rect(-1, tau, 1, tau + 1), delta=delta, d=2.0), d=2.0, delta=delta)
+    assert [(r.free, r.dist) for r in s.readings[::2]] == [(False, tau), (True, 2.0), (True, 2.0), (True, 2.0)]
+    s = scan(Point2(0, 0), _world(_rect(-1, math.nextafter(tau, 9), 1, tau + 1), delta=delta, d=2.0), d=2.0, delta=delta)
+    assert s.readings[0].free
 
 
 def test_hit_just_beyond_threshold_is_free():
@@ -231,7 +241,23 @@ def _unculled_scan(pos, world, d, delta):
     data=st.data(),
 )
 def test_range_cull_leaves_scans_unchanged(seed, d, data):
-    world = generate_world(seed)
+    _check_range_cull(generate_world(seed), d, 0.5, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 499),
+    d=st.sampled_from((1.0, 10.0, 20.0)),
+    delta=st.sampled_from((0.3, 0.7, 1.0)),  # both step + delta/4 sums round at 0.3 and 0.7
+    data=st.data(),
+)
+def test_range_cull_leaves_scans_unchanged_at_other_deltas(seed, d, delta, data):
+    assume(d > delta)
+    _check_range_cull(generate_world(seed), d, delta, data)
+
+
+def _check_range_cull(world, d, delta, data):
+    """scan at a drawn site of world equals _unculled_scan and ray_cast along each direction."""
     b = world.bounds
     near = data.draw(st.sampled_from(("anywhere", "bbox side", "corner line")), label="near")
     if near == "bbox side":
@@ -247,12 +273,12 @@ def test_range_cull_leaves_scans_unchanged(seed, d, data):
     else:
         pos = Point2(data.draw(st.floats(b.xmin, b.xmax), label="x"), data.draw(st.floats(b.ymin, b.ymax), label="y"))
     try:
-        want = _unculled_scan(pos, world, d, 0.5)
+        want = _unculled_scan(pos, world, d, delta)
     except GeometryError:
         with pytest.raises(GeometryError, match="ray origin strictly inside an obstacle"):
-            scan(pos, world, d, 0.5)
+            scan(pos, world, d, delta)
         return
-    got = scan(pos, world, d, 0.5)
+    got = scan(pos, world, d, delta)
     assert got == want
     for angle, reading in zip(SENSOR_ANGLES, got.readings):  # one ray through the same kernel
         hit = ray_cast(pos, angle, d, world.shapes())

@@ -305,6 +305,22 @@ def test_only_dynamic_crossing_moves():
     assert not replace(s, obstacles=(Obstacle(s.obstacles[0].shape),)).is_dynamic
 
 
+def test_stepped_poses_store_that_they_move():
+    # step_dynamics stores is_dynamic on each pose it builds; it must stay what the obstacles say
+    # while fast blocks reflect off every side, one of them along a single axis
+    base = builtin_scenario("dynamic_crossing")
+    block = Polygon((Point2(4, 4), Point2(5, 4), Point2(5, 5), Point2(4, 5)))
+    s = replace(base, obstacles=(Obstacle(block, (30.0, -20.0)), Obstacle(block.translated(12, 12), (0.0, 45.0))))
+    flips = set()
+    for _ in range(200):
+        s = s.next_tick
+        assert "is_dynamic" in vars(s) and s.is_dynamic is True
+        assert any(ob.moving for ob in s.obstacles)
+        flips.update((k, ob.velocity) for k, ob in enumerate(s.obstacles))
+    assert {v for k, v in flips if k == 0} == {(30.0, -20.0), (-30.0, -20.0), (30.0, 20.0), (-30.0, 20.0)}
+    assert {v for k, v in flips if k == 1} == {(0.0, 45.0), (-0.0, -45.0)}
+
+
 def test_office_like_ships_long_range_sensor():
     assert builtin_scenario("office_like").sensor_range == 10.0
 

@@ -14,15 +14,17 @@ at every 0.25 m node of office_like at d = 2 and 20, and in both at the
 lattice-line sites of every bbox corner: d/2 back from the corner along
 each of the 8 sensor rays, on the ray's line or off it by +-EPS_GEOM or
 +- the margin scan grows a bbox by (a GeometryError is hashed in place of
-its readings). Two checkouts agree when those lines are
-equal. It also computes
-grid_oracle(s, r) for the builtins at r = delta/2, 0.25, 0.3 and 0.7 and for
-seeds 0-49 at r = delta/2. The oracle is a shortest lattice length, equal
-across search orders only to rounding, so its values are compared with a
-tolerance instead. --save writes the five lines and the oracle values as
-JSON; --against compares them with a saved file, the lines exactly and the
-oracle values at abs 1e-12, and exits 1 naming each line or value that
-differs. Run it once against each source tree, from this checkout, e.g.
+its readings), and one SHA-256 over repr of the final NspmrState.records,
+in insertion order, of nspmr_step walked over every static builtin and
+worlds 0-49, with the rules on to the end of the default budget and with
+them off for 2000 iterations. Two checkouts agree when those lines are
+equal. It also computes grid_oracle(s, r) for the builtins at r = delta/2,
+0.25, 0.3 and 0.7 and for seeds 0-49 at r = delta/2. The oracle is a
+shortest lattice length, equal across search orders only to rounding, so
+its values are compared with a tolerance instead. --save writes the six
+lines and the oracle values as JSON; --against compares them with a saved
+file, the lines exactly and the oracle values at abs 1e-12, and exits 1
+naming each line or value that differs. Run it once against each source tree, from this checkout, e.g.
 with a base checkout in ../base:
 
     PYTHONPATH=../base/src python tools/lattice_parity.py --save oracles.json
@@ -42,6 +44,7 @@ from nspmr import (
     BUILTIN_NAMES,
     PLANNERS,
     GeometryError,
+    NspmrState,
     Obstacle,
     Point2,
     Polygon,
@@ -49,9 +52,11 @@ from nspmr import (
     audit_collisions,
     builtin_scenario,
     compass_unit,
+    default_max_iters,
     generate_world,
     grid_oracle,
     iteration_ceiling,
+    nspmr_step,
     run,
     scan,
     serialize_scenario,
@@ -169,6 +174,25 @@ def scans_digest() -> tuple[str, int]:
     return digest.hexdigest(), count
 
 
+def records_digest() -> tuple[str, int]:
+    """SHA-256 over repr of the node records each covered nspmr_step walk ends with, and the number of walks."""
+    digest = hashlib.sha256()
+    count = 0
+    worlds = [builtin_scenario(name) for name in BUILTIN_NAMES] + [generate_world(seed) for seed in range(50)]
+    for s in worlds:
+        if s.is_dynamic:  # a moving world keeps no records
+            continue
+        for rules, steps in ((True, default_max_iters(s)), (False, 2000)):
+            count += 1
+            state = NspmrState(start=s.start)
+            for _ in range(steps):
+                state, ev = nspmr_step(state, s, rules)
+                if ev.kind in ("goal_reached", "stuck"):
+                    break
+            digest.update(repr(state.records).encode())
+    return digest.hexdigest(), count
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--save", metavar="PATH", help="write the digests and oracle values to PATH as JSON")
@@ -188,18 +212,21 @@ def main() -> int:
             oracles[f"{seed} {s.delta / 2}"] = grid_oracle(s, s.delta / 2)
     routes, audits, runs = routes_digests()
     scans, scanned = scans_digest()
+    records, walks = records_digest()
     lines = {
         "worlds": worlds.hexdigest(),
         "ceilings": [iteration_ceiling(builtin_scenario(n)) for n in BUILTIN_NAMES],
         "routes": f"{routes} ({runs} runs)",
         "audits": f"{audits} ({runs} runs)",
         "scans": f"{scans} ({scanned} scans)",
+        "records": f"{records} ({walks} walks)",
     }
     print("worlds 0-499  ", lines["worlds"])
     print("ceilings      ", lines["ceilings"])
     print("routes        ", lines["routes"])
     print("audits        ", lines["audits"])
     print("scans         ", lines["scans"])
+    print("records       ", lines["records"])
     print("oracles       ", len(oracles), "values")
     if args.save:
         with open(args.save, "w") as f:

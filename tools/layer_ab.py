@@ -14,6 +14,9 @@ per-pair ratio B/A is steadier than either side's time. Layers:
     scan    scan at every node the nspmr routes of worlds 0-49 visit
     office  scan at every node the nspmr routes of office_like visit at
             d = 2, 10 and 20
+    visit   planner._visit (scan, then filter and rank the free moves) at
+            every distinct node of the six runs of the trap layer and of
+            the nspmr routes of worlds 0-49
     nspmr   run(s, "nspmr") on worlds 0-49
     random  generate_world, grid_oracle(s, delta/2) and all three planners
             on worlds 0-49, as one random-suite pass
@@ -71,7 +74,7 @@ def routes(nspmr, planners):
 
 def audit_layer(nspmr):
     jobs = routes(nspmr, PLANNERS)
-    jobs += [(s, nspmr.run(s, "nspmr", budget, rules_enabled=rules)[0]) for s, budget, rules in trap_runs(nspmr)]
+    jobs += trap_routes(nspmr)
     office = dataclasses.replace(nspmr.builtin_scenario("office_like"), sensor_range=2.0)
     jobs.append((office, nspmr.run(office, "nspmr")[0]))
     audit = nspmr.audit_collisions
@@ -93,6 +96,12 @@ def office_layer(nspmr):
     office = nspmr.builtin_scenario("office_like")
     worlds = [dataclasses.replace(office, sensor_range=d) for d in (2.0, 10.0, 20.0)]
     return scans(nspmr, [(s, nspmr.run(s, "nspmr")[0]) for s in worlds])
+
+
+def visit_layer(nspmr):
+    sites = [(s, p) for s, t in trap_routes(nspmr) + routes(nspmr, ("nspmr",)) for p in dict.fromkeys(t.waypoints)]
+    visit = nspmr.planner._visit
+    return lambda: [visit(s, p) for s, p in sites]
 
 
 def nspmr_layer(nspmr):
@@ -121,6 +130,11 @@ def trap_runs(nspmr):
     """(scenario, budget, rules_enabled) of the six runs of a trap_escape pass."""
     fixtures = [nspmr.builtin_scenario(name) for name in ("concave_trap", "corridor_loop", "triangle_loop")]
     return [(s, budget, rules) for s in fixtures for budget, rules in ((nspmr.iteration_ceiling(s), True), (1000, False))]
+
+
+def trap_routes(nspmr):
+    """(scenario, trajectory) of the six runs of a trap_escape pass."""
+    return [(s, nspmr.run(s, "nspmr", budget, rules_enabled=rules)[0]) for s, budget, rules in trap_runs(nspmr)]
 
 
 def trap_layer(nspmr):
@@ -157,7 +171,7 @@ def moving_layer(nspmr):
     return one_pass
 
 
-LAYERS = {"audit": audit_layer, "scan": scan_layer, "office": office_layer, "nspmr": nspmr_layer, "random": random_layer, "trap": trap_layer, "moving": moving_layer}
+LAYERS = {"audit": audit_layer, "scan": scan_layer, "office": office_layer, "visit": visit_layer, "nspmr": nspmr_layer, "random": random_layer, "trap": trap_layer, "moving": moving_layer}
 
 
 def sample(fn) -> float:
