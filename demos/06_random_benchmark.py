@@ -2,8 +2,9 @@
 
 Generate a batch of random solvable worlds, run the local planner on each,
 and compare against an 8-connected grid shortest path at half-body
-resolution. The oracle ignores clearance, so it is a lower-ish bound; a
-ratio near 1.0 means the planner found an essentially direct route.
+resolution. The oracle snaps the start and goal to lattice nodes, ignores
+clearance and lets diagonal steps cut corners, so it is no bound on a route's
+length; a ratio near 1.0 means the planner found an essentially direct route.
 
 The same machinery backs `nspmr bench --suite random` on the command line.
 """

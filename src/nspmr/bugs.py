@@ -1,12 +1,15 @@
 """Boundary-following reference planners.
 
-Obstacles are tracked along their offset outline at clearance delta/4, walked
-in increments of at most delta/2 with every outline vertex included, so the
-robot's boundary waypoints lie exactly on the offset polygon. Straight motion
-marches delta/2 steps toward the goal and stops at the exact point where the
-path pierces an outline, found by geometry._segment_hits, the contact routine
-of the collision audit too. bug1_result and bug2_result return a
-world.Trajectory and a world.OUTCOME_* value; sim.run dispatches to them.
+Bug1 and Bug2 are two leave rules over one motion-to-goal driver, _bug: march
+straight toward the goal and, at each outline hit, let the rule walk the
+outline until it departs again or ends the run. Obstacles are tracked along
+their offset outline at clearance delta/4, walked in increments of at most
+delta/2 with every outline vertex included, so the robot's boundary waypoints
+lie exactly on the offset polygon. Straight motion marches delta/2 steps
+toward the goal and stops at the exact point where the path pierces an
+outline, found by geometry._segment_hits, the contact routine of the collision
+audit too. bug1_result and bug2_result return a world.Trajectory and a
+world.OUTCOME_* value; sim.run dispatches to them.
 """
 
 from __future__ import annotations
@@ -109,13 +112,8 @@ class _Ring:
 class _Recorder:
     def __init__(self, start: Point2, max_iters: int):
         self.wp = [start]
-        self.ev: list[str] = []
         self.dirs: list[float] = []
         self.max = max_iters
-
-    @property
-    def exhausted(self) -> bool:
-        return len(self.ev) >= self.max
 
     @property
     def pos(self) -> Point2:
@@ -125,10 +123,9 @@ class _Recorder:
         last = self.wp[-1]
         if distance(last, p) <= 1e-12:
             return True
-        if self.exhausted:
+        if len(self.dirs) >= self.max:
             return False
         self.wp.append(p)
-        self.ev.append("moved")
         self.dirs.append(math_to_compass(math.degrees(math.atan2(p.y - last.y, p.x - last.x))))
         return True
 
@@ -173,78 +170,80 @@ def _first_entry(p: Point2, q: Point2, rings: list[_Ring]):
     return best
 
 
+def _step_toward(p: Point2, goal: Point2, delta: float) -> Point2 | None:
+    """The next straight step from p: delta/2 toward the goal, or the goal
+    itself when it is no farther; None once p is at the goal."""
+    rem, step = distance(p, goal), delta / 2
+    if rem <= 1e-12:
+        return None
+    if rem <= step:
+        return goal
+    return Point2(p.x + (goal.x - p.x) / rem * step, p.y + (goal.y - p.y) / rem * step)
+
+
 def _march(rec: _Recorder, goal: Point2, rings: list[_Ring], delta: float):
-    """Straight delta/2 steps toward the goal until arrival, an outline hit,
-    or budget exhaustion. Returns 'goal' | 'limit' | ('hit', ring index)."""
-    while True:
-        pos = rec.pos
-        rem = distance(pos, goal)
-        if rem <= 1e-12:
-            return "goal"
-        step = min(delta / 2, rem)
-        if step == rem:
-            q = goal
-        else:
-            q = Point2(pos.x + (goal.x - pos.x) / rem * step, pos.y + (goal.y - pos.y) / rem * step)
-        hit = _first_entry(pos, q, rings)
-        if hit is None:
-            if not rec.move_to(q):
-                return "limit"
-            continue
-        _, ri, x = hit
-        if not rec.move_to(x):
-            return "limit"
-        return ("hit", ri)
+    """Straight steps toward the goal until arrival, an outline hit, or budget
+    exhaustion. Returns OUTCOME_GOAL, OUTCOME_LIMIT or the hit ring's index."""
+    while (q := _step_toward(rec.pos, goal, delta)) is not None:
+        hit = _first_entry(rec.pos, q, rings)
+        if hit is not None:
+            return hit[1] if rec.move_to(hit[2]) else OUTCOME_LIMIT
+        if not rec.move_to(q):
+            return OUTCOME_LIMIT
+    return OUTCOME_GOAL
 
 
 def _departure_free(p: Point2, goal: Point2, rings: list[_Ring], delta: float) -> bool:
     """Does the first step q from p toward the goal stay out of every outline
     region: no crossing, and neither its midpoint nor q INSIDE?"""
-    rem = distance(p, goal)
-    if rem <= 1e-12:
+    q = _step_toward(p, goal, delta)
+    if q is None:
         return True
-    step = min(delta / 2, rem)
-    q = Point2(p.x + (goal.x - p.x) / rem * step, p.y + (goal.y - p.y) / rem * step)
     if _first_entry(p, q, rings) is not None:
         return False
     mid = Point2((p.x + q.x) / 2, (p.y + q.y) / 2)
     return not any(point_in_polygon(x, ring.offset) is PointLocation.INSIDE for ring in rings for x in (mid, q))
 
 
+def _bug(s: Scenario, max_iters: int, follow) -> tuple[Trajectory, str]:
+    """The motion-to-goal loop of both planners: march toward the goal, and on
+    each outline hit call follow(s, rings, ring, rec), the leave rule, which
+    walks the ring and returns the outcome that ends the run, or None to march
+    again."""
+    rings = _prepare(s)
+    rec = _Recorder(s.start, max_iters)
+    outcome = None
+    while outcome is None:
+        hit = _march(rec, s.goal, rings, s.delta)
+        outcome = hit if isinstance(hit, str) else follow(s, rings, rings[hit], rec)
+    return make_trajectory(s, rec.wp, ("moved",) * len(rec.dirs), rec.dirs), outcome
+
+
 # --- Bug1 ----------------------------------------------------------------------------
+
+def _bug1_follow(s: Scenario, rings: list[_Ring], ring: _Ring, rec: _Recorder) -> str | None:
+    """Survey lap: a full circumnavigation, then the shorter arc back to the
+    outline point nearest the goal, which must beat the hit point and offer a
+    free departure."""
+    hit_point = rec.pos
+    s_hit = ring.closest_to(hit_point)[1]
+    if not all(map(rec.move_to, ring.arc_points(s_hit, ring.perimeter, 1, s.delta / 2)[1:])):
+        return OUTCOME_LIMIT
+    leave, s_leave = ring.closest_to(s.goal)
+    if distance(leave, s.goal) >= distance(hit_point, s.goal) - 1e-9:
+        return OUTCOME_UNREACHABLE
+    ccw_arc = (s_leave - s_hit) % ring.perimeter
+    cw_arc = ring.perimeter - ccw_arc
+    arc, sign = (ccw_arc, 1) if ccw_arc <= cw_arc else (cw_arc, -1)
+    if not all(map(rec.move_to, ring.arc_points(s_hit, arc, sign, s.delta / 2)[1:])):
+        return OUTCOME_LIMIT
+    return None if _departure_free(rec.pos, s.goal, [ring], s.delta) else OUTCOME_UNREACHABLE
+
 
 def bug1_result(s: Scenario, max_iters: int) -> tuple[Trajectory, str]:
     """Hit, circumnavigate, depart from the boundary point nearest the goal.
     Returns (Trajectory, outcome); an exhausted budget ends in OUTCOME_LIMIT."""
-    rings = _prepare(s)
-    rec = _Recorder(s.start, max_iters)
-    outcome = OUTCOME_LIMIT
-    while True:
-        status = _march(rec, s.goal, rings, s.delta)
-        if status == "goal":
-            outcome = OUTCOME_GOAL
-            break
-        if status == "limit":
-            break
-        ring = rings[status[1]]
-        hit_point = rec.pos
-        s_hit = ring.closest_to(hit_point)[1]
-        # survey lap: full circumnavigation, then return to the best point
-        if not all(map(rec.move_to, ring.arc_points(s_hit, ring.perimeter, 1, s.delta / 2)[1:])):
-            break
-        leave, s_leave = ring.closest_to(s.goal)
-        if distance(leave, s.goal) >= distance(hit_point, s.goal) - 1e-9:
-            outcome = OUTCOME_UNREACHABLE
-            break
-        ccw_arc = (s_leave - s_hit) % ring.perimeter
-        cw_arc = ring.perimeter - ccw_arc
-        arc, sign = (ccw_arc, 1) if ccw_arc <= cw_arc else (cw_arc, -1)
-        if not all(map(rec.move_to, ring.arc_points(s_hit, arc, sign, s.delta / 2)[1:])):
-            break
-        if not _departure_free(rec.pos, s.goal, [ring], s.delta):
-            outcome = OUTCOME_UNREACHABLE
-            break
-    return make_trajectory(s, rec.wp, rec.ev, rec.dirs), outcome
+    return _bug(s, max_iters, _bug1_follow)
 
 
 # --- Bug2 ----------------------------------------------------------------------------
@@ -259,39 +258,22 @@ def _mline_crossing(a: Point2, b: Point2, start: Point2, goal: Point2) -> Point2
     return hit
 
 
+def _bug2_follow(s: Scenario, rings: list[_Ring], ring: _Ring, rec: _Recorder) -> str | None:
+    """Clockwise wall-following until the start-goal line is crossed strictly
+    closer to the goal than the hit, with a free departure."""
+    hit_dist = distance(rec.pos, s.goal)
+    pts = ring.arc_points(ring.closest_to(rec.pos)[1], ring.perimeter, -1, s.delta / 2)
+    for a, b in zip(pts, pts[1:]):
+        x = _mline_crossing(a, b, s.start, s.goal)
+        if x is not None and distance(x, s.goal) < hit_dist - 1e-9 and _departure_free(x, s.goal, rings, s.delta):
+            return None if rec.move_to(x) else OUTCOME_LIMIT
+        if not rec.move_to(b):
+            return OUTCOME_LIMIT
+    return OUTCOME_UNREACHABLE
+
+
 def bug2_result(s: Scenario, max_iters: int) -> tuple[Trajectory, str]:
     """Follow the start-goal line; on a hit, wall-follow clockwise until back
     on the line strictly closer to the goal with a free departure, then resume.
     Returns (Trajectory, outcome); an exhausted budget ends in OUTCOME_LIMIT."""
-    rings = _prepare(s)
-    rec = _Recorder(s.start, max_iters)
-    outcome = OUTCOME_LIMIT
-    while True:
-        status = _march(rec, s.goal, rings, s.delta)
-        if status == "goal":
-            outcome = OUTCOME_GOAL
-            break
-        if status == "limit":
-            break
-        ring = rings[status[1]]
-        hit_point = rec.pos
-        hit_dist = distance(hit_point, s.goal)
-        pts = ring.arc_points(ring.closest_to(hit_point)[1], ring.perimeter, -1, s.delta / 2)
-        left = limit = False
-        for a, b in zip(pts, pts[1:]):
-            x = _mline_crossing(a, b, s.start, s.goal)
-            if x is not None and distance(x, s.goal) < hit_dist - 1e-9 and _departure_free(x, s.goal, rings, s.delta):
-                if not rec.move_to(x):
-                    limit = True
-                else:
-                    left = True
-                break
-            if not rec.move_to(b):
-                limit = True
-                break
-        if limit:
-            break
-        if not left:
-            outcome = OUTCOME_UNREACHABLE
-            break
-    return make_trajectory(s, rec.wp, rec.ev, rec.dirs), outcome
+    return _bug(s, max_iters, _bug2_follow)

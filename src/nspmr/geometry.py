@@ -424,10 +424,8 @@ def _closer_than(a: Polygon, b: Polygon, margin: float) -> bool:
 
 def polygon_distance(a: Polygon, b: Polygon) -> float:
     """Minimum distance between two polygon boundaries/interiors (0 if they touch or overlap)."""
-    for pa, pb in a.edges():
-        for qa, qb in b.edges():
-            if segment_intersection(pa, pb, qa, qb) is not None:
-                return 0.0
+    if any(_segment_hits(pa, pb, b) for pa, pb in a.edges()):
+        return 0.0
     if point_in_polygon(a.vertices[0], b) is PointLocation.INSIDE:
         return 0.0
     if point_in_polygon(b.vertices[0], a) is PointLocation.INSIDE:

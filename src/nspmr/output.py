@@ -14,6 +14,7 @@ from .world import Scenario, Trajectory
 
 CSV_HEADER = ("iter", "t_s", "x_m", "y_m", "event", "dir_deg")
 
+_SVG_WIDTH = 640  # px; the height follows from the bounds' aspect ratio
 _PALETTE = ("#c0392b", "#2471a3", "#1e8449", "#8e44ad", "#b7950b")
 
 
@@ -57,14 +58,14 @@ def read_trajectory_csv(path) -> Trajectory:
 
 # --- SVG --------------------------------------------------------------------------
 
-def render_svg(s: Scenario, trajectories=(), *, width: int = 640) -> str:
+def render_svg(s: Scenario, trajectories=()) -> str:
     """Scenario plot: exactly one polygon per obstacle and one polyline per
     trajectory, start/goal as circles. Coordinates stay in meters; a group
     transform flips the viewport so world +y points up.
     """
     b = s.bounds
     margin = 20.0
-    k = (width - 2 * margin) / (b.xmax - b.xmin)
+    k = (_SVG_WIDTH - 2 * margin) / (b.xmax - b.xmin)
     height = 2 * margin + k * (b.ymax - b.ymin)
     tx = margin - k * b.xmin
     ty = height - margin + k * b.ymin
@@ -73,8 +74,8 @@ def render_svg(s: Scenario, trajectories=(), *, width: int = 640) -> str:
         return f"{p.x:.6f},{p.y:.6f}"
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height:.0f}" viewBox="0 0 {width} {height:.0f}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" '
+        f'height="{height:.0f}" viewBox="0 0 {_SVG_WIDTH} {height:.0f}">',
         f'  <g transform="translate({tx:.6f},{ty:.6f}) scale({k:.6f},{-k:.6f})">',
         f'    <rect x="{b.xmin}" y="{b.ymin}" width="{b.xmax - b.xmin}" '
         f'height="{b.ymax - b.ymin}" fill="#fdfdfd" stroke="#999" '
@@ -98,9 +99,9 @@ def render_svg(s: Scenario, trajectories=(), *, width: int = 640) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_svg(path, s: Scenario, trajectories=(), *, width: int = 640) -> None:
+def write_svg(path, s: Scenario, trajectories=()) -> None:
     with open(path, "w") as fh:
-        fh.write(render_svg(s, trajectories, width=width))
+        fh.write(render_svg(s, trajectories))
 
 
 # --- benchmark report -------------------------------------------------------------

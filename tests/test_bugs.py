@@ -406,6 +406,28 @@ def test_budget_exhaustion_truncates_result_with_limit_outcome():
     assert len(traj.waypoints) - 1 == 10
 
 
+@pytest.mark.parametrize("runner", [bug1_result, bug2_result], ids=["bug1", "bug2"])
+@pytest.mark.parametrize("scene", [
+    lambda: builtin_scenario("scenario1"),
+    square_scene,
+    lambda: skin_goal_scene(Point2(2.11, 1.09), start=Point2(-3, 1.09)),
+], ids=["scenario1", "square", "unreachable"])
+def test_every_budget_truncates_the_unlimited_route(runner, scene):
+    # k runs out in the march, the survey lap, the return arc, Bug2's walk or
+    # its leave move: each budget keeps the first k moves and ends in LIMIT
+    s = scene()
+    full, full_outcome = runner(s, 200000)
+    n = len(full.directions)
+    assert full_outcome != OUTCOME_LIMIT
+    for k in range(1, n + 2):
+        traj, outcome = runner(s, k)
+        m = min(k, n)
+        assert outcome == (OUTCOME_LIMIT if k < n else full_outcome)
+        assert traj.waypoints == full.waypoints[: m + 1]
+        assert traj.directions == full.directions[:m]
+        assert traj.events == full.events[:m]
+
+
 def test_result_api_returns_full_trajectory_on_success():
     s = square_scene()
     traj, outcome = bug2_result(s, 20000)
