@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .geometry import Point2, distance, math_to_compass
+from .geometry import Point2, circular_diff, distance, math_to_compass
 from .sensing import SENSOR_ANGLES, SensorScan, scan
 from .world import Scenario
 
@@ -40,6 +40,9 @@ _MOVE = {a: (a, _SIGNS[a]) for a in DIRECTIONS}
 _REVERSE = {a: (a + 180.0) % 360.0 for a in DIRECTIONS}
 _INDEX = {a: k for k, a in enumerate(DIRECTIONS)}
 _DIRECTION_OF = {signs: a for a, signs in _SIGNS.items()}
+# (sensor index, move) in select_direction's order for a bearing strictly inside each 22.5-degree sector
+_SECTOR_ORDER = tuple(tuple((k, _MOVE[a]) for k, a in sorted(enumerate(DIRECTIONS), key=lambda ka: circular_diff(ka[1], 22.5 * s + 11.25)))
+                      for s in range(16))
 _new = tuple.__new__  # builds a named tuple on the step path without its Python-level __new__
 
 Node = tuple[int, int]
@@ -123,16 +126,37 @@ def free_directions(scan_: SensorScan) -> list[float]:
     return [a for a, reading in zip(DIRECTIONS, scan_.readings) if reading.free]
 
 
-def _preference(pairs, theta_d: float) -> list[tuple[float, float, float]]:
-    """select_direction's key of each (angle, (free, measured distance)) pair that
-    reads free: the angular gap to the desired bearing, then the longer distance,
-    then the lower angle (sensor index). The angle ends the key, so keys sort like angles."""
+def _ranked(theta: float, readings) -> list[tuple[float, tuple[int, int]]]:
+    """The moves (angle, signs) whose reading (free, dist) reads free, in the order of
+    select_direction's key (gap from a to theta, -dist, a). In the gap only a - theta
+    rounds, by under 3e-14 (abs, % 360 and 360 - d for d >= 180 are exact), so float
+    gaps order like exact ones that differ by over 2e-9. Between consecutive multiples of
+    22.5, two exact gaps differ with slope 0 or +-2 (a gap kinks only at a and a + 180);
+    at those multiples they differ by a multiple of 22.5, and by 0 only there. So with
+    theta over 1e-9 inside sector s, two gaps differ by twice its distance to an end
+    where they are equal, or else by 22.5 or more: by over 2e-9 either way, so the
+    sector's order holds. At theta = 45 c (360 as 0) the ties are exact: c, the pairs c -+ 1,
+    c -+ 2, c -+ 3, each by (-dist, a), then c + 4. Other thetas sort their keys."""
+    if 0.0 <= theta <= 360.0:
+        s = int(theta // 22.5)
+        lo = 22.5 * s
+        if theta - lo > 1e-9 and lo + 22.5 - theta > 1e-9:
+            return [move for k, move in _SECTOR_ORDER[s] if readings[k][0]]
+        if theta % 45.0 == 0.0:
+            c = s // 2 % 8
+            order = [c]
+            for m in (1, 2, 3):
+                a, b = (c - m) % 8, (c + m) % 8
+                order += (b, a) if (-readings[b][1], b) < (-readings[a][1], a) else (a, b)
+            order.append((c + 4) % 8)
+            return [_MOVE[DIRECTIONS[k]] for k in order if readings[k][0]]
     keys = []
-    for a, (free, dist) in pairs:
+    for a, (free, dist) in zip(DIRECTIONS, readings):
         if free:
-            d = abs(a - theta_d) % 360.0  # circular_diff(a, theta_d) is min(d, 360 - d)
+            d = abs(a - theta) % 360.0  # circular_diff(a, theta) is min(d, 360 - d)
             keys.append((d if d <= 180.0 else 360.0 - d, -dist, a))
-    return keys
+    keys.sort()
+    return [_MOVE[a] for _, _, a in keys]
 
 
 def select_direction(candidates: list[float], theta_d: float, scan_: SensorScan) -> float:
@@ -140,19 +164,17 @@ def select_direction(candidates: list[float], theta_d: float, scan_: SensorScan)
     the longer measured distance, then to the lower sensor index."""
     if not candidates:
         raise ValueError("no candidate directions")
-    readings = scan_.readings  # every candidate counts, whatever its reading's free flag
-    return min(_preference([(a, (True, readings[_INDEX[a]].dist)) for a in candidates], theta_d))[2]
+    picked = {_INDEX[a] for a in candidates}  # every candidate counts, whatever its reading's free flag
+    return _ranked(theta_d, [(k in picked, r.dist) for k, r in enumerate(scan_.readings)])[0][0]
 
 
 def _visit(world: Scenario, pos: Point2) -> _NodeRecord:
     """The record of the node at pos, from a fresh scan unless pos is at the goal,
-    its free moves keyed in one pass over the readings and sorted."""
+    its free moves ranked by _ranked."""
     if distance(pos, world.goal) <= world.delta / 2:
         return _new(_NodeRecord, (pos, True, ()))
     readings = scan(pos, world, world.sensor_range, world.delta).readings
-    keys = _preference(zip(DIRECTIONS, readings), desired_angle(pos, world.goal))
-    keys.sort()
-    return _new(_NodeRecord, (pos, False, tuple([_MOVE[a] for _, _, a in keys])))
+    return _new(_NodeRecord, (pos, False, tuple(_ranked(desired_angle(pos, world.goal), readings))))
 
 
 def nspmr_step(state: NspmrState, world: Scenario, rules_enabled: bool = True) -> tuple[NspmrState, StepEvent]:

@@ -74,13 +74,15 @@ def _run_nspmr(s: Scenario, max_iters: int, rules_enabled: bool):
     """Step nspmr_step until the goal, stuck or max_iters. With the rules off in
     a static world the next node depends on the node alone, so the walk is
     periodic from its first repeated node: it is stepped up to that node, and
-    the rest of the budget repeats the cycle's waypoints, directions and events."""
+    the rest of the budget repeats the cycle's waypoints, directions and events.
+    Returns the trajectory, the outcome and the loop (j, k) or None: waypoint k repeats j."""
     state = NspmrState(start=s.start)
     world = s
     waypoints = [s.start]
     events: list[str] = []
     directions: list[float | None] = []
     outcome = OUTCOME_LIMIT
+    loop = None
     first = None if rules_enabled or s.is_dynamic else {state.node: 0}  # node -> its first waypoint index
     for k in range(1, max_iters + 1):
         state, ev = nspmr_step(state, world, rules_enabled)
@@ -99,8 +101,9 @@ def _run_nspmr(s: Scenario, max_iters: int, rules_enabled: bool):
             # waypoint k repeats waypoint j, so every later step repeats the one k - j before it
             for seq in (waypoints, events, directions):
                 seq.extend(islice(cycle(seq[j - k:]), max_iters - k))
+            loop = j, k
             break
-    return make_trajectory(s, waypoints, events, directions), outcome
+    return make_trajectory(s, waypoints, events, directions), outcome, loop
 
 
 def run(s: Scenario, planner: str, max_iters: int | None = None, *, rules_enabled: bool = True):
@@ -120,33 +123,43 @@ def run(s: Scenario, planner: str, max_iters: int | None = None, *, rules_enable
     if max_iters <= 0:
         raise ValueError("max_iters must be positive")
     s = replace(s)  # a copy: the planner and the audit share the poses cached along its next_tick, freed on return
+    loop = None
     if planner == "nspmr":
-        traj, outcome = _run_nspmr(s, max_iters, rules_enabled)
+        traj, outcome, loop = _run_nspmr(s, max_iters, rules_enabled)
     elif planner == "bug1":
         traj, outcome = bug1_result(s, max_iters)
     elif planner == "bug2":
         traj, outcome = bug2_result(s, max_iters)
     else:
         raise ValueError(f"unknown planner {planner!r}; expected one of {PLANNERS}")
-    problems = audit_collisions(traj, s)
-    if problems:
-        raise SimulationError("collision audit failed: " + "; ".join(problems[:3]))
+    wps, events = traj.waypoints, traj.events
+    # a loop (j, k) repeats wps[j:k] from k on, so wps[:k + 1] hold every distinct waypoint and
+    # directed segment of the static pose: the whole run is audited only to list what they fail
+    if loop is None or _pose_messages(wps, 0, loop[1] + 1, s):
+        problems = audit_collisions(traj, s)
+        if problems:
+            raise SimulationError("collision audit failed: " + "; ".join(problems[:3]))
     length = path_length(traj)
-    # planned departures per node of the delta/2 lattice anchored at the start,
-    # counted per distinct departure point first
+    # planned departures per node of the delta/2 lattice anchored at the start, counted per distinct
+    # departure point first: a loop's departures j..k-1 once, times their whole repeats, and the rest
+    # one by one; a run without one counts as a loop after its last departure, repeated 0 times
+    j, k = loop or (len(events), len(events) + 1)
+    reps, r = divmod(len(events) - j, k - j)
+    departures = Counter(compress(wps, map("moved".__eq__, events[: j + r])))
+    departures.update({p: reps * n for p, n in Counter(compress(wps[j:k], map("moved".__eq__, events[j:k]))).items()})
     half = s.delta / 2
     x0, y0 = s.start
     moved_departures: dict[tuple[int, int], int] = {}
-    for p, n in Counter(compress(traj.waypoints, map("moved".__eq__, traj.events))).items():
+    for p, n in departures.items():
         node = round((p.x - x0) / half), round((p.y - y0) / half)
         moved_departures[node] = moved_departures.get(node, 0) + n
     result = RunResult(
         outcome=outcome,
         length=length,
         travel_time=length / s.speed,
-        iterations=len(traj.waypoints) - 1,
+        iterations=len(wps) - 1,
         max_departures_per_cell=max(moved_departures.values(), default=0),
-        backtrack_count=traj.events.count("backtracked"),
+        backtrack_count=events.count("backtracked"),
     )
     return traj, result
 

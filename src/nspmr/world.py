@@ -134,7 +134,10 @@ _OBSTACLE_FIELDS = {"vertices", "velocity"}
 def _as_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(f"{where}: number too large") from None
 
 
 def _as_point(value, where: str) -> Point2:
@@ -184,7 +187,11 @@ def parse_scenario(text: str) -> Scenario:
         verts = entry["vertices"]
         if not (isinstance(verts, list) and len(verts) >= 3):
             raise ScenarioError(f"{where}: vertices must list at least 3 points")
-        poly = Polygon(tuple(_as_point(v, f"{where}.vertices[{j}]") for j, v in enumerate(verts)))
+        vertices = tuple(_as_point(v, f"{where}.vertices[{j}]") for j, v in enumerate(verts))
+        for j, v in enumerate(vertices):
+            if not (math.isfinite(v.x) and math.isfinite(v.y)):
+                raise ScenarioError(f"{where}.vertices[{j}]: must be finite")
+        poly = Polygon(vertices)
         velocity = None
         if "velocity" in entry and entry["velocity"] is not None:
             v = _as_point(entry["velocity"], f"{where}.velocity")
@@ -284,7 +291,7 @@ def make_trajectory(s: Scenario, waypoints, events, directions) -> Trajectory:
         waypoints=tuple(waypoints),
         events=tuple(events),
         directions=tuple(directions),
-        timestamps=tuple(i * dt for i in range(len(waypoints))),
+        timestamps=tuple(map(dt.__mul__, range(len(waypoints)))),  # i * dt, bit for bit
     )
 
 

@@ -5,6 +5,7 @@ so a value leaking from the host environment cannot skew determinism checks.
 """
 
 import csv
+import json
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ import pytest
 from nspmr import cli
 from nspmr.geometry import Point2, Polygon
 from nspmr.sim import grid_oracle
-from nspmr.world import Bounds, Obstacle, Scenario, parse_scenario, serialize_scenario, validate_scenario
+from nspmr.world import Bounds, Obstacle, Scenario, builtin_scenario, parse_scenario, serialize_scenario, validate_scenario
 
 
 @pytest.fixture(autouse=True)
@@ -106,6 +107,22 @@ def test_run_usage_and_validation_errors_exit_1(tmp_path, capsys):
         rc, _, err = run_main(argv, capsys)
         assert rc == 1, argv
         assert err, argv
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda raw: raw.update(delta=10 ** 400), "delta"),  # a 401-digit integer overflows float()
+    (lambda raw: raw["obstacles"][0]["vertices"][1].__setitem__(0, float("nan")), "obstacles[0].vertices[1]"),
+    (lambda raw: raw["obstacles"][0]["vertices"][2].__setitem__(1, float("inf")), "obstacles[0].vertices[2]"),
+], ids=["huge_delta", "nan_vertex", "infinite_vertex"])
+def test_run_scenario_file_with_unrepresentable_number_exits_1(edit, field, tmp_path, capsys):
+    raw = json.loads(serialize_scenario(builtin_scenario("scenario1")))
+    edit(raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))  # writes NaN and Infinity, which parse_scenario's json reads back
+    rc, out, err = run_main(["run", "--scenario", str(path), "--planner", "nspmr"], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.splitlines() == [err.strip()] and err.startswith(f"error: {field}: ")
 
 
 def test_run_sensor_range_override_changes_path(capsys):

@@ -1,5 +1,6 @@
 """Direction selection, priority rules, lattice moves, backtracking."""
 
+import math
 import random
 from collections import Counter
 from dataclasses import replace
@@ -179,6 +180,38 @@ def test_selected_difference_never_beaten(subtests=None):
         chosen = select_direction(list(map(float, cands)), theta, sc)
         for other in cands:
             assert circular_diff(chosen, theta) <= circular_diff(other, theta) + 1e-12
+
+
+def _ranking_bearings(rng):
+    """Each multiple of 22.5 in [0, 360], its float neighbours, points 1e-9 around it and
+    just either side of that margin, and uniform draws."""
+    out = [rng.uniform(0.0, 360.0) for _ in range(150)]
+    for m in range(17):
+        t = 22.5 * m
+        out += [t, math.nextafter(t, -1.0), math.nextafter(t, 361.0)]
+        out += [t + sign * e for sign in (1, -1) for e in (1e-9, 0.999e-9, 1.001e-9, 3e-9)]
+    return [t for t in out if 0.0 <= t <= 360.0]
+
+
+def test_record_order_equals_repeated_selection_at_sector_edges_and_ties(monkeypatch):
+    # the record's ranking (a sector table, the exact-tie rule at multiples of 45, or the key
+    # sort near other edges) must pick the moves as select_direction does one at a time, and
+    # as the key (circular_diff, -distance, angle) sorts them
+    rng = random.Random(SEED)
+    w = _world()
+    for theta in _ranking_bearings(rng):
+        monkeypatch.setattr(planner, "desired_angle", lambda pos, goal: theta)
+        for _ in range(6):
+            # two distances only, so the pairs tied at a multiple of 45 often tie on distance too
+            sc = _scan([rng.random() < 0.8 for _ in range(8)], [rng.choice((0.5, 1.0)) for _ in range(8)])
+            monkeypatch.setattr(planner, "scan", lambda *args: sc)
+            got = [a for a, _ in planner._visit(w, w.start).order]
+            cands, want = free_directions(sc), []
+            while cands:
+                want.append(select_direction(cands, theta, sc))
+                cands.remove(want[-1])
+            key = {a: (circular_diff(a, theta), -r.dist, a) for a, r in zip(DIRECTIONS, sc.readings)}
+            assert got == want == sorted(free_directions(sc), key=key.get), theta
 
 
 # --- nspmr_step ------------------------------------------------------------------

@@ -270,6 +270,29 @@ def test_rules_off_loop_equals_a_stepped_walk(name, monkeypatch):
     assert len(calls) == k
 
 
+@pytest.mark.parametrize("name", sorted(FIRST_REPEAT))
+def test_rules_off_loop_bookkeeping_equals_a_full_recount(name, monkeypatch):
+    # run audits and tallies a control's loop once; its result must equal one recounted over the
+    # whole trajectory, for budgets that end before, at and after the first repeat, mid-loop and long after
+    s = builtin_scenario(name)
+    k, period = FIRST_REPEAT[name]
+    for budget in (k - 1, k, k + 1, k + period, k + 2 * period + 1, 1000):
+        traj, res = run(s, "nspmr", budget, rules_enabled=False)
+        assert res == _recount(s, traj, res.outcome)
+        assert res.length == path_length(traj)
+        assert audit_collisions(traj, s) == []
+    # an obstacle over a loop waypoint fails the loop's audit, and run raises with the messages
+    # of a full audit
+    x, y = traj.waypoints[k]
+    blocked = replace(s, obstacles=s.obstacles + (Obstacle(_rect(x - 0.05, y - 0.05, x + 0.05, y + 0.05)),))
+    monkeypatch.setattr(sim, "_run_nspmr", lambda *args: (traj, "iteration_limit", (k - period, k)))
+    problems = audit_collisions(traj, blocked)
+    assert len(problems) > 3
+    with pytest.raises(SimulationError) as err:
+        run(blocked, "nspmr", 1000, rules_enabled=False)
+    assert str(err.value) == "collision audit failed: " + "; ".join(problems[:3])
+
+
 @pytest.mark.parametrize("name, budget", [("dynamic_crossing", 1000), ("scenario1", 123), ("scenario1", 4000)])
 def test_rules_off_run_without_a_repeat_equals_a_stepped_walk(name, budget):
     # a moving world is never repeated; scenario1 reaches its goal before any node repeats

@@ -22,7 +22,9 @@ per-pair ratio B/A is steadier than either side's time. Layers:
             on worlds 0-49, as one random-suite pass
     trap    the six runs of a trap_escape pass: nspmr on concave_trap,
             corridor_loop and triangle_loop with the rules at
-            iteration_ceiling, and without them at 1000 iterations
+            iteration_ceiling, and without them at 1000 iterations; it
+            also prints each tree's run_ms.p50 as perfbench defines it,
+            the median over all passes of each pass's median run time
     moving  run(s, "nspmr") on dynamic_crossing and on paper_suite's two
             fast movers, whose errors count as their answers
 
@@ -142,12 +144,16 @@ def trap_layer(nspmr):
     run = nspmr.run
 
     def one_pass():
-        out = []
+        out, times = [], []
         for s, budget, rules in jobs:
+            t0 = time.perf_counter()
             traj, result = run(s, "nspmr", budget, rules_enabled=rules)
+            times.append(time.perf_counter() - t0)
             out.append((traj.waypoints, traj.events, traj.directions, repr(result)))
+        one_pass.run_medians.append(statistics.median(times))
         return out
 
+    one_pass.run_medians = []
     return one_pass
 
 
@@ -196,6 +202,8 @@ def main() -> int:
     if fa() != fb():
         print(f"{args.layer}: the two trees give different answers", file=sys.stderr)
         return 1
+    for f in (fa, fb):
+        getattr(f, "run_medians", []).clear()
     pairs = []
     for k in range(PAIRS):
         if k % 2 == 0:
@@ -211,6 +219,9 @@ def main() -> int:
     ratio = statistics.median(tb / ta for ta, tb in pairs)
     wins = sum(tb < ta for ta, tb in pairs)
     print(f"{args.layer}: a {med_a * 1e3:.2f} ms  b {med_b * 1e3:.2f} ms  median b/a {ratio:.3f}  b wins {wins}/{len(pairs)}")
+    if hasattr(fa, "run_medians"):
+        a_p50, b_p50 = (1e3 * statistics.median(f.run_medians) for f in (fa, fb))
+        print(f"{args.layer} run_ms.p50: a {a_p50:.3f} ms  b {b_p50:.3f} ms  b/a {b_p50 / a_p50:.3f}")
     return 0
 
 
