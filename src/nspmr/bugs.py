@@ -8,8 +8,9 @@ delta/2 with every outline vertex included, so the robot's boundary waypoints
 lie exactly on the offset polygon. Straight motion marches delta/2 steps
 toward the goal and stops at the exact point where the path pierces an
 outline, found by geometry._segment_hits, the contact routine of the collision
-audit too. bug1_result and bug2_result return a world.Trajectory and a
-world.OUTCOME_* value; sim.run dispatches to them.
+audit too. A leg queries the outlines only on the steps that can reach a
+ring's bbox, found once per leg. bug1_result and bug2_result return a
+world.Trajectory and a world.OUTCOME_* value; sim.run dispatches to them.
 """
 
 from __future__ import annotations
@@ -119,14 +120,20 @@ class _Recorder:
     def pos(self) -> Point2:
         return self.wp[-1]
 
-    def move_to(self, p: Point2) -> bool:
-        last = self.wp[-1]
-        if distance(last, p) <= 1e-12:
-            return True
-        if len(self.dirs) >= self.max:
-            return False
-        self.wp.append(p)
-        self.dirs.append(math_to_compass(math.degrees(math.atan2(p.y - last.y, p.x - last.x))))
+    def extend(self, points) -> bool:
+        """Move to each point in turn, skipping moves of at most 1e-12;
+        False once the budget stops one, leaving the rest unread."""
+        wp, dirs = self.wp, self.dirs
+        last = wp[-1]
+        for p in points:
+            dx, dy = p.x - last.x, p.y - last.y
+            if math.hypot(dx, dy) <= 1e-12:
+                continue
+            if len(dirs) >= self.max:
+                return False
+            wp.append(p)
+            dirs.append(math_to_compass(math.degrees(math.atan2(dy, dx))))
+            last = p
         return True
 
 
@@ -144,8 +151,11 @@ def _prepare(s: Scenario) -> list[_Ring]:
         for b in s.obstacles[i + 1 :]:
             if _closer_than(a.shape, b.shape, 2 * c):
                 raise ScenarioError("obstacles closer than twice the boundary clearance")
+        x0, y0, x1, y1 = a.shape.bbox()
         for label, p in (("start", s.start), ("goal", s.goal)):
-            if point_polygon_distance(p, a.shape) <= c:
+            # geometry._bbox_gap's lower bound on the distance, with _closer_than's slack
+            gap = math.hypot(max(p.x - x1, x0 - p.x, 0.0), max(p.y - y1, y0 - p.y, 0.0))
+            if gap <= c + 1e-9 and point_polygon_distance(p, a.shape) <= c:
                 raise ScenarioError(f"{label} lies within the boundary clearance of an obstacle")
     for i, ring in enumerate(rings):
         x0, y0, x1, y1 = ring.bbox
@@ -181,16 +191,53 @@ def _step_toward(p: Point2, goal: Point2, delta: float) -> Point2 | None:
     return Point2(p.x + (goal.x - p.x) / rem * step, p.y + (goal.y - p.y) / rem * step)
 
 
+def _windows(p: Point2, goal: Point2, rings: list[_Ring], step: float) -> list[tuple[float, float]]:
+    """(hi, lo) of each stretch lo <= rem <= hi of remaining distance from which a
+    step of the march p->goal can meet a ring's bbox (_first_entry's), by hi.
+    The steps stay within eps of X(r) = goal - r (goal - p) / L: each re-aims at
+    the goal, so the offset it inherits shrinks, and adds under 1e-15 (L + |goal|)
+    of rounding. X(r) lies in the bbox grown by eps for r in [lo, h], one slab
+    per axis (Kay & Kajiya 1986), so a step from rem down to rem - step can meet
+    it only for lo <= rem <= h + step = hi; the growth covers rem's rounding."""
+    L = distance(p, goal)
+    eps = (1 + L + math.hypot(*goal)) * (1e-9 + 1e-15 * L / step)
+    spans = []
+    for ring in rings:
+        lo, hi = -math.inf, math.inf
+        for g, d, a, b in zip(goal, (goal.x - p.x, goal.y - p.y), ring.bbox[:2], ring.bbox[2:]):
+            if d:
+                r0, r1 = sorted(((g - b - eps) / d * L, (g - a + eps) / d * L))
+                lo, hi = max(lo, r0), min(hi, r1)
+            elif not a - eps <= g <= b + eps:
+                lo = math.inf
+        spans.append((hi + step, lo))
+    return sorted(spans)
+
+
 def _march(rec: _Recorder, goal: Point2, rings: list[_Ring], delta: float):
     """Straight steps toward the goal until arrival, an outline hit, or budget
-    exhaustion. Returns OUTCOME_GOAL, OUTCOME_LIMIT or the hit ring's index."""
-    while (q := _step_toward(rec.pos, goal, delta)) is not None:
-        hit = _first_entry(rec.pos, q, rings)
-        if hit is not None:
-            return hit[1] if rec.move_to(hit[2]) else OUTCOME_LIMIT
-        if not rec.move_to(q):
-            return OUTCOME_LIMIT
-    return OUTCOME_GOAL
+    exhaustion. Returns OUTCOME_GOAL, OUTCOME_LIMIT or the hit ring's index.
+    Each step is _step_toward's. _first_entry tests it only inside one of
+    _windows' stretches, read from the top as rem falls: a stretch whose lo rem
+    has passed is done, and a rem above the top one's hi is above every hi."""
+    step, hit = delta / 2, []
+
+    def steps(p: Point2):
+        spans = _windows(p, goal, rings, step)
+        while (rem := math.hypot(goal.x - p.x, goal.y - p.y)) > 1e-12:
+            q = goal if rem <= step else Point2(p.x + (goal.x - p.x) / rem * step, p.y + (goal.y - p.y) / rem * step)
+            while spans and rem < spans[-1][1]:
+                spans.pop()
+            if spans and rem <= spans[-1][0] and (entry := _first_entry(p, q, rings)) is not None:
+                hit.append(entry[1])
+                yield entry[2]
+                return
+            yield q
+            p = q
+
+    if not rec.extend(steps(rec.pos)):
+        return OUTCOME_LIMIT
+    return hit[0] if hit else OUTCOME_GOAL
 
 
 def _departure_free(p: Point2, goal: Point2, rings: list[_Ring], delta: float) -> bool:
@@ -227,7 +274,7 @@ def _bug1_follow(s: Scenario, rings: list[_Ring], ring: _Ring, rec: _Recorder) -
     free departure."""
     hit_point = rec.pos
     s_hit = ring.closest_to(hit_point)[1]
-    if not all(map(rec.move_to, ring.arc_points(s_hit, ring.perimeter, 1, s.delta / 2)[1:])):
+    if not rec.extend(ring.arc_points(s_hit, ring.perimeter, 1, s.delta / 2)[1:]):
         return OUTCOME_LIMIT
     leave, s_leave = ring.closest_to(s.goal)
     if distance(leave, s.goal) >= distance(hit_point, s.goal) - 1e-9:
@@ -235,7 +282,7 @@ def _bug1_follow(s: Scenario, rings: list[_Ring], ring: _Ring, rec: _Recorder) -
     ccw_arc = (s_leave - s_hit) % ring.perimeter
     cw_arc = ring.perimeter - ccw_arc
     arc, sign = (ccw_arc, 1) if ccw_arc <= cw_arc else (cw_arc, -1)
-    if not all(map(rec.move_to, ring.arc_points(s_hit, arc, sign, s.delta / 2)[1:])):
+    if not rec.extend(ring.arc_points(s_hit, arc, sign, s.delta / 2)[1:]):
         return OUTCOME_LIMIT
     return None if _departure_free(rec.pos, s.goal, [ring], s.delta) else OUTCOME_UNREACHABLE
 
@@ -263,13 +310,11 @@ def _bug2_follow(s: Scenario, rings: list[_Ring], ring: _Ring, rec: _Recorder) -
     closer to the goal than the hit, with a free departure."""
     hit_dist = distance(rec.pos, s.goal)
     pts = ring.arc_points(ring.closest_to(rec.pos)[1], ring.perimeter, -1, s.delta / 2)
-    for a, b in zip(pts, pts[1:]):
-        x = _mline_crossing(a, b, s.start, s.goal)
+    for i in range(1, len(pts)):
+        x = _mline_crossing(pts[i - 1], pts[i], s.start, s.goal)
         if x is not None and distance(x, s.goal) < hit_dist - 1e-9 and _departure_free(x, s.goal, rings, s.delta):
-            return None if rec.move_to(x) else OUTCOME_LIMIT
-        if not rec.move_to(b):
-            return OUTCOME_LIMIT
-    return OUTCOME_UNREACHABLE
+            return None if rec.extend(pts[1:i] + [x]) else OUTCOME_LIMIT
+    return OUTCOME_UNREACHABLE if rec.extend(pts[1:]) else OUTCOME_LIMIT
 
 
 def bug2_result(s: Scenario, max_iters: int) -> tuple[Trajectory, str]:

@@ -164,6 +164,8 @@ def select_direction(candidates: list[float], theta_d: float, scan_: SensorScan)
     the longer measured distance, then to the lower sensor index."""
     if not candidates:
         raise ValueError("no candidate directions")
+    if bad := [a for a in candidates if a not in _INDEX]:
+        raise ValueError(f"candidate {bad[0]!r} is not one of the 8 lattice directions")
     picked = {_INDEX[a] for a in candidates}  # every candidate counts, whatever its reading's free flag
     return _ranked(theta_d, [(k in picked, r.dist) for k, r in enumerate(scan_.readings)])[0][0]
 

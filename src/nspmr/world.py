@@ -131,7 +131,12 @@ _BOUNDS_FIELDS = {"xmin", "ymin", "xmax", "ymax"}
 _OBSTACLE_FIELDS = {"vertices", "velocity"}
 
 
+_TOO_LONG = object()  # json's value for an integer literal of 400+ characters, beyond any float
+
+
 def _as_number(value, where: str) -> float:
+    if value is _TOO_LONG:
+        raise ScenarioError(f"{where}: number too large")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where}: expected a number, got {value!r}")
     try:
@@ -149,7 +154,8 @@ def _as_point(value, where: str) -> Point2:
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario JSON; raises ScenarioError on syntax, shape, or semantic problems."""
     try:
-        raw = json.loads(text)
+        # int() itself refuses a literal of over 4,300 digits (Python 3.11+)
+        raw = json.loads(text, parse_int=lambda digits: int(digits) if len(digits) < 400 else _TOO_LONG)
     except json.JSONDecodeError as e:
         raise ScenarioError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
     if not isinstance(raw, dict):

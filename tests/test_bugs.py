@@ -9,17 +9,21 @@ import math
 
 import pytest
 
+from nspmr import bugs
+
 from nspmr.geometry import (
     CollinearOverlap,
     Point2,
     Polygon,
     distance,
+    math_to_compass,
+    point_polygon_distance,
     point_segment_distance,
     polygon_offset,
     segment_intersection,
 )
 from nspmr.sim import audit_collisions, path_length, run
-from nspmr.bugs import _departure_free, _prepare, _Ring, bug1_result, bug2_result
+from nspmr.bugs import _departure_free, _first_entry, _march, _prepare, _Recorder, _Ring, _step_toward, bug1_result, bug2_result
 from nspmr.world import (
     OUTCOME_GOAL,
     OUTCOME_LIMIT,
@@ -317,6 +321,164 @@ def test_bug2_unreachable_returns_to_hit_point():
     traj, outcome = bug2_result(s, 10000)
     assert outcome == OUTCOME_UNREACHABLE
     assert distance(traj.waypoints[-1], Point2(-0.125, 1.09)) <= 1e-9
+
+
+# --- the march against a per-step reference ------------------------------------------
+
+def reference_move_to(rec, p):
+    """One recorded move by _Recorder's rule: skip <= 1e-12, stop at the budget."""
+    last = rec.wp[-1]
+    if distance(last, p) <= 1e-12:
+        return True
+    if len(rec.dirs) >= rec.max:
+        return False
+    rec.wp.append(p)
+    rec.dirs.append(math_to_compass(math.degrees(math.atan2(p.y - last.y, p.x - last.x))))
+    return True
+
+
+def reference_march(rec, goal, rings, delta):
+    """The march one step at a time: _step_toward, _first_entry on every step, then the move."""
+    while (q := _step_toward(rec.pos, goal, delta)) is not None:
+        hit = _first_entry(rec.pos, q, rings)
+        if hit is not None:
+            return hit[1] if reference_move_to(rec, hit[2]) else OUTCOME_LIMIT
+        if not reference_move_to(rec, q):
+            return OUTCOME_LIMIT
+    return OUTCOME_GOAL
+
+
+def per_step_result(runner, s, budget):
+    """runner's result with the reference march and one reference move per recorded point."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bugs, "_march", reference_march)
+        mp.setattr(_Recorder, "extend", lambda rec, points: all(reference_move_to(rec, p) for p in points))
+        return runner(s, budget)
+
+
+def assert_same_as_per_step(runner, s, budget=200000):
+    traj, outcome = runner(s, budget)
+    ref, ref_outcome = per_step_result(runner, s, budget)
+    assert (traj.waypoints, traj.directions, traj.events, outcome) == (ref.waypoints, ref.directions, ref.events, ref_outcome)
+    return outcome
+
+
+def march_both(start, goal, rings, delta, budget=100000):
+    """(outcome, waypoints, headings) of _march and of the reference from start."""
+    out = []
+    for march in (_march, reference_march):
+        rec = _Recorder(start, budget)
+        out.append((march(rec, goal, rings, delta), rec.wp, rec.dirs))
+    assert out[0] == out[1]
+    return out[0]
+
+
+def slack(start, goal, delta):
+    """The rounding slack a march leg from start to goal grows the ring bboxes by."""
+    L = distance(start, goal)
+    return (1 + L + math.hypot(*goal)) * (1e-9 + 1e-15 * L / (delta / 2))
+
+
+def diamond(cx, cy, r):
+    return Polygon((Point2(cx, cy - r), Point2(cx + r, cy), Point2(cx, cy + r), Point2(cx - r, cy)))
+
+
+@pytest.mark.parametrize("runner", [bug1_result, bug2_result], ids=["bug1", "bug2"])
+def test_march_equals_per_step_reference_on_worlds(runner):
+    outcomes = set()
+    for seed in range(50):
+        try:
+            outcomes.add(assert_same_as_per_step(runner, generate_world(seed)))
+        except ScenarioError:
+            pass
+    assert OUTCOME_GOAL in outcomes
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e3])
+@pytest.mark.parametrize("delta", [0.4, 0.3])
+@pytest.mark.parametrize("shape", [
+    Polygon((Point2(0, 0), Point2(1, 0), Point2(1, 1), Point2(0, 1))),  # the bbox corners are outline vertices
+    diamond(0.5, 0.5, 0.7),  # the bbox corners are empty
+], ids=["square", "diamond"])
+def test_march_equals_per_step_reference_on_adversarial_legs(shape, delta, shift):
+    rings = [_Ring(shape.translated(shift, shift), delta / 4)]
+    x0, y0, x1, y1 = rings[0].bbox
+    cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
+    step = delta / 2
+    legs = []
+    for o in (0.0, 1e-12, 1e-10, 0.5, 1.0, 2.0):
+        for sgn in (1, -1):
+            e = sgn * o * slack(Point2(x0 - 3, y1), Point2(x1 + 3, y1), delta) if o >= 0.5 else sgn * o
+            # along each bbox side, both ways: dy = 0 and dx = 0
+            legs += [(Point2(x0 - 3, y1 + e), Point2(x1 + 3, y1 + e)), (Point2(x1 + 3, y0 + e), Point2(x0 - 3, y0 + e)),
+                     (Point2(x0 + e, y0 - 3), Point2(x0 + e, y1 + 3)), (Point2(x1 + e, y1 + 3), Point2(x1 + e, y0 - 3))]
+            # straight into a side, from whole steps away, so that step ends land on it
+            legs += [(Point2(cx, y1 + k * step + e), Point2(cx, y0 - 3)) for k in (1, 4, 7)]
+            legs += [(Point2(x0 - k * step + e, cy + 0.1), Point2(x1 + 3, cy + 0.1)) for k in (1, 4, 7)]
+            # diagonally past or through each bbox corner
+            for px, py, sx, sy in ((x0, y0, -1, 1), (x1, y1, 1, -1), (x0, y1, 1, 1), (x1, y0, -1, -1)):
+                legs.append((Point2(px - 3 * sy + e, py - 3 * sx), Point2(px + 3 * sy + e, py + 3 * sx)))
+    # goals inside the bbox, on and off the outline, and legs that start on the outline
+    legs += [(Point2(x0 - 3, y0 - 2), Point2(x0 + 0.05, y0 + 0.05)), (Point2(x1 + 2, y1 + 3), Point2(cx, cy)),
+             (Point2(x0 - 3, cy), Point2(x0 + 1e-12, cy))]
+    for s in (0.0, 0.3, 1.7, rings[0].perimeter / 2):
+        on = rings[0].point_at(s)
+        legs += [(on, Point2(x1 + 3, y1 + 3)), (on, Point2(x0 - 3, y0 - 3)), (on, Point2(cx, cy)), (on, Point2(x1 + 3, on.y))]
+    outcomes = [march_both(a, b, rings, delta)[0] for a, b in legs]
+    assert outcomes.count(0) > 10 and outcomes.count(OUTCOME_GOAL) > 10
+
+
+def test_march_hits_a_ring_whose_window_holds_another():
+    # the leg y = 0 meets the bar's bbox for x in 5..15 and hits the bar near
+    # x = 10; the small square's window (x from 11.4 to 12.6) lies inside the bar's
+    bar = Polygon((Point2(5, -5), Point2(5.5, -5), Point2(15, 4.5), Point2(15, 5), Point2(14.5, 5), Point2(5, -4.5)))
+    square = Polygon((Point2(11.5, -0.5), Point2(12.5, -0.5), Point2(12.5, 0.5), Point2(11.5, 0.5)))
+    rings = [_Ring(bar, 0.1), _Ring(square, 0.1)]
+    assert march_both(Point2(0, 0), Point2(20, 0), rings, 0.4)[0] == 0
+
+
+def test_march_budget_runs_out_inside_and_outside_a_window():
+    # the leg y = x crosses the bbox of ring 0 (x from 4.86 to 6.14) without
+    # meeting its outline, then hits ring 1: every budget from 0 to the full run
+    rings = [_Ring(diamond(4, 7, 2), 0.1), _Ring(diamond(9, 9.5, 1), 0.1)]
+    start, goal = Point2(0, 0), Point2(12, 12)
+    outcome, wp, _ = march_both(start, goal, rings, 0.4)
+    assert outcome == 1 and len(wp) > 40
+    for budget in range(len(wp) + 1):
+        assert march_both(start, goal, rings, 0.4, budget)[0] == (1 if budget >= len(wp) - 1 else OUTCOME_LIMIT)
+
+
+@pytest.mark.parametrize("runner", [bug1_result, bug2_result], ids=["bug1", "bug2"])
+@pytest.mark.parametrize("offset", [1e-9, 1e-7, 0.5, 1.0, 2.0])
+def test_bug_runs_along_a_bbox_side_equal_per_step_reference(runner, offset):
+    # legs 1e-9 and 1e-7 above the unit square outline's top side y = 1.1, and at
+    # 0.5, 1 and 2 times the slack; then a vertical leg beside its east side x = 1.1
+    s = unit_square_scene()
+    e = offset if offset < 0.5 else offset * slack(Point2(-3, 1.1), Point2(3, 1.1), s.delta)
+    for start, goal in ((Point2(-3, 1.1 + e), Point2(3, 1.1 + e)), (Point2(1.1 + e, -3), Point2(1.1 + e, 3))):
+        scene = Scenario(name="side", bounds=s.bounds, start=start, goal=goal, obstacles=s.obstacles,
+                         delta=s.delta, sensor_range=s.sensor_range)
+        assert_same_as_per_step(runner, scene, 5000)
+
+
+@pytest.mark.parametrize("where", ["start", "goal"])
+def test_clearance_prefilter_decides_as_the_exact_distance(where):
+    # a 2x1 block and c = delta/4 = 0.3125; gaps of exactly c (3-4-5 off the
+    # corner: hypot(0.1875, 0.25)) and c -+ 1e-12, from the east edge and the NE corner
+    block = Polygon((Point2(0, 0), Point2(2, 0), Point2(2, 1), Point2(0, 1)))
+    c = 0.3125
+    refused = []
+    for e in (-1e-12, 0.0, 1e-12):
+        for p in (Point2(2 + c + e, 0.5), Point2(2 + 0.1875 * (1 + e / c), 1 + 0.25 * (1 + e / c))):
+            ends = {"start": Point2(-5, -5), "goal": Point2(-5, -5), where: p}
+            s = Scenario(name="gap", bounds=Bounds(-8, -8, 8, 8), obstacles=(Obstacle(block),), delta=4 * c, sensor_range=3.0, **ends)
+            refused.append(point_polygon_distance(p, block) <= c)
+            if refused[-1]:
+                with pytest.raises(ScenarioError, match=f"{where} lies within the boundary clearance"):
+                    _prepare(s)
+            else:
+                _prepare(s)
+    assert refused == [True, True, True, True, False, False]
 
 
 # --- feasibility and budget ----------------------------------------------------------

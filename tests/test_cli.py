@@ -14,7 +14,7 @@ import pytest
 from nspmr import cli
 from nspmr.geometry import Point2, Polygon
 from nspmr.sim import grid_oracle
-from nspmr.world import Bounds, Obstacle, Scenario, builtin_scenario, parse_scenario, serialize_scenario, validate_scenario
+from nspmr.world import Bounds, Obstacle, Scenario, ScenarioError, builtin_scenario, parse_scenario, serialize_scenario, validate_scenario
 
 
 @pytest.fixture(autouse=True)
@@ -123,6 +123,22 @@ def test_run_scenario_file_with_unrepresentable_number_exits_1(edit, field, tmp_
     assert rc == 1
     assert out == ""
     assert err.splitlines() == [err.strip()] and err.startswith(f"error: {field}: ")
+
+
+def test_run_scenario_file_with_integer_beyond_the_digit_limit_exits_1(tmp_path, capsys):
+    # 5,000 digits: past the 4,300 that Python 3.11's int() converts, so json.loads
+    # itself would raise a plain ValueError without parse_scenario's int hook
+    raw = json.loads(serialize_scenario(builtin_scenario("scenario1")))
+    raw["delta"] = "DIGITS"
+    text = json.dumps(raw).replace('"DIGITS"', "9" * 5000)
+    with pytest.raises(ScenarioError, match="^delta: number too large$"):
+        parse_scenario(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    rc, out, err = run_main(["run", "--scenario", str(path), "--planner", "nspmr"], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.splitlines() == ["error: delta: number too large"]
 
 
 def test_run_sensor_range_override_changes_path(capsys):

@@ -170,6 +170,12 @@ def test_select_empty_candidates_rejected():
         select_direction([], 0.0, ALL_FREE)
 
 
+@pytest.mark.parametrize("cands", [[10.0], [0.0, 10.0], [360.0]])
+def test_select_candidate_off_the_lattice_rejected(cands):
+    with pytest.raises(ValueError, match=f"candidate {cands[-1]!r} is not one of the 8 lattice directions"):
+        select_direction(cands, 0.0, ALL_FREE)
+
+
 def test_selected_difference_never_beaten(subtests=None):
     rng = random.Random(SEED)
     for _ in range(500):

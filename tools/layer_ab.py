@@ -18,6 +18,8 @@ per-pair ratio B/A is steadier than either side's time. Layers:
             every distinct node of the six runs of the trap layer and of
             the nspmr routes of worlds 0-49
     nspmr   run(s, "nspmr") on worlds 0-49
+    bug     run(s, "bug1") and run(s, "bug2") on worlds 0-49; a refused
+            world's error counts as its answer
     random  generate_world, grid_oracle(s, delta/2) and all three planners
             on worlds 0-49, as one random-suite pass
     trap    the six runs of a trap_escape pass: nspmr on concave_trap,
@@ -112,6 +114,24 @@ def nspmr_layer(nspmr):
     return lambda: [run(s, "nspmr")[0].waypoints for s in worlds]
 
 
+def bug_layer(nspmr):
+    worlds = [nspmr.generate_world(seed) for seed in WORLDS]
+    run = nspmr.run
+
+    def one_pass():
+        out = []
+        for s in worlds:
+            for planner in ("bug1", "bug2"):
+                try:
+                    traj, result = run(s, planner)
+                    out.append((traj.waypoints, traj.directions, result.outcome))
+                except nspmr.ScenarioError as e:
+                    out.append(str(e))
+        return out
+
+    return one_pass
+
+
 def random_layer(nspmr):
     def one_pass():
         out = []
@@ -177,7 +197,7 @@ def moving_layer(nspmr):
     return one_pass
 
 
-LAYERS = {"audit": audit_layer, "scan": scan_layer, "office": office_layer, "visit": visit_layer, "nspmr": nspmr_layer, "random": random_layer, "trap": trap_layer, "moving": moving_layer}
+LAYERS = {"audit": audit_layer, "scan": scan_layer, "office": office_layer, "visit": visit_layer, "nspmr": nspmr_layer, "bug": bug_layer, "random": random_layer, "trap": trap_layer, "moving": moving_layer}
 
 
 def sample(fn) -> float:
