@@ -9,6 +9,8 @@ scenario's bounds is never taken. Three rules keep the walk out of loops:
   II  never leave the same lattice node twice in the same direction;
   III when nothing remains, mark the node dead and step back along the trail.
 The dead-node set and per-node direction memory make every run terminate.
+_walk is the one NSPMR loop: sim.run iterates it, and nspmr_step takes one
+step of a fresh walk. _first_survivor is the one implementation of the rules.
 """
 
 from __future__ import annotations
@@ -103,22 +105,22 @@ class StepEvent(NamedTuple):
     new_pos: Point2
 
 
-def _survivors(moves, state: NspmrState):
-    """The moves (angle, signs) that survive rules I (no reversal), II (node
-    memory) and III (never step into a dead node), in the order given."""
-    i, j = node = state.node
-    node_used = state.used.get(node, ())
-    dead = state.dead
-    back = _REVERSE.get(state.prev_dir)
-    for angle, (sx, sy) in moves:
+def _first_survivor(moves, i: int, j: int, node_used, dead: set[Node], back: float | None):
+    """The first move (angle, signs) in moves that survives rules I (not back, the reversal),
+    II (not in node_used, node (i, j)'s memory) and III (never into a dead node), or None."""
+    for move in moves:
+        angle, (sx, sy) = move
         if angle != back and angle not in node_used and not (dead and (i + sx, j + sy) in dead):
-            yield angle, (sx, sy)
+            return move
+    return None
 
 
 def filter_candidates(scan_: SensorScan, state: NspmrState) -> list[float]:
     """Free directions that survive rules I (no reversal), II (node memory),
     and III (never step into a dead node)."""
-    return [angle for angle, _ in _survivors([_MOVE[a] for a in free_directions(scan_)], state)]
+    i, j = node = state.node
+    rules = i, j, state.used.get(node, ()), state.dead, _REVERSE.get(state.prev_dir)
+    return [a for a in free_directions(scan_) if _first_survivor((_MOVE[a],), *rules)]
 
 
 def free_directions(scan_: SensorScan) -> list[float]:
@@ -179,48 +181,65 @@ def _visit(world: Scenario, pos: Point2) -> _NodeRecord:
     return _new(_NodeRecord, (pos, False, tuple(_ranked(desired_angle(pos, world.goal), readings))))
 
 
-def nspmr_step(state: NspmrState, world: Scenario, rules_enabled: bool = True) -> tuple[NspmrState, StepEvent]:
-    """Advance one iteration; mutates and returns the state with the event."""
+def _walk(state: NspmrState, world: Scenario, rules_enabled: bool):
+    """The NSPMR loop: yields (kind, direction, new_pos) once per iteration, the last
+    one goal_reached or stuck. The walk keeps the node and heading in locals and writes
+    them back to state before each yield; a moving world advances one tick per move."""
     half = world.delta / 2
     x0, y0 = state.start
+    xmin, ymin, xmax, ymax = world.bounds
+    records, used, dead, trail = state.records, state.used, state.dead, state.trail
     i, j = node = state.node
-    record = state.records.get(node)
-    if record is None:
-        record = _visit(world, _new(Point2, (x0 + i * half, y0 + j * half)))
-        xmin, ymin, xmax, ymax = world.bounds
-        # drop the moves whose target, computed as below, is not strictly inside the bounds;
-        # rounding is monotone, so when the outermost targets are inside, every target is
-        if not (xmin < x0 + (i - 1) * half and x0 + (i + 1) * half < xmax
-                and ymin < y0 + (j - 1) * half and y0 + (j + 1) * half < ymax):
-            record = _new(_NodeRecord, (record.pos, record.at_goal, tuple([
-                (a, (sx, sy)) for a, (sx, sy) in record.order
-                if xmin < x0 + (i + sx) * half < xmax and ymin < y0 + (j + sy) * half < ymax
-            ])))
-        if not world.is_dynamic:
-            state.records[node] = record
-    pos, at_goal, order = record
-    if at_goal:
-        return state, _new(StepEvent, ("goal_reached", None, pos))
-    # the first survivor in preference order is select_direction's pick
-    move = next(_survivors(order, state) if rules_enabled else iter(order), None)
-    if move is not None:
-        direction, (sx, sy) = move
-        i, j = state.node = (i + sx, j + sy)
-        if rules_enabled:  # only the rules read the memory and the trail
-            state.used.setdefault(node, set()).add(direction)
-            state.trail.append(state.node)
-        state.prev_dir = direction
-        return state, _new(StepEvent, ("moved", direction, _new(Point2, (x0 + i * half, y0 + j * half))))
-    if not rules_enabled or len(state.trail) <= 1:
-        return state, _new(StepEvent, ("stuck", None, pos))
-    # rule III: retire this node and retrace one step of the trail. The goal's
-    # own node is never retired: it lies within delta/4 of the goal on each
-    # axis, so within delta/2, and the run has stopped there already.
-    state.dead.add(node)
-    state.trail.pop()
-    i, j = state.node = state.trail[-1]
-    back_dir = _DIRECTION_OF[i - node[0], j - node[1]]
-    # the departure consumed by the retreat is recorded like any other
-    state.used.setdefault(node, set()).add(back_dir)
-    state.prev_dir = None
-    return state, _new(StepEvent, ("backtracked", back_dir, _new(Point2, (x0 + i * half, y0 + j * half))))
+    prev_dir = state.prev_dir
+    dynamic = world.is_dynamic
+    while True:
+        record = records.get(node)
+        if record is None:
+            record = _visit(world, _new(Point2, (x0 + i * half, y0 + j * half)))
+            # drop the moves whose target, computed as below, is not strictly inside the bounds;
+            # rounding is monotone, so when the outermost targets are inside, every target is
+            if not (xmin < x0 + (i - 1) * half and x0 + (i + 1) * half < xmax
+                    and ymin < y0 + (j - 1) * half and y0 + (j + 1) * half < ymax):
+                record = _new(_NodeRecord, (record.pos, record.at_goal, tuple([
+                    (a, (sx, sy)) for a, (sx, sy) in record.order
+                    if xmin < x0 + (i + sx) * half < xmax and ymin < y0 + (j + sy) * half < ymax
+                ])))
+            if not dynamic:
+                records[node] = record
+        pos, at_goal, order = record
+        if at_goal:
+            yield "goal_reached", None, pos
+            return
+        # the first survivor in preference order is select_direction's pick
+        move = (_first_survivor(order, i, j, used.get(node, ()), dead, _REVERSE.get(prev_dir)) if rules_enabled
+                else order[0] if order else None)
+        if move is not None:
+            kind, (direction, (sx, sy)) = "moved", move
+            if rules_enabled:  # only the rules read the memory and the trail
+                used.setdefault(node, set()).add(direction)
+                trail.append((i + sx, j + sy))
+            i, j = node = (i + sx, j + sy)
+            prev_dir = direction
+        elif not rules_enabled or len(trail) <= 1:
+            yield "stuck", None, pos
+            return
+        else:
+            # rule III: retire this node and retrace one step of the trail. The goal's
+            # own node is never retired: it lies within delta/4 of the goal on each
+            # axis, so within delta/2, and the run has stopped there already.
+            dead.add(node)
+            trail.pop()
+            i, j = back = trail[-1]
+            kind, direction = "backtracked", _DIRECTION_OF[i - node[0], j - node[1]]
+            # the departure consumed by the retreat is recorded like any other
+            used.setdefault(node, set()).add(direction)
+            node, prev_dir = back, None
+        state.node, state.prev_dir = node, prev_dir
+        yield kind, direction, _new(Point2, (x0 + i * half, y0 + j * half))
+        if dynamic:
+            world = world.next_tick
+
+
+def nspmr_step(state: NspmrState, world: Scenario, rules_enabled: bool = True) -> tuple[NspmrState, StepEvent]:
+    """Advance one iteration of _walk; mutates and returns the state with the event."""
+    return state, _new(StepEvent, next(_walk(state, world, rules_enabled)))

@@ -18,7 +18,7 @@ from itertools import compress, cycle, islice
 from .bugs import bug1_result, bug2_result
 from .geometry import Point2, PointLocation, _segment_hits, point_in_polygon, segment_intersection
 from .lattice import _lattice_path, _lattice_shape
-from .planner import NspmrState, nspmr_step
+from .planner import NspmrState, _walk
 from .world import (
     OUTCOME_GOAL,
     OUTCOME_LIMIT,
@@ -71,37 +71,32 @@ def path_length(t) -> float:
 
 
 def _run_nspmr(s: Scenario, max_iters: int, rules_enabled: bool):
-    """Step nspmr_step until the goal, stuck or max_iters. With the rules off in
+    """Walk planner._walk until the goal, stuck or max_iters. With the rules off in
     a static world the next node depends on the node alone, so the walk is
-    periodic from its first repeated node: it is stepped up to that node, and
+    periodic from its first repeated node: it is walked up to that node, and
     the rest of the budget repeats the cycle's waypoints, directions and events.
     Returns the trajectory, the outcome and the loop (j, k) or None: waypoint k repeats j."""
     state = NspmrState(start=s.start)
-    world = s
     waypoints = [s.start]
     events: list[str] = []
     directions: list[float | None] = []
     outcome = OUTCOME_LIMIT
     loop = None
     first = None if rules_enabled or s.is_dynamic else {state.node: 0}  # node -> its first waypoint index
-    for k in range(1, max_iters + 1):
-        state, ev = nspmr_step(state, world, rules_enabled)
-        if ev.kind == "goal_reached":
-            outcome = OUTCOME_GOAL
+    for k, (kind, direction, pos) in enumerate(_walk(state, s, rules_enabled), 1):
+        if direction is None:  # the walk's last step: goal_reached or stuck
+            outcome = OUTCOME_GOAL if kind == "goal_reached" else OUTCOME_STUCK
             break
-        if ev.kind == "stuck":
-            outcome = OUTCOME_STUCK
-            break
-        waypoints.append(ev.new_pos)
-        events.append(ev.kind)
-        directions.append(ev.direction)
-        if s.is_dynamic:
-            world = world.next_tick
-        elif first is not None and (j := first.setdefault(state.node, k)) < k:
+        waypoints.append(pos)
+        events.append(kind)
+        directions.append(direction)
+        if first is not None and (j := first.setdefault(state.node, k)) < k:
             # waypoint k repeats waypoint j, so every later step repeats the one k - j before it
             for seq in (waypoints, events, directions):
                 seq.extend(islice(cycle(seq[j - k:]), max_iters - k))
             loop = j, k
+            break
+        if k == max_iters:
             break
     return make_trajectory(s, waypoints, events, directions), outcome, loop
 
@@ -120,8 +115,8 @@ def run(s: Scenario, planner: str, max_iters: int | None = None, *, rules_enable
         raise ScenarioError("; ".join(violations))
     if max_iters is None:
         max_iters = default_max_iters(s)
-    if max_iters <= 0:
-        raise ValueError("max_iters must be positive")
+    if isinstance(max_iters, bool) or not isinstance(max_iters, int) or max_iters <= 0:
+        raise ValueError(f"max_iters must be a positive integer, got {max_iters!r}")
     s = replace(s)  # a copy: the planner and the audit share the poses cached along its next_tick, freed on return
     loop = None
     if planner == "nspmr":

@@ -135,6 +135,14 @@ def test_run_rejects_nonpositive_budget():
         run(_empty(), "nspmr", 0)
 
 
+@pytest.mark.parametrize("planner", sim.PLANNERS)
+@pytest.mark.parametrize("budget", [10.5, 10.0, True, False, "5", 0, -3])
+def test_run_refuses_a_budget_that_is_not_a_positive_integer(planner, budget):
+    # every planner refuses it up front with one message, before any step is taken
+    with pytest.raises(ValueError, match=r"^max_iters must be a positive integer, got "):
+        run(builtin_scenario("scenario1"), planner, budget)
+
+
 def test_iteration_limit_outcome():
     traj, res = run(_empty(), "nspmr", 5)
     assert res.outcome == "iteration_limit"
@@ -219,13 +227,15 @@ def _recount(s, traj, outcome):
     )
 
 
-def _stepped_rules_off(s, max_iters):
-    """run(s, "nspmr", max_iters, rules_enabled=False), one nspmr_step call per iteration."""
-    state, world = NspmrState(start=s.start), s
+def _stepped(s, max_iters, rules_enabled, state=None):
+    """run(s, "nspmr", max_iters, rules_enabled=rules_enabled), one nspmr_step call per
+    iteration on state, a fresh one by default."""
+    state = NspmrState(start=s.start) if state is None else state
+    world = s
     waypoints, events, directions = [s.start], [], []
     outcome = "iteration_limit"
     for _ in range(max_iters):
-        state, ev = nspmr_step(state, world, False)
+        state, ev = nspmr_step(state, world, rules_enabled)
         if ev.kind in ("goal_reached", "stuck"):
             outcome = ev.kind
             break
@@ -254,7 +264,7 @@ FIRST_REPEAT = {"concave_trap": (55, 2), "corridor_loop": (56, 2), "triangle_loo
 @pytest.mark.parametrize("name", sorted(FIRST_REPEAT))
 def test_rules_off_loop_equals_a_stepped_walk(name, monkeypatch):
     s = builtin_scenario(name)
-    ref_traj, _ = _stepped_rules_off(s, 200)
+    ref_traj, _ = _stepped(s, 200, False)
     first_seen = {}
     for k, p in enumerate(ref_traj.waypoints):
         if p in first_seen:
@@ -262,10 +272,17 @@ def test_rules_off_loop_equals_a_stepped_walk(name, monkeypatch):
         first_seen[p] = k
     assert (k, k - first_seen[p]) == FIRST_REPEAT[name]
     for budget in (1, 1000, 4000, k - 1, k, k + 1):
-        _assert_same_run(run(s, "nspmr", budget, rules_enabled=False), _stepped_rules_off(s, budget))
-    # run steps the walk only up to its first repeated node
+        _assert_same_run(run(s, "nspmr", budget, rules_enabled=False), _stepped(s, budget, False))
+    # run walks only up to its first repeated node: the walk yields k steps
     calls = []
-    monkeypatch.setattr(sim, "nspmr_step", lambda *args: calls.append(1) or nspmr_step(*args))
+
+    def counted(*args):
+        for step in walk(*args):
+            calls.append(1)
+            yield step
+
+    walk = sim._walk
+    monkeypatch.setattr(sim, "_walk", counted)
     run(s, "nspmr", 4000, rules_enabled=False)
     assert len(calls) == k
 
@@ -298,8 +315,45 @@ def test_rules_off_run_without_a_repeat_equals_a_stepped_walk(name, budget):
     # a moving world is never repeated; scenario1 reaches its goal before any node repeats
     s = builtin_scenario(name)
     got = run(s, "nspmr", budget, rules_enabled=False)
-    _assert_same_run(got, _stepped_rules_off(s, budget))
+    _assert_same_run(got, _stepped(s, budget, False))
     assert len(set(got[0].waypoints)) == len(got[0].waypoints)
+
+
+# --- run: rules-on runs against a step-by-step walk -----------------------------------
+
+# every static builtin at its ceiling, and dynamic_crossing and worlds 0-9 at the default budget
+RULES_ON_RUNS = [pytest.param(s, default_max_iters(s) if s.is_dynamic else iteration_ceiling(s), id=name)
+                 for name in BUILTIN_NAMES for s in [builtin_scenario(name)]]
+RULES_ON_RUNS += [pytest.param(s, default_max_iters(s), id=f"world{seed}") for seed in range(10) for s in [generate_world(seed)]]
+
+
+@pytest.mark.parametrize("s, budget", RULES_ON_RUNS)
+def test_rules_on_run_equals_a_stepped_walk(s, budget):
+    _assert_same_run(run(s, "nspmr", budget), _stepped(s, budget, True))
+
+
+@pytest.mark.parametrize("name", ["concave_trap", "corridor_loop"])
+def test_a_walk_stopped_by_its_budget_leaves_the_stepped_state(name, monkeypatch):
+    # the walk keeps the node and heading in locals; stopped mid-run, the state it hands
+    # back must be the one that stepping nspmr_step one call at a time leaves
+    s = builtin_scenario(name)
+    states = []
+
+    def captured(state, *args):
+        states.append(state)
+        return walk(state, *args)
+
+    walk = sim._walk
+    monkeypatch.setattr(sim, "_walk", captured)
+    traj, res = run(s, "nspmr", iteration_ceiling(s))
+    full, first_retreat = res.iterations, traj.events.index("backtracked") + 1
+    for budget in (1, first_retreat, first_retreat + 1, full // 2, full - 1):
+        want = NspmrState(start=s.start)
+        _assert_same_run(run(s, "nspmr", budget), _stepped(s, budget, True, want))
+        got = states[-1]
+        assert (got.node, got.prev_dir, got.trail, got.used, got.dead, got.records) == (
+            want.node, want.prev_dir, want.trail, want.used, want.dead, want.records)
+        assert got.dead or budget < first_retreat
 
 
 def test_run_bookkeeping_equals_a_per_waypoint_recount():

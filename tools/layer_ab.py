@@ -25,8 +25,10 @@ per-pair ratio B/A is steadier than either side's time. Layers:
     trap    the six runs of a trap_escape pass: nspmr on concave_trap,
             corridor_loop and triangle_loop with the rules at
             iteration_ceiling, and without them at 1000 iterations; it
-            also prints each tree's run_ms.p50 as perfbench defines it,
-            the median over all passes of each pass's median run time
+            also prints each tree's run_ms.p50 and steps_per_s as perfbench
+            defines them, the median over all passes of each pass's median
+            run time and of each pass's planner iterations over its summed
+            run() seconds
     moving  run(s, "nspmr") on dynamic_crossing and on paper_suite's two
             fast movers, whose errors count as their answers
 
@@ -164,16 +166,18 @@ def trap_layer(nspmr):
     run = nspmr.run
 
     def one_pass():
-        out, times = [], []
+        out, times, steps = [], [], 0
         for s, budget, rules in jobs:
             t0 = time.perf_counter()
             traj, result = run(s, "nspmr", budget, rules_enabled=rules)
             times.append(time.perf_counter() - t0)
+            steps += result.iterations
             out.append((traj.waypoints, traj.events, traj.directions, repr(result)))
         one_pass.run_medians.append(statistics.median(times))
+        one_pass.rates.append(steps / sum(times))
         return out
 
-    one_pass.run_medians = []
+    one_pass.run_medians, one_pass.rates = [], []
     return one_pass
 
 
@@ -224,6 +228,7 @@ def main() -> int:
         return 1
     for f in (fa, fb):
         getattr(f, "run_medians", []).clear()
+        getattr(f, "rates", []).clear()
     pairs = []
     for k in range(PAIRS):
         if k % 2 == 0:
@@ -242,6 +247,8 @@ def main() -> int:
     if hasattr(fa, "run_medians"):
         a_p50, b_p50 = (1e3 * statistics.median(f.run_medians) for f in (fa, fb))
         print(f"{args.layer} run_ms.p50: a {a_p50:.3f} ms  b {b_p50:.3f} ms  b/a {b_p50 / a_p50:.3f}")
+        a_rate, b_rate = (statistics.median(f.rates) for f in (fa, fb))
+        print(f"{args.layer} steps_per_s: a {a_rate:.0f}  b {b_rate:.0f}  b/a {b_rate / a_rate:.3f}")
     return 0
 
 
