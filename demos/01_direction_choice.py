@@ -27,8 +27,7 @@ def main():
     print(f"desired bearing: {theta:.2f} deg (compass, 0 = +y, clockwise)\n")
 
     print("dir   free   range_m")
-    for angle in DIRECTIONS:
-        r = reading.reading(angle)
+    for angle, r in zip(DIRECTIONS, reading.readings):
         print(f"{angle:>3.0f}   {str(r.free):5}  {r.dist:7.3f}")
 
     state = NspmrState(start=pos)

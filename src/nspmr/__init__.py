@@ -6,21 +6,7 @@ baselines. Scenario files, deterministic world generation, a grid oracle
 for benchmark ratios, and CSV/SVG trajectory output round out the toolkit.
 """
 
-from .geometry import (
-    CollinearOverlap,
-    GeometryError,
-    Point2,
-    PointLocation,
-    Polygon,
-    circular_diff,
-    compass_unit,
-    math_to_compass,
-    normalize_compass,
-    point_in_polygon,
-    polygon_offset,
-    ray_cast,
-    segment_intersection,
-)
+from .geometry import GeometryError, Point2, Polygon, circular_diff, compass_unit
 from .output import (
     BenchRow,
     bench_row,
@@ -39,11 +25,10 @@ from .planner import (
     apply_move,
     desired_angle,
     filter_candidates,
-    free_directions,
     nspmr_step,
     select_direction,
 )
-from .sensing import SENSOR_ANGLES, SENSOR_COUNT, SensorReading, SensorScan, scan
+from .sensing import SensorReading, SensorScan, scan
 from .sim import (
     PLANNERS,
     RunResult,
@@ -82,7 +67,6 @@ __all__ = [
     "BUILTIN_NAMES",
     "BenchRow",
     "Bounds",
-    "CollinearOverlap",
     "DIRECTIONS",
     "GeometryError",
     "NspmrState",
@@ -93,11 +77,8 @@ __all__ = [
     "OUTCOME_UNREACHABLE",
     "PLANNERS",
     "Point2",
-    "PointLocation",
     "Polygon",
     "RunResult",
-    "SENSOR_ANGLES",
-    "SENSOR_COUNT",
     "Scenario",
     "ScenarioError",
     "SensorReading",
@@ -115,25 +96,18 @@ __all__ = [
     "desired_angle",
     "filter_candidates",
     "format_report_table",
-    "free_directions",
     "generate_world",
     "grid_oracle",
     "iteration_ceiling",
     "make_report",
     "make_trajectory",
-    "math_to_compass",
-    "normalize_compass",
     "nspmr_step",
     "parse_scenario",
     "path_length",
-    "point_in_polygon",
-    "polygon_offset",
-    "ray_cast",
     "read_trajectory_csv",
     "render_svg",
     "run",
     "scan",
-    "segment_intersection",
     "select_direction",
     "serialize_scenario",
     "step_dynamics",

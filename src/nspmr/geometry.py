@@ -42,11 +42,6 @@ class CollinearOverlap:
     end: Point2
 
 
-def normalize_compass(deg: float) -> float:
-    """Reduce an angle in degrees to [0, 360)."""
-    return deg % 360.0
-
-
 def math_to_compass(deg: float) -> float:
     """Convert a math angle (ccw from +x) to a compass angle (cw from +y).
 
@@ -64,7 +59,7 @@ def circular_diff(a: float, b: float) -> float:
 
 def compass_unit(deg: float) -> tuple[float, float]:
     """Unit vector for a compass heading; exact on multiples of 45 degrees."""
-    d = normalize_compass(deg)
+    d = deg % 360.0
     eighth = d / 45.0
     if eighth == int(eighth):
         sx, sy = _UNIT_TABLE[int(eighth)]
@@ -287,28 +282,6 @@ def _segment_hits(p: Point2, q: Point2, poly: Polygon) -> list[tuple[float, Poin
     return hits
 
 
-def ray_cast(
-    origin: Point2,
-    compass_deg: float,
-    max_range: float,
-    obstacles: Sequence[Polygon],
-) -> float | None:
-    """Distance to the first boundary hit along a compass heading, or None within max_range.
-
-    The origin must not be strictly inside any obstacle; ray_cast tests that
-    on every call and raises GeometryError otherwise. It casts its one ray
-    through ``_cast``, the kernel that ``sensing.scan`` runs once for all 8
-    rays after making the same test once, handing every obstacle the ray
-    with bound 0, so only the kernel's edge skip prunes. Hits at parameter
-    <= EPS_GEOM are ignored so standing exactly on a boundary point does not
-    read as an immediate collision; collinear grazing along an edge counts
-    as a hit at the nearest overlap point.
-    """
-    _require_origin_outside(origin, obstacles)
-    ray = ((0, *compass_unit(compass_deg)),)
-    return _cast(origin, 1, max_range, [(0.0, poly, ray) for poly in obstacles])[0]
-
-
 def _require_origin_outside(origin: Point2, obstacles: Sequence[Polygon]) -> None:
     for poly in obstacles:
         if point_in_polygon(origin, poly) is PointLocation.INSIDE:
@@ -317,13 +290,16 @@ def _require_origin_outside(origin: Point2, obstacles: Sequence[Polygon]) -> Non
 
 def _cast(origin: Point2, count: int, max_range: float,
           shapes: Sequence[tuple[float, Polygon, Sequence[tuple[int, float, float]]]]) -> list[float | None]:
-    """ray_cast's result for each of ``count`` rays, without the origin test, which the caller has made.
-    ``shapes`` are (bound, polygon, rays) triples in ascending bound order: ``rays`` holds (k, ux, uy),
-    with (ux, uy) the unit vector of ray k < count, for each ray that may hit the polygon, and no hit the
-    kernel accepts on the polygon is nearer than its bound. A ray skips a shape whose bound is not below
-    its best hit, and the loop stops once every ray does. One pass over a shape's edge table tests its
-    rays that do not skip it, and skips each edge whose bbox lies more than R + 2 M from the origin o
-    along an axis. A result is a minimum, so no value changes.
+    """The distance along each of ``count`` rays from origin to its first boundary hit within max_range,
+    or None; the caller has tested that origin is not strictly inside a shape (_require_origin_outside).
+    Hits at parameter <= EPS_GEOM are ignored, so standing on a boundary does not read as a collision, and
+    a ray along an edge hits it at the nearer overlap point. ``shapes`` are (bound, polygon, rays) triples
+    in ascending bound order, each polygon within R + EPS_GEOM (1 + W) of origin (below): ``rays`` holds
+    (k, ux, uy), with (ux, uy) the unit vector of ray k < count, for each ray that may hit the polygon,
+    and no hit the kernel accepts on the polygon is nearer than its bound. A ray skips a shape whose
+    bound is not below its best hit, and the loop stops once every ray does. One pass over a shape's edge
+    table tests its rays that do not skip it, and skips each edge whose bbox lies more than R + 2 M from
+    the origin o along an axis. A result is a minimum, so no value changes.
 
     With u = 2**-53, R = max_range, W = w + h >= every |e|, D = |a - o| and M = (1 + W) (EPS_GEOM + 2e-6
     (1 + R + W)): if W <= 2e6, denom's error 2u W is under EPS_GEOM / 2 < |denom| / 2, so rounding moves
@@ -333,11 +309,9 @@ def _cast(origin: Point2, count: int, max_range: float,
     passing within a few EPS_GEOM of it, off by under 1e-7 (1 + R + W). So every hit lies within M of its
     edge and, as |u| <= 1, t >= G - M with G the exact gap to the bbox: scan's bound. Also |t ux| and
     |t uy| <= R, so the edge's bbox lies within R + M of o on each axis and the skip keeps it: rounding
-    o +- fl(R + 2 M) cannot carry a comparison with a float across the exact limit. scan passes only
-    shapes with G <= R + EPS_GEOM (1 + W), so D <= 1 + R + W; past W = 2e6, M > 4 (1 + R + W) > G, so
-    the bound is below 0 and the skip keeps all their edges. ray_cast casts at every shape: for D > 1 + R
-    + W, solving the same bounds for D puts the hit within 3e-6 W (1 + R + W) + EPS_GEOM W < 2 M of the
-    edge when W <= 3e5."""
+    o +- fl(R + 2 M) cannot carry a comparison with a float across the exact limit. A shape has G <= R +
+    EPS_GEOM (1 + W), so D <= 1 + R + W; past W = 2e6, M > 4 (1 + R + W) > G, so the bound is below 0 and
+    the skip keeps all its edges."""
     ox, oy = origin
     best = [math.inf] * count
     for bound, poly, rays in shapes:

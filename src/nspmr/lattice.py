@@ -14,11 +14,14 @@ if TYPE_CHECKING:
 
 
 def _lattice_shape(b: Bounds, resolution: float) -> tuple[int, int]:
-    """Node counts (nx, ny) of the lattice with spacing resolution anchored at (xmin, ymin)."""
-    return (
-        int(round((b.xmax - b.xmin) / resolution)) + 1,
-        int(round((b.ymax - b.ymin) / resolution)) + 1,
-    )
+    """Node counts (nx, ny) of the lattice with spacing resolution anchored at (xmin, ymin). Raises
+    ValueError when they cannot be counted: resolution is not positive (delta/2 underflows to 0 at
+    delta = 5e-324), or an extent over resolution is not finite (delta = 1e-310, or bounds 2e308 wide)."""
+    if resolution > 0:
+        fx, fy = (b.xmax - b.xmin) / resolution, (b.ymax - b.ymin) / resolution
+        if math.isfinite(fx) and math.isfinite(fy):
+            return int(round(fx)) + 1, int(round(fy)) + 1
+    raise ValueError(f"cannot count the nodes of a lattice of spacing {resolution:g} over the bounds")
 
 
 def _lattice_blocked(s: Scenario, resolution: float, clearance: float) -> bytearray:

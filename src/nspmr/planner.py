@@ -120,12 +120,7 @@ def filter_candidates(scan_: SensorScan, state: NspmrState) -> list[float]:
     and III (never step into a dead node)."""
     i, j = node = state.node
     rules = i, j, state.used.get(node, ()), state.dead, _REVERSE.get(state.prev_dir)
-    return [a for a in free_directions(scan_) if _first_survivor((_MOVE[a],), *rules)]
-
-
-def free_directions(scan_: SensorScan) -> list[float]:
-    """Candidate set with all three rules switched off (control runs)."""
-    return [a for a, reading in zip(DIRECTIONS, scan_.readings) if reading.free]
+    return [a for a, (free, _) in zip(DIRECTIONS, scan_.readings) if free and _first_survivor((_MOVE[a],), *rules)]
 
 
 def _ranked(theta: float, readings) -> list[tuple[float, tuple[int, int]]]:

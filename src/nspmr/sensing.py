@@ -45,13 +45,7 @@ class SensorReading(NamedTuple):
 
 
 class SensorScan(NamedTuple):
-    readings: tuple[SensorReading, ...]
-
-    def reading(self, angle: float) -> SensorReading:
-        """Reading for a lattice direction given as a compass angle."""
-        if angle % 45 != 0:
-            raise ValueError(f"not a sensor direction: {angle}")
-        return self.readings[int(angle // 45) % SENSOR_COUNT]
+    readings: tuple[SensorReading, ...]  # reading k looks along SENSOR_ANGLES[k]
 
 
 def scan(pos: Point2, world: Scenario, d: float, delta: float) -> SensorScan:
@@ -71,10 +65,10 @@ def scan(pos: Point2, world: Scenario, d: float, delta: float) -> SensorScan:
     W) with u = 2**-53, well inside the (2 - sqrt(2)) M to spare; past W =
     2e6, 2 M > 8 (1 + d + W) keeps every ray. With no shape left every
     direction reads free at range d and no ray is cast. The rest go through
-    one pass of ``geometry._cast``, the kernel ``ray_cast`` uses for its
-    single ray, nearest shape first by the bound ``_cast`` proves, so each
-    reading equals ``ray_cast`` along its direction; the blocking thresholds
-    along an axis and along a diagonal are taken once per such scan, from
+    one pass of ``geometry._cast``, nearest shape first by the bound
+    ``_cast`` proves, so each reading equals that kernel's cast of its one
+    ray at every shape in range; the blocking thresholds along an axis and
+    along a diagonal are taken once per such scan, from
     ``blocking_threshold``. The result depends only
     on pos and the shapes, so in a static world the planner decides each
     lattice node once (``NspmrState.records``); in a moving world every step

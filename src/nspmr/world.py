@@ -24,7 +24,7 @@ from .geometry import (
     point_in_polygon,
     point_polygon_distance,
 )
-from .lattice import _lattice_path
+from .lattice import _lattice_path, _lattice_shape
 
 DEFAULT_DELTA = 0.5
 DEFAULT_SENSOR_RANGE = 1.0
@@ -101,6 +101,11 @@ def validate_scenario(s: Scenario) -> list[str]:
             out.append(f"{label} must lie strictly inside bounds")
     if not (math.isfinite(s.delta) and s.delta > 0):
         out.append("delta must be positive")
+    else:
+        try:
+            _lattice_shape(b, s.delta / 2)
+        except ValueError:
+            out.append("bounds hold too many delta/2 lattice nodes to count")
     if not (math.isfinite(s.sensor_range) and s.sensor_range > s.delta):
         out.append("sensor_range must exceed delta")
     if not (math.isfinite(s.speed) and s.speed > 0):

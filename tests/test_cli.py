@@ -141,6 +141,35 @@ def test_run_scenario_file_with_integer_beyond_the_digit_limit_exits_1(tmp_path,
     assert err.splitlines() == ["error: delta: number too large"]
 
 
+# scenarios whose delta/2 lattice has a node count that is not a finite float
+UNCOUNTABLE = {
+    "delta_1e-310": lambda raw: raw.update(delta=1e-310),  # extent / (delta/2) overflows
+    "delta_5e-324": lambda raw: raw.update(delta=5e-324),  # delta/2 underflows to 0
+    "bounds_2e308_wide": lambda raw: raw["bounds"].update(xmin=-1e308, xmax=1e308),  # the extent overflows
+}
+UNCOUNTABLE_MESSAGE = "bounds hold too many delta/2 lattice nodes to count"
+
+
+@pytest.mark.parametrize("planner", ["nspmr", "bug1", "bug2"])
+@pytest.mark.parametrize("case", sorted(UNCOUNTABLE))
+def test_run_scenario_file_with_uncountable_lattice_exits_1(case, planner, tmp_path, capsys):
+    raw = json.loads(serialize_scenario(builtin_scenario("scenario1")))
+    UNCOUNTABLE[case](raw)
+    text = json.dumps(raw)
+    with pytest.raises(ScenarioError, match=f"^{UNCOUNTABLE_MESSAGE}$"):
+        parse_scenario(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    rc, out, err = run_main(["run", "--scenario", str(path), "--planner", planner], capsys)
+    assert (rc, out, err.splitlines()) == (1, "", [f"error: {UNCOUNTABLE_MESSAGE}"])
+
+
+@pytest.mark.parametrize("delta", ["1e-310", "5e-324"])
+def test_run_delta_override_with_uncountable_lattice_exits_1(delta, capsys):
+    rc, out, err = run_main(["run", "--scenario", "builtin:scenario1", "--planner", "nspmr", "--delta", delta], capsys)
+    assert (rc, out, err.splitlines()) == (1, "", [f"error: {UNCOUNTABLE_MESSAGE}"])
+
+
 def test_run_sensor_range_override_changes_path(capsys):
     rc, out_far, _ = run_main(
         ["run", "--scenario", "builtin:office_like", "--planner", "nspmr"], capsys)

@@ -14,16 +14,16 @@ from nspmr.geometry import (
     PointLocation,
     _bbox_gap,
     _closer_than,
+    _cast,
+    _require_origin_outside,
     _segment_hits,
     circular_diff,
     compass_unit,
     math_to_compass,
-    normalize_compass,
     point_in_polygon,
     point_segment_distance,
     polygon_distance,
     polygon_offset,
-    ray_cast,
     segment_intersection,
 )
 from nspmr.world import _make_shape, builtin_scenario, parse_scenario, serialize_scenario
@@ -88,6 +88,17 @@ def oracle_ray_edges(origin, compass_deg, max_range, polys):
                 if best is None or t < best:
                     best = t
     return best
+
+
+def one_ray(origin, compass_deg, max_range, obstacles):
+    """scan's kernel cast along one compass heading: the origin test, then geometry._cast with every
+    obstacle given the ray and bound 0, so only the kernel's edge skip prunes. _cast proves that skip
+    for shapes within max_range + EPS_GEOM (1 + W) of the origin, W the sum of a bbox's sides; for a
+    shape farther out, solving _cast's bounds for D = |a - o| puts a hit within 3e-6 W (1 + R + W) +
+    EPS_GEOM W < 2 M of the edge only when W <= 3e5, so this helper is proved only for W <= 3e5."""
+    _require_origin_outside(origin, obstacles)
+    ray = ((0, *compass_unit(compass_deg)),)
+    return _cast(origin, 1, max_range, [(0.0, poly, ray) for poly in obstacles])[0]
 
 
 def ccw_sign(a, b, c):
@@ -171,10 +182,11 @@ def test_compass_unit_cardinals_exact():
     assert compass_unit(315) == (-s, s)
 
 
-def test_normalize_compass():
-    assert normalize_compass(360) == 0
-    assert normalize_compass(-45) == 315
-    assert normalize_compass(725) == pytest.approx(5)
+def test_compass_unit_wraps_around():
+    # a heading is reduced to [0, 360) first
+    assert compass_unit(360) == compass_unit(0)
+    assert compass_unit(-45) == compass_unit(315)
+    assert compass_unit(725) == pytest.approx(compass_unit(5))
 
 
 # --- segment intersection ----------------------------------------------------
@@ -282,21 +294,21 @@ def test_point_in_polygon_bbox_early_return_agrees_near_each_side():
 
 def test_ray_cast_axis_aligned_wall():
     wall = Polygon((Point2(0.5, -1), Point2(1.5, -1), Point2(1.5, 1), Point2(0.5, 1)))
-    d = ray_cast(Point2(0, 0), 90, 2.0, [wall])
+    d = one_ray(Point2(0, 0), 90, 2.0, [wall])
     assert d == pytest.approx(0.5, abs=1e-12)
-    assert ray_cast(Point2(0, 0), 270, 2.0, [wall]) is None
+    assert one_ray(Point2(0, 0), 270, 2.0, [wall]) is None
 
 
 def test_ray_cast_out_of_range():
     wall = Polygon((Point2(0, 3), Point2(1, 3), Point2(1, 4), Point2(0, 4)))
-    assert ray_cast(Point2(0.5, 0), 0, 2.0, [wall]) is None
-    assert ray_cast(Point2(0.5, 0), 0, 3.5, [wall]) == pytest.approx(3.0)
+    assert one_ray(Point2(0.5, 0), 0, 2.0, [wall]) is None
+    assert one_ray(Point2(0.5, 0), 0, 3.5, [wall]) == pytest.approx(3.0)
 
 
 def test_ray_cast_diagonal_corner_hit():
     # square corner sits exactly on the 45-degree ray
     sq = Polygon((Point2(0.5, 0.5), Point2(1.5, 0.5), Point2(1.5, 1.5), Point2(0.5, 1.5)))
-    d = ray_cast(Point2(0, 0), 45, 2.0, [sq])
+    d = one_ray(Point2(0, 0), 45, 2.0, [sq])
     assert d == pytest.approx(math.sqrt(0.5), abs=1e-9)
     assert d == pytest.approx(oracle_ray_edges(Point2(0, 0), 45, 2.0, [sq]), abs=1e-9)
 
@@ -304,7 +316,7 @@ def test_ray_cast_diagonal_corner_hit():
 def test_ray_cast_collinear_graze_hits():
     # ray travels exactly along the top edge; grazing must count as a hit
     sq = Polygon((Point2(1, -1), Point2(2, -1), Point2(2, 0), Point2(1, 0)))
-    d = ray_cast(Point2(0, 0), 90, 3.0, [sq])
+    d = one_ray(Point2(0, 0), 90, 3.0, [sq])
     assert d == pytest.approx(1.0, abs=1e-9)
 
 
@@ -317,12 +329,12 @@ def test_ray_cast_keeps_hits_just_past_an_edge_end():
         o = Point2(2 + eps + ux, 2 + uy)  # 1 m south-east of (2 + eps, 2)
         want = oracle_ray_edges(o, 315.0, 3.0, [sq])
         assert want == pytest.approx(1.0)
-        assert ray_cast(o, 315.0, 3.0, [sq]) == pytest.approx(want, abs=1e-12)
+        assert one_ray(o, 315.0, 3.0, [sq]) == pytest.approx(want, abs=1e-12)
 
 
 def test_ray_cast_origin_inside_raises():
     with pytest.raises(GeometryError, match="ray origin strictly inside an obstacle"):
-        ray_cast(Point2(0.5, 0.5), 0, 1.0, [SQUARE])
+        one_ray(Point2(0.5, 0.5), 0, 1.0, [SQUARE])
 
 
 def test_ray_cast_random_vs_edge_oracle():
@@ -334,7 +346,7 @@ def test_ray_cast_random_vs_edge_oracle():
         if any(point_in_polygon(o, p) is not PointLocation.OUTSIDE for p in polys):
             continue
         deg = rng.uniform(0, 360)
-        got = ray_cast(o, deg, 5.0, polys)
+        got = one_ray(o, deg, 5.0, polys)
         want = oracle_ray_edges(o, deg, 5.0, polys)
         if want is None:
             assert got is None

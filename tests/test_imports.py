@@ -1,7 +1,9 @@
-"""Module layout: every import of the package runs at module level, and the
-modules import each other without a cycle."""
+"""Module layout: every import of the package runs at module level, the
+modules import each other without a cycle, and the package root exports the
+names README lists."""
 
 import ast
+import re
 from pathlib import Path
 
 import nspmr
@@ -43,3 +45,24 @@ def test_no_function_imports_and_no_module_cycle():
 
     for mod in sorted(graph):
         visit(mod)
+
+
+def _readme_api() -> list[str]:
+    """The backticked names of README's list of the package root's exports: the bullets after its lead-in line."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("The package root exports exactly these names, its `__all__`:") + 2
+    bullets = []
+    for line in lines[start:]:
+        if not line.startswith("- "):
+            break
+        bullets.append(line)
+    return re.findall(r"`([A-Za-z_]\w*)`", "\n".join(bullets))
+
+
+def test_readme_api_list_is_all():
+    listed = _readme_api()
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(nspmr.__all__)
+    assert len(nspmr.__all__) == len(set(nspmr.__all__))
+    for name in nspmr.__all__:
+        assert hasattr(nspmr, name), name

@@ -18,7 +18,6 @@ from nspmr.planner import (
     apply_move,
     desired_angle,
     filter_candidates,
-    free_directions,
     nspmr_step,
     select_direction,
 )
@@ -35,6 +34,11 @@ def _scan(free_flags, dists=None):
 
 
 ALL_FREE = _scan([True] * 8)
+
+
+def free_directions(scan_):
+    """The candidate set with all three rules off: every direction whose reading is free."""
+    return [a for a, reading in zip(DIRECTIONS, scan_.readings) if reading.free]
 
 
 def _world(*polys, start=Point2(0, 0), goal=Point2(25, 25), delta=0.5, d=1.0):
@@ -141,6 +145,9 @@ def test_rules_off_candidates_ignore_memory():
     st.used[(0, 0)] = set(DIRECTIONS)
     st.dead.add((0, 1))
     assert free_directions(ALL_FREE) == list(DIRECTIONS)
+    # the walk with the rules off takes the bearing's move, which rule II's memory forbids
+    assert filter_candidates(ALL_FREE, st) == []
+    assert nspmr_step(st, _world(), rules_enabled=False)[1].direction == 45.0
 
 
 # --- select_direction ------------------------------------------------------------

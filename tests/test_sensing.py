@@ -7,12 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nspmr.geometry import EPS_GEOM, GeometryError, Point2, Polygon, _require_origin_outside, compass_unit, ray_cast
+from nspmr.geometry import EPS_GEOM, GeometryError, Point2, Polygon, _require_origin_outside, compass_unit
 from nspmr import sensing
 from nspmr.sensing import SENSOR_ANGLES, SensorReading, SensorScan, blocking_threshold, scan, step_length
 from nspmr.world import Bounds, Obstacle, Scenario, builtin_scenario, generate_world
 
-from test_geometry import oracle_ray_edges
+from test_geometry import one_ray, oracle_ray_edges
 
 SEED = 20260817
 
@@ -51,15 +51,15 @@ def test_empty_world_all_free_at_range():
 def test_wall_inside_threshold_blocks_north():
     # wall 0.1 m north: inside tau_1 = 0.375
     s = scan(Point2(0, 0), _world(_rect(-1, 0.1, 1, 0.3)), d=1.0, delta=0.5)
-    north = s.reading(0)
+    north = s.readings[0]
     assert not north.free
     assert north.dist == pytest.approx(0.1)
 
 
 def test_hit_exactly_at_threshold_blocks():
     s = scan(Point2(0, 0), _world(_rect(-1, 0.375, 1, 0.6)), d=1.0, delta=0.5)
-    assert not s.reading(0).free
-    assert s.reading(0).dist == pytest.approx(0.375)
+    assert not s.readings[0].free
+    assert s.readings[0].dist == pytest.approx(0.375)
 
 
 @pytest.mark.parametrize("delta", (0.3, 0.7, 1.0))
@@ -74,16 +74,16 @@ def test_hit_exactly_at_threshold_blocks_at_other_deltas(delta):
 
 def test_hit_just_beyond_threshold_is_free():
     s = scan(Point2(0, 0), _world(_rect(-1, 0.38, 1, 0.6)), d=1.0, delta=0.5)
-    assert s.reading(0).free
-    assert s.reading(0).dist == pytest.approx(0.38)
+    assert s.readings[0].free
+    assert s.readings[0].dist == pytest.approx(0.38)
 
 
 def test_diagonal_threshold_wider_than_cardinal():
     # first hit at 0.3*sqrt(2) = 0.424: beyond cardinal threshold, inside diagonal one
     s = scan(Point2(0, 0), _world(_rect(0.3, 0.3, 0.5, 0.5)), d=1.0, delta=0.5)
-    assert not s.reading(45).free
-    assert s.reading(45).dist == pytest.approx(0.3 * math.sqrt(2))
-    assert s.reading(0).free and s.reading(90).free
+    assert not s.readings[1].free
+    assert s.readings[1].dist == pytest.approx(0.3 * math.sqrt(2))
+    assert s.readings[0].free and s.readings[2].free
 
 
 def test_blocked_north_and_northwest_only():
@@ -95,8 +95,8 @@ def test_blocked_north_and_northwest_only():
 
 def test_distance_clipped_to_range():
     s = scan(Point2(0, 0), _world(_rect(-1, 3, 1, 4)), d=2.0, delta=0.5)
-    assert s.reading(0).free
-    assert s.reading(0).dist == 2.0  # hit at 3 m is beyond range
+    assert s.readings[0].free
+    assert s.readings[0].dist == 2.0  # hit at 3 m is beyond range
 
 
 def test_scan_requires_position_outside_obstacles():
@@ -107,12 +107,6 @@ def test_scan_requires_position_outside_obstacles():
 def test_scan_requires_range_exceeding_delta():
     with pytest.raises(ValueError):
         scan(Point2(0, 0), _world(), d=0.5, delta=0.5)
-
-
-def test_reading_lookup_rejects_off_lattice_angle():
-    s = scan(Point2(0, 0), _world(), d=1.0, delta=0.5)
-    with pytest.raises(ValueError):
-        s.reading(30)
 
 
 def _random_world(rng, n=4):
@@ -257,7 +251,7 @@ def test_range_cull_leaves_scans_unchanged_at_other_deltas(seed, d, delta, data)
 
 
 def _check_range_cull(world, d, delta, data):
-    """scan at a drawn site of world equals _unculled_scan and ray_cast along each direction."""
+    """scan at a drawn site of world equals _unculled_scan and one_ray along each direction."""
     b = world.bounds
     near = data.draw(st.sampled_from(("anywhere", "bbox side", "corner line")), label="near")
     if near == "bbox side":
@@ -281,7 +275,7 @@ def _check_range_cull(world, d, delta, data):
     got = scan(pos, world, d, delta)
     assert got == want
     for angle, reading in zip(SENSOR_ANGLES, got.readings):  # one ray through the same kernel
-        hit = ray_cast(pos, angle, d, world.shapes())
+        hit = one_ray(pos, angle, d, world.shapes())
         assert (reading == SensorReading(True, d)) if hit is None else (reading.dist == hit)
 
 

@@ -764,3 +764,9 @@ def test_oracle_requires_positive_resolution():
     for resolution in (0, -0.25, math.inf, math.nan):
         with pytest.raises(ValueError, match="finite and positive"):
             grid_oracle(_empty(), resolution)
+
+
+def test_oracle_refuses_a_lattice_too_fine_to_count():
+    # 1e-310 is finite and positive, but the bounds' extent over it overflows to infinity
+    with pytest.raises(ValueError, match="^cannot count the nodes of a lattice of spacing 1e-310 over the bounds$"):
+        grid_oracle(_empty(), 1e-310)
