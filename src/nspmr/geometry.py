@@ -1,4 +1,4 @@
-"""Planar geometry kernel: angles, polygons, ray casting, offsets.
+"""Planar geometry kernel: angles, polygons, segment contact, offsets.
 
 Angles come in two flavors. Math angles are the usual counterclockwise
 degrees from +x. Compass angles are clockwise degrees from +y (north), which
@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 EPS_GEOM = 1e-9
 
@@ -280,68 +280,6 @@ def _segment_hits(p: Point2, q: Point2, poly: Polygon) -> list[tuple[float, Poin
                 for x in (hit.start, hit.end) if isinstance(hit, CollinearOverlap) else (hit,):
                     hits.append((((x.x - p.x) * rx + (x.y - p.y) * ry) / rr, x))
     return hits
-
-
-def _require_origin_outside(origin: Point2, obstacles: Sequence[Polygon]) -> None:
-    for poly in obstacles:
-        if point_in_polygon(origin, poly) is PointLocation.INSIDE:
-            raise GeometryError("ray origin strictly inside an obstacle")
-
-
-def _cast(origin: Point2, count: int, max_range: float,
-          shapes: Sequence[tuple[float, Polygon, Sequence[tuple[int, float, float]]]]) -> list[float | None]:
-    """The distance along each of ``count`` rays from origin to its first boundary hit within max_range,
-    or None; the caller has tested that origin is not strictly inside a shape (_require_origin_outside).
-    Hits at parameter <= EPS_GEOM are ignored, so standing on a boundary does not read as a collision, and
-    a ray along an edge hits it at the nearer overlap point. ``shapes`` are (bound, polygon, rays) triples
-    in ascending bound order, each polygon within R + EPS_GEOM (1 + W) of origin (below): ``rays`` holds
-    (k, ux, uy), with (ux, uy) the unit vector of ray k < count, for each ray that may hit the polygon,
-    and no hit the kernel accepts on the polygon is nearer than its bound. A ray skips a shape whose
-    bound is not below its best hit, and the loop stops once every ray does. One pass over a shape's edge
-    table tests its rays that do not skip it, and skips each edge whose bbox lies more than R + 2 M from
-    the origin o along an axis. A result is a minimum, so no value changes.
-
-    With u = 2**-53, R = max_range, W = w + h >= every |e|, D = |a - o| and M = (1 + W) (EPS_GEOM + 2e-6
-    (1 + R + W)): if W <= 2e6, denom's error 2u W is under EPS_GEOM / 2 < |denom| / 2, so rounding moves
-    t by under 2 (3u D + 2u R) W / EPS_GEOM and s W by under 2 (3u D + 2u W) W / EPS_GEOM, under 1.8e-6 W
-    (1 + R + W) in all when D <= 1 + R + W. A crossing with s within EPS_GEOM of [0, 1] then puts the hit
-    o + t u within EPS_GEOM W + 1.8e-6 W (1 + R + W) of the edge; a grazing hit projects a vertex on a ray
-    passing within a few EPS_GEOM of it, off by under 1e-7 (1 + R + W). So every hit lies within M of its
-    edge and, as |u| <= 1, t >= G - M with G the exact gap to the bbox: scan's bound. Also |t ux| and
-    |t uy| <= R, so the edge's bbox lies within R + M of o on each axis and the skip keeps it: rounding
-    o +- fl(R + 2 M) cannot carry a comparison with a float across the exact limit. A shape has G <= R +
-    EPS_GEOM (1 + W), so D <= 1 + R + W; past W = 2e6, M > 4 (1 + R + W) > G, so the bound is below 0 and
-    the skip keeps all its edges."""
-    ox, oy = origin
-    best = [math.inf] * count
-    for bound, poly, rays in shapes:
-        rays = [ray for ray in rays if bound < best[ray[0]]]
-        if not rays:
-            if bound >= max(best):  # every ray settled
-                break
-            continue
-        x0, y0, x1, y1 = poly._bbox
-        w = x1 - x0 + y1 - y0
-        r = max_range + 2 * (1 + w) * (EPS_GEOM + 2e-6 * (1 + max_range + w))
-        xlo, xhi, ylo, yhi = ox - r, ox + r, oy - r, oy + r
-        for a, b, ex, ey, lx, ly, hx, hy in poly._edge_table:
-            if lx > xhi or hx < xlo or ly > yhi or hy < ylo:
-                continue
-            ax, ay = a.x - ox, a.y - oy
-            num = ax * ey - ay * ex
-            for k, ux, uy in rays:
-                denom = ux * ey - uy * ex
-                if abs(denom) > EPS_GEOM:
-                    t = num / denom
-                    if EPS_GEOM < t <= max_range and t < best[k]:
-                        if -EPS_GEOM <= (ax * uy - ay * ux) / denom <= 1.0 + EPS_GEOM:
-                            best[k] = t
-                elif abs(ax * uy - ay * ux) <= EPS_GEOM:  # parallel and collinear: grazing
-                    for q in (a, b):
-                        t = (q.x - ox) * ux + (q.y - oy) * uy
-                        if EPS_GEOM < t <= max_range and t < best[k]:
-                            best[k] = t
-    return [None if t == math.inf else t for t in best]
 
 
 def polygon_offset(poly: Polygon, c: float) -> Polygon:

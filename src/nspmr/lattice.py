@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from bisect import bisect_left
 from typing import TYPE_CHECKING
 
@@ -34,11 +35,14 @@ def _lattice_blocked(s: Scenario, resolution: float, clearance: float) -> bytear
     EPS_GEOM) of an edge (a node within EPS_GEOM is ON_BOUNDARY, distance 0).
     Each polygon is rasterized once: the x-crossings of each lattice row
     give its interior runs, and each edge tests only the nodes in its own
-    bbox grown by that threshold.
+    bbox grown by that threshold. Raises ValueError when the padded lattice has more nodes than
+    an index can count (sys.maxsize).
     """
     b = s.bounds
     nx, ny = _lattice_shape(b, resolution)
     w = ny + 2
+    if (nx + 2) * w > sys.maxsize:
+        raise ValueError(f"cannot index the nodes of a lattice of spacing {resolution:g} over the bounds")
     blocked = bytearray((nx + 2) * w)
     blocked[:w] = blocked[-w:] = b"\x01" * w
     blocked[::w] = blocked[w - 1 :: w] = b"\x01" * (nx + 2)

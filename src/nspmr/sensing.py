@@ -9,15 +9,14 @@ measured distance is clipped to the sensing range d and feeds tie-breaking.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
 from typing import NamedTuple
 
-from .geometry import EPS_GEOM, Point2, _cast, _require_origin_outside, compass_unit
+from .geometry import EPS_GEOM, GeometryError, Point2, PointLocation, compass_unit, point_in_polygon
 from .world import Scenario
 
 SENSOR_COUNT = 8
 SENSOR_ANGLES = tuple(45.0 * i for i in range(SENSOR_COUNT))
-# The rays _cast takes, (k, ux, uy), and the ones scan keeps for a shape by the sides of the shape's bbox
+# The rays scan casts, (k, ux, uy), and the ones scan keeps for a shape by the sides of the shape's bbox
 # that reach past the robot along x, y, x - y and x + y: bit 2i means the i-th interval reaches below the
 # robot's coordinate, bit 2i + 1 above it. Ray k lies on one coordinate's line and runs up or down another.
 _RAYS = tuple((k, *compass_unit(a)) for k, a in enumerate(SENSOR_ANGLES))
@@ -51,33 +50,45 @@ class SensorScan(NamedTuple):
 def scan(pos: Point2, world: Scenario, d: float, delta: float) -> SensorScan:
     """Range-scan the 8 lattice directions against the world's current shapes.
 
-    Shapes whose bbox is out of range are dropped once per scan, by the gap
-    to the bbox along each axis first and by the Euclidean gap only for the
-    rest. Raises GeometryError when pos is strictly inside an obstacle,
-    testing once per scan only the shapes whose closed bbox holds pos (from
-    outside a bbox, point_in_polygon miscounts only within rounding of an
-    edge, which reads ON_BOUNDARY). The 8 rays lie on four lines through
-    pos, along x, y, x - y and x + y; a shape keeps ray k only when k's line
-    meets the bbox's interval in that coordinate, and the bbox reaches ahead
-    of pos along k, each grown by 2 M (M as in ``geometry._cast``). A hit
-    lies within M of the bbox, so within sqrt(2) M of it in each coordinate,
-    and the coordinates are taken relative to pos, off by under 6u (1 + d +
-    W) with u = 2**-53, well inside the (2 - sqrt(2)) M to spare; past W =
-    2e6, 2 M > 8 (1 + d + W) keeps every ray. With no shape left every
-    direction reads free at range d and no ray is cast. The rest go through
-    one pass of ``geometry._cast``, nearest shape first by the bound
-    ``_cast`` proves, so each reading equals that kernel's cast of its one
-    ray at every shape in range; the blocking thresholds along an axis and
-    along a diagonal are taken once per such scan, from
-    ``blocking_threshold``. The result depends only
-    on pos and the shapes, so in a static world the planner decides each
-    lattice node once (``NspmrState.records``); in a moving world every step
-    scans afresh.
+    Ray k reads the distance t from pos to its first boundary hit within d. Hits at t <= EPS_GEOM
+    are ignored, so standing on a boundary does not read as a collision, and a ray along an edge
+    hits it at the nearer overlap point. One loop over the shapes drops those whose bbox is out of
+    range, by the gap to the bbox along each axis first and by the Euclidean gap G only for the
+    rest (a hit may lie EPS_GEOM * |edge| past an edge's end). Raises GeometryError when pos is
+    strictly inside an obstacle, testing only the shapes whose closed bbox holds pos (from outside
+    a bbox, point_in_polygon miscounts only within rounding of an edge, which reads ON_BOUNDARY).
+
+    Each hit lies within M of its edge, so of the bbox. Let u = 2**-53, e = b - a an edge, s the
+    hit's parameter along it, W = w + h >= every |e|, D = |a - pos| and M = (1 + W) (EPS_GEOM +
+    2e-6 (1 + d + W)); a shape in range has G <= d + EPS_GEOM (1 + W), so D <= 1 + d + W. If W <=
+    2e6, denom's error 2u W is under EPS_GEOM / 2 < |denom| / 2, so rounding moves t by under
+    2 (3u D + 2u d) W / EPS_GEOM and s W by under 2 (3u D + 2u W) W / EPS_GEOM, under 1.8e-6 W
+    (1 + d + W) in all. A crossing with s within EPS_GEOM of [0, 1] then puts the hit pos + t u
+    within EPS_GEOM W + 1.8e-6 W (1 + d + W) of the edge; a grazing hit projects a vertex on a ray
+    passing within a few EPS_GEOM of it, off by under 1e-7 (1 + d + W).
+
+    So two culls keep every hit. The 8 rays lie on four lines through pos, along x, y, x - y and
+    x + y; a shape keeps ray k only when k's line meets the bbox's interval in that coordinate,
+    and the bbox reaches ahead of pos along k, each grown by 2 M. A hit lies within sqrt(2) M of
+    the bbox in each coordinate, and the coordinates are taken relative to pos, off by under
+    6u (1 + d + W), well inside the (2 - sqrt(2)) M to spare. One pass over the shape's edge
+    table then tests the kept rays, skipping each edge whose bbox lies more than d + 2 M from pos
+    along an axis: |t ux| and |t uy| <= d, so a hit's edge lies within d + M on each axis, and
+    rounding pos +- fl(d + 2 M) cannot carry a comparison with a float across the exact limit.
+    Past W = 2e6, 2 M > 8 (1 + d + W) > G + W, the farthest any edge lies from pos along an axis,
+    so both culls keep every ray and edge of the shape.
+
+    When no shape keeps a ray, every direction reads free at range d; otherwise the blocking
+    thresholds along an axis and along a diagonal are taken once, after the last shape, from
+    ``blocking_threshold``. The result depends only on pos and the shapes, so in a static world
+    the planner decides each lattice node once (``NspmrState.records``); in a moving world every
+    step scans afresh.
     """
     if not d > delta > 0:
         raise ValueError("require sensing range d > delta > 0")
     x, y = pos
-    shapes, holders = [], []
+    inf = math.inf
+    best = None
     for poly in world.shapes():
         x0, y0, x1, y1 = poly._bbox
         # a hit may lie EPS_GEOM * |edge| past an edge's end, and |edge| <= x1 - x0 + y1 - y0
@@ -87,27 +98,44 @@ def scan(pos: Point2, world: Scenario, d: float, delta: float) -> SensorScan:
         if gx > reach:
             continue
         gy = y0 - y if y < y0 else y - y1 if y > y1 else 0.0
-        if gy <= reach and (g := math.hypot(gx, gy)) <= reach:
-            w = x1 - x0 + y1 - y0  # M of _cast's docstring: every hit on poly lies within M of its bbox
-            half = (1 + w) * (EPS_GEOM + 2e-6 * (1 + d + w))
-            m, lx, hx, ly, hy = 2 * half, x0 - x, x1 - x, y0 - y, y1 - y
-            rays = _SELECT[(lx <= m) | (hx >= -m) << 1 | (ly <= m) << 2 | (hy >= -m) << 3
-                           | (lx - hy <= m) << 4 | (hx - ly >= -m) << 5 | (lx + ly <= m) << 6 | (hx + hy >= -m) << 7]
-            if rays:
-                shapes.append((g - half, poly, rays))
-            if not g:
-                holders.append(poly)
+        if gy > reach or math.hypot(gx, gy) > reach:
+            continue
+        w = x1 - x0 + y1 - y0
+        m = 2 * (1 + w) * (EPS_GEOM + 2e-6 * (1 + d + w))  # 2 M, with M as proved above
+        lx, hx, ly, hy = x0 - x, x1 - x, y0 - y, y1 - y
+        rays = _SELECT[(lx <= m) | (hx >= -m) << 1 | (ly <= m) << 2 | (hy >= -m) << 3
+                       | (lx - hy <= m) << 4 | (hx - ly >= -m) << 5 | (lx + ly <= m) << 6 | (hx + hy >= -m) << 7]
+        if not rays:
+            continue
+        if not (gx or gy) and point_in_polygon(pos, poly) is PointLocation.INSIDE:
+            raise GeometryError("ray origin strictly inside an obstacle")
+        if best is None:
+            best = [inf] * SENSOR_COUNT
+        r = d + m
+        xlo, xhi, ylo, yhi = x - r, x + r, y - r, y + r
+        for a, b, ex, ey, ex0, ey0, ex1, ey1 in poly._edge_table:
+            if ex0 > xhi or ex1 < xlo or ey0 > yhi or ey1 < ylo:
+                continue
+            ax, ay = a.x - x, a.y - y
+            num = ax * ey - ay * ex
+            for k, ux, uy in rays:
+                denom = ux * ey - uy * ex
+                if abs(denom) > EPS_GEOM:
+                    t = num / denom
+                    if EPS_GEOM < t <= d and t < best[k]:
+                        if -EPS_GEOM <= (ax * uy - ay * ux) / denom <= 1.0 + EPS_GEOM:
+                            best[k] = t
+                elif abs(ax * uy - ay * ux) <= EPS_GEOM:  # parallel and collinear: grazing
+                    for q in (a, b):
+                        t = (q.x - x) * ux + (q.y - y) * uy
+                        if EPS_GEOM < t <= d and t < best[k]:
+                            best[k] = t
     new = tuple.__new__  # the named tuples' own __new__ is a Python-level call
     free = new(SensorReading, (True, d))
-    if not shapes:
+    if best is None:
         return new(SensorScan, ((free,) * SENSOR_COUNT,))
-    if holders:
-        _require_origin_outside(pos, holders)
-    if len(shapes) > 1:
-        shapes.sort(key=itemgetter(0))
     # sensor k looks along an axis for even k and along a diagonal for odd k
     limits = (blocking_threshold(0.0, delta), blocking_threshold(45.0, delta)) * (SENSOR_COUNT // 2)
     return new(SensorScan, (tuple([
-        free if hit is None else new(SensorReading, (hit > limit, hit))
-        for limit, hit in zip(limits, _cast(pos, SENSOR_COUNT, d, shapes))
+        free if hit == inf else new(SensorReading, (hit > limit, hit)) for limit, hit in zip(limits, best)
     ]),))

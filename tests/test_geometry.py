@@ -14,8 +14,6 @@ from nspmr.geometry import (
     PointLocation,
     _bbox_gap,
     _closer_than,
-    _cast,
-    _require_origin_outside,
     _segment_hits,
     circular_diff,
     compass_unit,
@@ -26,7 +24,8 @@ from nspmr.geometry import (
     polygon_offset,
     segment_intersection,
 )
-from nspmr.world import _make_shape, builtin_scenario, parse_scenario, serialize_scenario
+from nspmr.sensing import SENSOR_ANGLES, SensorReading, scan
+from nspmr.world import Bounds, Obstacle, Scenario, _make_shape, builtin_scenario, parse_scenario, serialize_scenario
 
 SEED = 20260817
 
@@ -91,14 +90,12 @@ def oracle_ray_edges(origin, compass_deg, max_range, polys):
 
 
 def one_ray(origin, compass_deg, max_range, obstacles):
-    """scan's kernel cast along one compass heading: the origin test, then geometry._cast with every
-    obstacle given the ray and bound 0, so only the kernel's edge skip prunes. _cast proves that skip
-    for shapes within max_range + EPS_GEOM (1 + W) of the origin, W the sum of a bbox's sides; for a
-    shape farther out, solving _cast's bounds for D = |a - o| puts a hit within 3e-6 W (1 + R + W) +
-    EPS_GEOM W < 2 M of the edge only when W <= 3e5, so this helper is proved only for W <= 3e5."""
-    _require_origin_outside(origin, obstacles)
-    ray = ((0, *compass_unit(compass_deg)),)
-    return _cast(origin, 1, max_range, [(0.0, poly, ray) for poly in obstacles])[0]
+    """scan's reading along one lattice heading in a world of the given obstacles: the hit distance,
+    or None when it reads free at range."""
+    world = Scenario(name="one_ray", bounds=Bounds(-1e3, -1e3, 1e3, 1e3), start=origin, goal=origin,
+                     obstacles=tuple(Obstacle(p) for p in obstacles), delta=max_range / 2, sensor_range=max_range)
+    reading = scan(origin, world, max_range, max_range / 2).readings[SENSOR_ANGLES.index(compass_deg % 360)]
+    return None if reading == SensorReading(True, max_range) else reading.dist
 
 
 def ccw_sign(a, b, c):
@@ -345,7 +342,7 @@ def test_ray_cast_random_vs_edge_oracle():
         o = Point2(rng.uniform(-2, 4), rng.uniform(-2, 4))
         if any(point_in_polygon(o, p) is not PointLocation.OUTSIDE for p in polys):
             continue
-        deg = rng.uniform(0, 360)
+        deg = 45.0 * rng.randrange(8)
         got = one_ray(o, deg, 5.0, polys)
         want = oracle_ray_edges(o, deg, 5.0, polys)
         if want is None:

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nspmr.geometry import EPS_GEOM, GeometryError, Point2, Polygon, _require_origin_outside, compass_unit
-from nspmr import sensing
+from nspmr.geometry import EPS_GEOM, GeometryError, Point2, PointLocation, Polygon, compass_unit, point_in_polygon
 from nspmr.sensing import SENSOR_ANGLES, SensorReading, SensorScan, blocking_threshold, scan, step_length
 from nspmr.world import Bounds, Obstacle, Scenario, builtin_scenario, generate_world
 
-from test_geometry import one_ray, oracle_ray_edges
+from test_geometry import oracle_ray_edges
 
 SEED = 20260817
 
@@ -188,7 +187,7 @@ def _reference_ray(origin, angle, max_range, obstacles):
 
 
 def _margin(poly, d):
-    """The margin scan grows poly's bbox intervals by: twice the M of _cast's docstring."""
+    """The margin scan grows poly's bbox intervals by: twice the M of its docstring."""
     x0, y0, x1, y1 = poly.bbox()
     w = x1 - x0 + y1 - y0
     return 2 * (1 + w) * (EPS_GEOM + 2e-6 * (1 + d + w))
@@ -220,7 +219,9 @@ def _corner_line_sites(draw, world, d):
 def _unculled_scan(pos, world, d, delta):
     """scan without its range cull: the origin test and all 8 reference rays against every shape."""
     shapes = world.shapes()
-    _require_origin_outside(pos, shapes)
+    for poly in shapes:
+        if point_in_polygon(pos, poly) is PointLocation.INSIDE:
+            raise GeometryError("ray origin strictly inside an obstacle")
     readings = []
     for angle in SENSOR_ANGLES:
         hit = _reference_ray(pos, angle, d, shapes)
@@ -251,7 +252,7 @@ def test_range_cull_leaves_scans_unchanged_at_other_deltas(seed, d, delta, data)
 
 
 def _check_range_cull(world, d, delta, data):
-    """scan at a drawn site of world equals _unculled_scan and one_ray along each direction."""
+    """scan at a drawn site of world equals _unculled_scan."""
     b = world.bounds
     near = data.draw(st.sampled_from(("anywhere", "bbox side", "corner line")), label="near")
     if near == "bbox side":
@@ -272,11 +273,7 @@ def _check_range_cull(world, d, delta, data):
         with pytest.raises(GeometryError, match="ray origin strictly inside an obstacle"):
             scan(pos, world, d, delta)
         return
-    got = scan(pos, world, d, delta)
-    assert got == want
-    for angle, reading in zip(SENSOR_ANGLES, got.readings):  # one ray through the same kernel
-        hit = one_ray(pos, angle, d, world.shapes())
-        assert (reading == SensorReading(True, d)) if hit is None else (reading.dist == hit)
+    assert scan(pos, world, d, delta) == want
 
 
 def _euclidean_gap(x, y, poly):
@@ -289,22 +286,11 @@ def _edge_slack(poly):
     return EPS_GEOM * (1 + x1 - x0 + y1 - y0)
 
 
-def _bound(x, y, poly, d):
-    """The bound scan hands _cast with poly: its Euclidean gap less the M of _cast's docstring."""
-    return _euclidean_gap(x, y, poly) - _margin(poly, d) / 2
-
-
-def test_range_cull_keeps_the_shapes_within_euclidean_reach(monkeypatch):
-    # the per-axis gaps only reject early: the kernel gets the shapes whose bbox
-    # lies within reach by the Euclidean gap and that keep a ray, each with its
-    # bound, nearest bound first, and no ray the cull drops can hit its shape
-    passed = []
-
-    def kernel(origin, count, max_range, shapes):
-        passed.append(list(shapes))
-        return [None] * count
-
-    monkeypatch.setattr(sensing, "_cast", kernel)
+def test_range_cull_keeps_the_shapes_within_euclidean_reach():
+    # in a world that holds one shape alone, scan equals the scan without culls at sites just
+    # inside and just outside the cull's reach and where a ray's lattice line passes a bbox
+    # corner off by scan's margin either way, so no ray the culls drop can hit its shape; a
+    # shape more than d + 1 away has no hit within d
     rng = random.Random(SEED)
     for seed in range(10):
         world = generate_world(seed)
@@ -315,28 +301,32 @@ def test_range_cull_keeps_the_shapes_within_euclidean_reach(monkeypatch):
             slack = _edge_slack(poly)  # the cull's reach is d + slack
             for out in (0.0, 1.0, 1.0 + EPS_GEOM, 1.0 + slack, 1.0 + 2 * slack, 10.0 + slack, 10.0 + 1e-6):
                 sites += [Point2(x0 - out, y0 - out), Point2(x1 + out, y1), Point2(x0, y1 + out), Point2(x1 + out, y0 - out)]
+        alone = [(poly, _world(poly)) for poly in world.shapes()]
         for d in (1.0, 10.0):
-            # and where a ray's lattice line passes a bbox corner off by scan's margin either way
             lines = [_corner_line_site(poly, corner, angle, 0.5, sign * _margin(poly, d))
                      for poly in world.shapes() for corner in range(4) for angle in SENSOR_ANGLES for sign in (1, -1)]
-            for x, y in sites + lines:
-                reach = [poly for poly in world.shapes() if _euclidean_gap(x, y, poly) <= d + _edge_slack(poly)]
-                passed.clear()
-                try:
-                    scan(Point2(x, y), world, d, 0.5)
-                except GeometryError:
-                    continue
-                got = passed[0] if passed else []
-                assert passed == ([got] if got else []), (seed, d, x, y)  # no empty cast
-                kept = {id(poly): rays for _, poly, rays in got}
-                want = sorted(((_bound(x, y, poly, d), poly) for poly in reach if id(poly) in kept), key=lambda pair: pair[0])
-                assert [(bound, poly) for bound, poly, _ in got] == want, (seed, d, x, y)
-                for poly in reach:
-                    rays = kept.get(id(poly), ())
-                    assert all(ray in sensing._RAYS for ray in rays)
-                    for k, angle in enumerate(SENSOR_ANGLES):
-                        if all(ray[0] != k for ray in rays):
-                            assert _reference_ray(Point2(x, y), angle, d, [poly]) is None, (seed, d, x, y, angle)
+            for pos in sites + lines:
+                for poly, one in alone:
+                    if _euclidean_gap(pos.x, pos.y, poly) > d + 1:
+                        continue
+                    try:
+                        want = _unculled_scan(pos, one, d, 0.5)
+                    except GeometryError:
+                        with pytest.raises(GeometryError, match="ray origin strictly inside an obstacle"):
+                            scan(pos, one, d, 0.5)
+                        continue
+                    assert scan(pos, one, d, 0.5) == want, (seed, d, pos, poly)
+
+
+def test_edge_skip_keeps_a_hit_past_the_end_of_a_long_edge():
+    # the kernel accepts a hit up to EPS_GEOM * |edge| past an edge's end, 1e-3 m on these
+    # 1e6 m edges, so with d = 5e-4 the east ray hits the spike's tip 7e-4 m above it: both
+    # edges lie more than d from the robot along y, and only the skip's 2 M margin keeps them
+    spike = Polygon((Point2(2.5e-4, 7e-4), Point2(1.0, 1e6), Point2(-1.0, 1e6)))
+    world = _world(spike, delta=2e-4, d=5e-4)
+    got = scan(Point2(0, 0), world, 5e-4, 2e-4)
+    assert got == _unculled_scan(Point2(0, 0), world, 5e-4, 2e-4)
+    assert got.readings[2].dist == pytest.approx(2.5e-4, abs=1e-9)
 
 
 OFFICE = builtin_scenario("office_like")
@@ -364,9 +354,9 @@ def _office_sites(draw, d):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(d=st.sampled_from((2.0, 10.0, 20.0)), data=st.data())
-def test_nearest_first_cast_leaves_office_scans_unchanged(d, data):
+def test_office_scans_equal_the_unculled_scan(d, data):
     pos = data.draw(_office_sites(d), label="pos")
-    # office_like puts up to 25 shapes in range, so rays settle and shapes are skipped
+    # office_like puts up to 25 shapes in range, each with its own rays and edges kept
     try:
         want = _unculled_scan(pos, OFFICE, d, OFFICE.delta)
     except GeometryError:
@@ -374,10 +364,3 @@ def test_nearest_first_cast_leaves_office_scans_unchanged(d, data):
             scan(pos, OFFICE, d, OFFICE.delta)
         return
     assert scan(pos, OFFICE, d, OFFICE.delta) == want
-    # the bound holds shape by shape: no hit on a shape is nearer
-    for poly in OFFICE.shapes():
-        if _euclidean_gap(pos.x, pos.y, poly) <= d + _edge_slack(poly):
-            bound = _bound(pos.x, pos.y, poly, d)
-            for angle in SENSOR_ANGLES:
-                hit = _reference_ray(pos, angle, d, [poly])
-                assert hit is None or hit >= bound

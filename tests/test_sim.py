@@ -770,3 +770,6 @@ def test_oracle_refuses_a_lattice_too_fine_to_count():
     # 1e-310 is finite and positive, but the bounds' extent over it overflows to infinity
     with pytest.raises(ValueError, match="^cannot count the nodes of a lattice of spacing 1e-310 over the bounds$"):
         grid_oracle(_empty(), 1e-310)
+    # at 1e-200 the nodes can be counted, but not indexed in one raster
+    with pytest.raises(ValueError, match="^cannot index the nodes of a lattice of spacing 1e-200 over the bounds$"):
+        grid_oracle(builtin_scenario("scenario1"), 1e-200)
