@@ -18,16 +18,7 @@ from .output import (
     write_svg,
     write_trajectory_csv,
 )
-from .planner import (
-    DIRECTIONS,
-    NspmrState,
-    StepEvent,
-    apply_move,
-    desired_angle,
-    filter_candidates,
-    nspmr_step,
-    select_direction,
-)
+from .planner import DIRECTIONS, NspmrState, desired_angle, filter_candidates, select_direction
 from .sensing import SensorReading, SensorScan, scan
 from .sim import (
     PLANNERS,
@@ -84,9 +75,7 @@ __all__ = [
     "SensorReading",
     "SensorScan",
     "SimulationError",
-    "StepEvent",
     "Trajectory",
-    "apply_move",
     "audit_collisions",
     "bench_row",
     "builtin_scenario",
@@ -101,7 +90,6 @@ __all__ = [
     "iteration_ceiling",
     "make_report",
     "make_trajectory",
-    "nspmr_step",
     "parse_scenario",
     "path_length",
     "read_trajectory_csv",

@@ -9,8 +9,8 @@ scenario's bounds is never taken. Three rules keep the walk out of loops:
   II  never leave the same lattice node twice in the same direction;
   III when nothing remains, mark the node dead and step back along the trail.
 The dead-node set and per-node direction memory make every run terminate.
-_walk is the one NSPMR loop: sim.run iterates it, and nspmr_step takes one
-step of a fresh walk. _first_survivor is the one implementation of the rules.
+_walk is the one NSPMR loop, which sim.run iterates. _first_survivor is the
+one implementation of the rules.
 """
 
 from __future__ import annotations
@@ -58,15 +58,6 @@ def desired_angle(pos: Point2, goal: Point2) -> float:
     return math_to_compass(math.degrees(math.atan2(dy, dx)))
 
 
-def apply_move(pos: Point2, direction: float, delta: float) -> Point2:
-    try:
-        sx, sy = _SIGNS[float(direction)]
-    except KeyError:
-        raise ValueError(f"not a lattice direction: {direction}") from None
-    half = delta / 2
-    return Point2(pos.x + sx * half, pos.y + sy * half)
-
-
 class _NodeRecord(NamedTuple):  # free in-bounds moves (angle, signs) in select_direction's order
     pos: Point2
     at_goal: bool
@@ -97,12 +88,6 @@ class NspmrState:
     def __post_init__(self):
         if not self.trail:
             self.trail = [self.node]
-
-
-class StepEvent(NamedTuple):
-    kind: str  # moved | backtracked | goal_reached | stuck
-    direction: float | None
-    new_pos: Point2
 
 
 def _first_survivor(moves, i: int, j: int, node_used, dead: set[Node], back: float | None):
@@ -177,9 +162,9 @@ def _visit(world: Scenario, pos: Point2) -> _NodeRecord:
 
 
 def _walk(state: NspmrState, world: Scenario, rules_enabled: bool):
-    """The NSPMR loop: yields (kind, direction, new_pos) once per iteration, the last
-    one goal_reached or stuck. The walk keeps the node and heading in locals and writes
-    them back to state before each yield; a moving world advances one tick per move."""
+    """The NSPMR loop: yields (kind, direction, new_pos) per iteration, moved or backtracked,
+    then goal_reached or stuck with direction None. It keeps the node and heading in locals,
+    writes them back to state before each yield, and advances a moving world one tick per move."""
     half = world.delta / 2
     x0, y0 = state.start
     xmin, ymin, xmax, ymax = world.bounds
@@ -234,7 +219,3 @@ def _walk(state: NspmrState, world: Scenario, rules_enabled: bool):
         if dynamic:
             world = world.next_tick
 
-
-def nspmr_step(state: NspmrState, world: Scenario, rules_enabled: bool = True) -> tuple[NspmrState, StepEvent]:
-    """Advance one iteration of _walk; mutates and returns the state with the event."""
-    return state, _new(StepEvent, next(_walk(state, world, rules_enabled)))

@@ -105,10 +105,10 @@ def run(s: Scenario, planner: str, max_iters: int | None = None, *, rules_enable
     """Execute one planner on one scenario; returns (Trajectory, RunResult).
 
     rules_enabled=False runs the direction chooser without its loop-escape
-    rules, as a control; it applies to the nspmr planner only. In a static
-    world such a run is stepped up to its first repeated node and then repeats
-    the cycle that node closes to the end of the budget, which gives the same
-    result as stepping it throughout.
+    rules, as a control; the Bug planners have no such rules and refuse it. In
+    a static world such a run is stepped up to its first repeated node and then
+    repeats the cycle that node closes to the end of the budget, which gives the
+    same result as stepping it throughout.
     """
     violations = validate_scenario(s)
     if violations:
@@ -117,6 +117,8 @@ def run(s: Scenario, planner: str, max_iters: int | None = None, *, rules_enable
         max_iters = default_max_iters(s)
     if isinstance(max_iters, bool) or not isinstance(max_iters, int) or max_iters <= 0:
         raise ValueError(f"max_iters must be a positive integer, got {max_iters!r}")
+    if not isinstance(rules_enabled, bool) or (not rules_enabled and planner in ("bug1", "bug2")):
+        raise ValueError(f"rules_enabled must be a bool, and True for bug1 and bug2; got {rules_enabled!r} for {planner!r}")
     s = replace(s)  # a copy: the planner and the audit share the poses cached along its next_tick, freed on return
     loop = None
     if planner == "nspmr":

@@ -14,10 +14,10 @@ from dataclasses import replace
 from nspmr import cli
 from nspmr.geometry import Point2, circular_diff
 from nspmr.output import write_trajectory_csv
-from nspmr.planner import DIRECTIONS, apply_move, select_direction
+from nspmr.planner import DIRECTIONS, select_direction
 from nspmr.sensing import SensorReading, SensorScan
 from nspmr.sim import audit_collisions, grid_oracle, iteration_ceiling, run
-from nspmr.world import builtin_scenario, generate_world
+from nspmr.world import Bounds, Scenario, builtin_scenario, generate_world
 
 _RUNS = {}
 
@@ -178,9 +178,17 @@ def test_criterion_9_unit_level_anchors():
         270: (-0.25, 0.0),
         315: (-0.25, 0.25),
     }
+    # each row is the first move of a one-step run in an open world whose goal lies 10 m along it
     origin = Point2(3.0, -2.0)
+
+    def first_move(dx, dy):
+        goal = Point2(origin.x + 40 * dx, origin.y + 40 * dy)
+        s = Scenario("open", Bounds(-20.0, -20.0, 20.0, 20.0), origin, goal, delta=0.5, sensor_range=2.0)
+        traj, _ = run(s, "nspmr", 1)
+        return traj.waypoints[1], traj.directions[0]
+
     moves_ok = all(
-        apply_move(origin, angle, 0.5) == Point2(origin.x + dx, origin.y + dy)
+        first_move(dx, dy) == (Point2(origin.x + dx, origin.y + dy), angle)
         for angle, (dx, dy) in table.items()
     )
     ok = pick_a == 270.0 and pick_b == 0.0 and moves_ok

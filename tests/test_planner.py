@@ -4,6 +4,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import replace
+from itertools import islice
 from unittest import mock
 
 import pytest
@@ -12,15 +13,7 @@ from hypothesis import strategies as hst
 
 from nspmr import planner
 from nspmr.geometry import Point2, Polygon, circular_diff, distance
-from nspmr.planner import (
-    DIRECTIONS,
-    NspmrState,
-    apply_move,
-    desired_angle,
-    filter_candidates,
-    nspmr_step,
-    select_direction,
-)
+from nspmr.planner import DIRECTIONS, NspmrState, _walk, desired_angle, filter_candidates, select_direction
 from nspmr.sensing import SensorReading, SensorScan, scan
 from nspmr.sim import iteration_ceiling, run
 from nspmr.world import BUILTIN_NAMES, Bounds, Obstacle, Scenario, builtin_scenario, generate_world
@@ -78,41 +71,6 @@ def test_desired_angle_undefined_at_goal():
         desired_angle(Point2(2, 2), Point2(2, 2))
 
 
-# --- apply_move -----------------------------------------------------------------
-
-def test_apply_move_all_eight_rows():
-    table = {
-        0: (0.0, 0.25),
-        45: (0.25, 0.25),
-        90: (0.25, 0.0),
-        135: (0.25, -0.25),
-        180: (0.0, -0.25),
-        225: (-0.25, -0.25),
-        270: (-0.25, 0.0),
-        315: (-0.25, 0.25),
-    }
-    for angle, expected in table.items():
-        assert apply_move(Point2(0, 0), angle, 0.5) == expected
-
-
-def test_apply_move_from_offset_origin():
-    assert apply_move(Point2(1, 1), 0, 0.5) == (1, 1.25)
-    assert apply_move(Point2(0, 0), 225, 0.5) == (-0.25, -0.25)
-
-
-def test_apply_move_is_exact_on_lattice():
-    # one step out and back returns the identical floats
-    p = Point2(3.25, -7.75)
-    for angle in DIRECTIONS:
-        back = (angle + 180) % 360
-        assert apply_move(apply_move(p, angle, 0.5), back, 0.5) == p
-
-
-def test_apply_move_rejects_off_lattice_direction():
-    with pytest.raises(ValueError):
-        apply_move(Point2(0, 0), 30, 0.5)
-
-
 # --- filter_candidates -----------------------------------------------------------
 
 def test_rule_one_removes_reversal():
@@ -147,7 +105,7 @@ def test_rules_off_candidates_ignore_memory():
     assert free_directions(ALL_FREE) == list(DIRECTIONS)
     # the walk with the rules off takes the bearing's move, which rule II's memory forbids
     assert filter_candidates(ALL_FREE, st) == []
-    assert nspmr_step(st, _world(), rules_enabled=False)[1].direction == 45.0
+    assert next(_walk(st, _world(), False))[1] == 45.0
 
 
 # --- select_direction ------------------------------------------------------------
@@ -227,23 +185,23 @@ def test_record_order_equals_repeated_selection_at_sector_edges_and_ties(monkeyp
             assert got == want == sorted(free_directions(sc), key=key.get), theta
 
 
-# --- nspmr_step ------------------------------------------------------------------
+# --- _walk -----------------------------------------------------------------------
 
 def test_step_reports_goal_when_within_half_delta():
     w = _world(goal=Point2(0.2, 0.0))
     st = NspmrState(start=Point2(0, 0))
-    st2, ev = nspmr_step(st, w)
-    assert ev.kind == "goal_reached"
-    assert ev.new_pos == Point2(0, 0)
-    assert st2.trail == [(0, 0)]
+    kind, direction, pos = next(_walk(st, w, True))
+    assert kind == "goal_reached" and direction is None
+    assert pos == Point2(0, 0)
+    assert st.trail == [(0, 0)]
 
 
 def test_step_moves_toward_goal_and_records_memory():
     w = _world(goal=Point2(25, 25))
     st = NspmrState(start=Point2(0, 0))
-    _, ev = nspmr_step(st, w)
-    assert ev.kind == "moved" and ev.direction == 45.0
-    assert ev.new_pos == _position(st.start, st.node, 0.5) == (0.25, 0.25)
+    kind, direction, pos = next(_walk(st, w, True))
+    assert kind == "moved" and direction == 45.0
+    assert pos == _position(st.start, st.node, 0.5) == (0.25, 0.25)
     assert st.node == (1, 1)
     assert st.trail == [(0, 0), (1, 1)]
     assert st.used[(0, 0)] == {45.0}
@@ -255,9 +213,8 @@ def test_rules_off_run_keeps_no_trail():
     w = builtin_scenario("corridor_loop")
     st = NspmrState(start=w.start)
     nodes = set()
-    for _ in range(300):
-        _, ev = nspmr_step(st, w, rules_enabled=False)
-        assert ev.kind == "moved"
+    for kind, _, _ in islice(_walk(st, w, False), 300):
+        assert kind == "moved"
         nodes.add(st.node)
     assert len(nodes) > 1
     assert st.trail == [(0, 0)] and st.used == {} and st.dead == set()
@@ -267,13 +224,11 @@ def test_straight_run_on_diagonal_is_shortest():
     w = _world(goal=Point2(2, 2))
     st = NspmrState(start=Point2(0, 0))
     moves = 0
-    while True:
-        _, ev = nspmr_step(st, w)
-        if ev.kind == "goal_reached":
+    for kind, direction, _ in islice(_walk(st, w, True), 50):
+        if kind == "goal_reached":
             break
-        assert ev.kind == "moved" and ev.direction == 45.0
+        assert kind == "moved" and direction == 45.0
         moves += 1
-        assert moves < 50
     assert moves == 8  # 2*sqrt(2) meters in sqrt(2)/4 steps
     assert st.node == (8, 8) and _position(st.start, st.node, 0.5) == (2.0, 2.0)
 
@@ -282,18 +237,18 @@ def test_blocked_north_northwest_picks_270():
     # goal to the northwest, bar blocking north and northwest: pick west
     w = _world(_rect(-0.6, 0.2, 0.1, 0.4), goal=Point2(-20, 20))
     st = NspmrState(start=Point2(0, 0))
-    _, ev = nspmr_step(st, w)
-    assert ev.kind == "moved" and ev.direction == 270.0
+    kind, direction, _ = next(_walk(st, w, True))
+    assert kind == "moved" and direction == 270.0
 
 
 def test_backtrack_marks_dead_and_retreats():
     w = _world(goal=Point2(25, 25))
     st = NspmrState(start=Point2(0, 0), node=(1, 1), trail=[(0, 0), (1, 1)])
     st.used[(1, 1)] = set(DIRECTIONS)
-    _, ev = nspmr_step(st, w)
-    assert ev.kind == "backtracked"
-    assert ev.direction == 225.0
-    assert ev.new_pos == Point2(0, 0)
+    kind, direction, pos = next(_walk(st, w, True))
+    assert kind == "backtracked"
+    assert direction == 225.0
+    assert pos == Point2(0, 0)
     assert st.node == (0, 0)
     assert st.trail == [(0, 0)]
     assert (1, 1) in st.dead
@@ -305,9 +260,9 @@ def test_stuck_when_trail_exhausted():
     w = _world(goal=Point2(25, 25))
     st = NspmrState(start=Point2(0, 0))
     st.used[(0, 0)] = set(DIRECTIONS)
-    _, ev = nspmr_step(st, w)
-    assert ev.kind == "stuck"
-    assert ev.new_pos == Point2(0, 0) and st.node == (0, 0)
+    kind, direction, pos = next(_walk(st, w, True))
+    assert kind == "stuck" and direction is None
+    assert pos == Point2(0, 0) and st.node == (0, 0)
     assert not st.dead
 
 
@@ -321,9 +276,9 @@ def test_goal_cell_is_never_marked_dead():
         node = (round((gx - start.x) / 0.25), round((gy - start.y) / 0.25))
         st = NspmrState(start=start, node=node, trail=[(node[0] - 1, node[1]), node])
         st.used[node] = set(DIRECTIONS)
-        _, ev = nspmr_step(st, w)
-        assert ev.kind == "goal_reached" and ev.new_pos == _position(st.start, st.node, 0.5)
-        assert distance(ev.new_pos, w.goal) <= 0.25
+        kind, _, pos = next(_walk(st, w, True))
+        assert kind == "goal_reached" and pos == _position(st.start, st.node, 0.5)
+        assert distance(pos, w.goal) <= 0.25
         assert not st.dead
 
 
@@ -332,8 +287,7 @@ def test_rules_disabled_step_goes_stuck_instead_of_backtracking():
     w = _world(goal=Point2(25, 25))
     st = NspmrState(start=Point2(0, 0), node=(1, 1), trail=[(0, 0), (1, 1)])
     st.used[(1, 1)] = set(DIRECTIONS)
-    _, ev = nspmr_step(st, w, rules_enabled=False)
-    assert ev.kind == "moved"  # memory ignored: keeps moving
+    assert next(_walk(st, w, False))[0] == "moved"  # memory ignored: keeps moving
     st2 = NspmrState(start=Point2(0, 0))
     blocked_scan_world = _world(
         _rect(-0.3, 0.1, 0.3, 0.3),
@@ -342,8 +296,7 @@ def test_rules_disabled_step_goes_stuck_instead_of_backtracking():
         _rect(-0.3, -0.3, -0.1, 0.3),
         goal=Point2(25, 25),
     )
-    _, ev2 = nspmr_step(st2, blocked_scan_world, rules_enabled=False)
-    assert ev2.kind == "stuck"
+    assert next(_walk(st2, blocked_scan_world, False))[0] == "stuck"
 
 
 def test_no_reversal_between_consecutive_moves():
@@ -355,28 +308,25 @@ def test_no_reversal_between_consecutive_moves():
     )
     st = NspmrState(start=Point2(0, 0))
     prev_move = None
-    for _ in range(200):
-        _, ev = nspmr_step(st, w)
-        if ev.kind in ("goal_reached", "stuck"):
-            break
-        if ev.kind == "moved":
+    for kind, direction, _ in islice(_walk(st, w, True), 200):
+        if kind == "moved":
             if prev_move is not None:
-                assert circular_diff(ev.direction, prev_move) != 180
-            prev_move = ev.direction
+                assert circular_diff(direction, prev_move) != 180
+            prev_move = direction
         else:
             prev_move = None
 
 
 # --- scan memo -------------------------------------------------------------------
 
-def _walk(s, rules_enabled=True, max_steps=1000):
+def _walked(s, rules_enabled=True, max_steps=1000):
+    """The state that max_steps steps of one walk over s leave, and the positions it visits."""
     st = NspmrState(start=s.start)
     visited = {s.start}
-    for _ in range(max_steps):
-        _, ev = nspmr_step(st, s, rules_enabled)
-        if ev.kind in ("goal_reached", "stuck"):
+    for kind, _, pos in islice(_walk(st, s, rules_enabled), max_steps):
+        if kind in ("goal_reached", "stuck"):
             break
-        visited.add(ev.new_pos)
+        visited.add(pos)
     return st, visited
 
 
@@ -403,8 +353,10 @@ def _fresh_record(s, pos):
     while cands:
         order.append(select_direction(cands, theta, sc))
         cands.remove(order[-1])
-    inside = [a for a in order if s.bounds.contains(apply_move(pos, a, s.delta))]
-    return pos, False, tuple((a, planner._SIGNS[a]) for a in inside)
+    half = s.delta / 2
+    moves = [(a, planner._SIGNS[a]) for a in order]
+    return pos, False, tuple((a, (sx, sy)) for a, (sx, sy) in moves
+                             if s.bounds.contains(Point2(pos.x + sx * half, pos.y + sy * half)))
 
 
 @pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES if not builtin_scenario(n).is_dynamic])
@@ -413,7 +365,7 @@ def test_memoized_scans_equal_fresh_scans(name, monkeypatch):
     calls = _count_scans(monkeypatch)
     for rules in (True, False):
         calls.clear()
-        st, visited = _walk(s, rules)
+        st, visited = _walked(s, rules)
         # one real scan per distinct node; the goal's node needs none
         positions = {node: _position(s.start, node, s.delta) for node in st.records}
         assert sorted(calls) == sorted(positions[n] for n, rec in st.records.items() if not rec.at_goal)
@@ -437,7 +389,7 @@ def test_records_equal_fresh_records_on_generated_and_office_runs(key):
     # ranks its moves as select_direction picks them one by one from a fresh scan
     s = _ranked_world(key)
     for rules, steps in ((True, iteration_ceiling(s)), (False, 2000)):
-        st, _ = _walk(s, rules, steps)
+        st, _ = _walked(s, rules, steps)
         assert len(st.records) > 10
         for node, record in st.records.items():
             assert record == _fresh_record(s, _position(s.start, node, s.delta)), node
@@ -451,7 +403,7 @@ def test_records_drop_exactly_the_moves_that_leave_the_bounds():
     for i in range(-3, 5):
         for j in range(-4, 4):
             st = NspmrState(start=s.start, node=(i, j))
-            nspmr_step(st, s, rules_enabled=False)
+            next(_walk(st, s, False))
             record = st.records[i, j]
             assert record == _fresh_record(s, _position(s.start, (i, j), s.delta))
             if not record.at_goal:
@@ -466,7 +418,7 @@ def test_moving_world_scans_every_step(monkeypatch):
     _, res = run(s, "nspmr")
     assert res.outcome == "goal_reached"
     assert len(calls) == res.iterations  # one real scan per move, none from a memo
-    st, _ = _walk(s)
+    st, _ = _walked(s)
     assert st.records == {}
 
 
@@ -509,8 +461,8 @@ def test_order_walk_picks_select_direction(free, dists, prev_dir, used, dead, no
                 else:
                     cands = free_directions(sc)
                 want = select_direction(cands, theta, sc) if cands else None
-                _, ev = nspmr_step(st, w, rules)
-                assert (ev.direction if ev.kind == "moved" else None) == want
+                kind, direction, _ = next(_walk(st, w, rules))
+                assert (direction if kind == "moved" else None) == want
                 records = st.records
 
 
@@ -520,15 +472,9 @@ LOOP_FIXTURES = ("scenario1", "concave_trap", "corridor_loop", "triangle_loop")
 
 
 def _step_log(s, max_steps):
-    """(event kind, direction, node after the step) for each nspmr_step call."""
+    """(event kind, direction, node after the step) for each of up to max_steps steps of one walk."""
     st = NspmrState(s.start)
-    log = []
-    for _ in range(max_steps):
-        _, ev = nspmr_step(st, s)
-        log.append((ev.kind, ev.direction, st.node))
-        if ev.kind in ("goal_reached", "stuck"):
-            break
-    return st, log
+    return st, [(kind, direction, st.node) for kind, direction, _ in islice(_walk(st, s, True), max_steps)]
 
 
 @pytest.mark.parametrize("offset", [0.1, 0.125])

@@ -4,12 +4,13 @@ import math
 import random
 from collections import Counter
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 
-from nspmr import sim, world as world_module
+from nspmr import planner, sim, world as world_module
 from nspmr.geometry import GeometryError, Point2, PointLocation, Polygon, _segment_hits, distance, point_in_polygon, segment_intersection
-from nspmr.planner import NspmrState, nspmr_step
+from nspmr.planner import NspmrState
 from nspmr.sim import (
     RunResult,
     SimulationError,
@@ -143,6 +144,14 @@ def test_run_refuses_a_budget_that_is_not_a_positive_integer(planner, budget):
         run(builtin_scenario("scenario1"), planner, budget)
 
 
+@pytest.mark.parametrize("name, rules_enabled", [("bug1", False), ("bug2", False), ("nspmr", "no"), ("bug1", "no"),
+                                                 ("nspmr", 1), ("bug2", 0), ("nspmr", None)])
+def test_run_refuses_rules_enabled_that_is_not_a_bool_or_is_off_for_a_bug_planner(name, rules_enabled):
+    # the Bug planners have no loop-escape rules to turn off; every planner refuses it up front with one message
+    with pytest.raises(ValueError, match=r"^rules_enabled must be a bool, and True for bug1 and bug2; got "):
+        run(builtin_scenario("scenario1"), name, rules_enabled=rules_enabled)
+
+
 def test_iteration_limit_outcome():
     traj, res = run(_empty(), "nspmr", 5)
     assert res.outcome == "iteration_limit"
@@ -228,22 +237,22 @@ def _recount(s, traj, outcome):
 
 
 def _stepped(s, max_iters, rules_enabled, state=None):
-    """run(s, "nspmr", max_iters, rules_enabled=rules_enabled), one nspmr_step call per
-    iteration on state, a fresh one by default."""
+    """run(s, "nspmr", max_iters, rules_enabled=rules_enabled), up to max_iters steps of one
+    planner._walk on state, a fresh one by default. Each step must leave on state the node
+    it reached and its heading, the move's direction or None after a retreat."""
     state = NspmrState(start=s.start) if state is None else state
-    world = s
+    half = s.delta / 2
     waypoints, events, directions = [s.start], [], []
     outcome = "iteration_limit"
-    for _ in range(max_iters):
-        state, ev = nspmr_step(state, world, rules_enabled)
-        if ev.kind in ("goal_reached", "stuck"):
-            outcome = ev.kind
+    for kind, direction, pos in islice(planner._walk(state, s, rules_enabled), max_iters):
+        if kind in ("goal_reached", "stuck"):
+            outcome = kind
             break
-        waypoints.append(ev.new_pos)
-        events.append(ev.kind)
-        directions.append(ev.direction)
-        if s.is_dynamic:
-            world = step_dynamics(world)
+        assert pos == Point2(s.start.x + state.node[0] * half, s.start.y + state.node[1] * half)
+        assert state.prev_dir == (direction if kind == "moved" else None)
+        waypoints.append(pos)
+        events.append(kind)
+        directions.append(direction)
     traj = make_trajectory(s, waypoints, events, directions)
     return traj, _recount(s, traj, outcome)
 
@@ -335,7 +344,7 @@ def test_rules_on_run_equals_a_stepped_walk(s, budget):
 @pytest.mark.parametrize("name", ["concave_trap", "corridor_loop"])
 def test_a_walk_stopped_by_its_budget_leaves_the_stepped_state(name, monkeypatch):
     # the walk keeps the node and heading in locals; stopped mid-run, the state it hands
-    # back must be the one that stepping nspmr_step one call at a time leaves
+    # back must be the one that a walk stepped to the same budget leaves
     s = builtin_scenario(name)
     states = []
 
@@ -445,6 +454,34 @@ def test_run_builds_each_pose_once_on_a_copy(monkeypatch):
     traj, _ = run(s, "nspmr")
     assert len(poses) == len(traj.waypoints) - 1 == 105
     assert "next_tick" not in vars(s)
+
+
+def test_a_mover_below_each_static_builtin_leaves_its_route_and_its_static_obstacles_alone():
+    # each static builtin, grown 12 m below, with a 1x1 mover running east-west 8 m under the old
+    # bounds: the rules-on route is the one in the same bounds without the mover, and each tick
+    # keeps every static obstacle as the same object while the mover reflects off the sides
+    reflections = 0
+    for name in BUILTIN_NAMES:
+        base = builtin_scenario(name)
+        if base.is_dynamic:
+            continue
+        b = base.bounds
+        grown = replace(base, bounds=Bounds(b.xmin, b.ymin - 12, b.xmax, b.ymax))
+        added = Obstacle(_rect(b.xmin + 1, b.ymin - 9, b.xmin + 2, b.ymin - 8), (3.0, 0.0))
+        mixed = replace(grown, obstacles=grown.obstacles + (added,))
+        traj, _ = run(mixed, "nspmr")
+        assert traj.waypoints == run(grown, "nspmr")[0].waypoints, name
+        g, world = grown.bounds, mixed
+        for _ in traj.waypoints:
+            vx = world.obstacles[-1].velocity[0]
+            world = world.next_tick
+            *statics, mover = world.obstacles
+            assert all(ob is static for ob, static in zip(statics, grown.obstacles, strict=True))
+            x0, y0, x1, y1 = mover.shape.bbox()
+            assert g.xmin <= x0 and x1 <= g.xmax and g.ymin <= y0 and y1 <= g.ymax
+            assert abs(mover.velocity[0]) == 3.0 and mover.velocity[1] == 0.0
+            reflections += mover.velocity[0] != vx
+    assert reflections > 0
 
 
 def _fast_mover(x, y, v):

@@ -15,7 +15,7 @@ lattice-line sites of every bbox corner: d/2 back from the corner along
 each of the 8 sensor rays, on the ray's line or off it by +-EPS_GEOM or
 +- the margin scan grows a bbox by (a GeometryError is hashed in place of
 its readings), and one SHA-256 over repr of the final NspmrState.records,
-in insertion order, of nspmr_step walked over every static builtin and
+in insertion order, of one planner._walk over every static builtin and
 worlds 0-49, with the rules on to the end of the default budget and with
 them off for 2000 iterations. Two checkouts agree when those lines are
 equal. It also computes grid_oracle(s, r) for the builtins at r = delta/2,
@@ -39,12 +39,13 @@ import os
 import random
 import sys
 import tempfile
+from collections import deque
+from itertools import islice
 
 from nspmr import (
     BUILTIN_NAMES,
     PLANNERS,
     GeometryError,
-    NspmrState,
     Obstacle,
     Point2,
     Polygon,
@@ -56,13 +57,13 @@ from nspmr import (
     generate_world,
     grid_oracle,
     iteration_ceiling,
-    nspmr_step,
     run,
     scan,
     serialize_scenario,
     write_trajectory_csv,
 )
 from nspmr.geometry import EPS_GEOM
+from nspmr.planner import NspmrState, _walk
 
 TOLERANCE = 1e-12
 
@@ -175,7 +176,7 @@ def scans_digest() -> tuple[str, int]:
 
 
 def records_digest() -> tuple[str, int]:
-    """SHA-256 over repr of the node records each covered nspmr_step walk ends with, and the number of walks."""
+    """SHA-256 over repr of the node records each covered walk ends with, and the number of walks."""
     digest = hashlib.sha256()
     count = 0
     worlds = [builtin_scenario(name) for name in BUILTIN_NAMES] + [generate_world(seed) for seed in range(50)]
@@ -185,10 +186,7 @@ def records_digest() -> tuple[str, int]:
         for rules, steps in ((True, default_max_iters(s)), (False, 2000)):
             count += 1
             state = NspmrState(start=s.start)
-            for _ in range(steps):
-                state, ev = nspmr_step(state, s, rules)
-                if ev.kind in ("goal_reached", "stuck"):
-                    break
+            deque(islice(_walk(state, s, rules), steps), maxlen=0)
             digest.update(repr(state.records).encode())
     return digest.hexdigest(), count
 
