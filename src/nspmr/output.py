@@ -34,7 +34,7 @@ def read_trajectory_csv(path) -> Trajectory:
     """Rebuild a trajectory from a CSV written by write_trajectory_csv."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))  # an empty file has no header
         if header != CSV_HEADER:
             raise ValueError(f"unexpected header {header!r}")
         waypoints: list[Point2] = []
@@ -48,6 +48,8 @@ def read_trajectory_csv(path) -> Trajectory:
             if len(waypoints) > 1:
                 events.append(event)
                 directions.append(float(heading) if heading else None)
+    if not waypoints:
+        raise ValueError("no waypoint rows after the header")
     return Trajectory(
         waypoints=tuple(waypoints),
         events=tuple(events),

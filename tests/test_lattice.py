@@ -3,6 +3,7 @@
 import heapq
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from nspmr.geometry import Point2, Polygon, point_polygon_distance
 from nspmr.lattice import _lattice_blocked, _lattice_path, _lattice_shape
+from nspmr.sim import grid_oracle, iteration_ceiling
 from nspmr.world import (
     BUILTIN_NAMES,
     Bounds,
@@ -279,3 +281,19 @@ def test_search_from_a_start_beside_the_ring(start):
     s = _scene((0.0, 0.0, 8.0, 8.0), *dots, start=Point2(*start), goal=Point2(5.0, 6.0))
     assert _lattice_path(s, 1.0, 0.0) is not None
     _assert_same_length(s, 1.0, 0.0)
+
+
+def test_committed_reference_holds_the_builtin_ceilings_and_oracles():
+    # tools/lattice_parity.txt is tools/lattice_parity.py's output for this tree; CI
+    # rewrites all of it, and this checks its builtin ceilings and oracle lines, exactly
+    lines = (Path(__file__).parents[1] / "tools" / "lattice_parity.txt").read_text().splitlines()
+    ceilings = [line.split(None, 1)[1] for line in lines if line.startswith("ceilings ")]
+    assert ceilings == [str([iteration_ceiling(builtin_scenario(n)) for n in BUILTIN_NAMES])]
+    want = [
+        f"oracle {name} {r} {grid_oracle(s, r)!r}"
+        for name in BUILTIN_NAMES
+        for s in [builtin_scenario(name)]
+        for r in dict.fromkeys((s.delta / 2, 0.25, 0.3, 0.7))
+    ]
+    assert len(want) == 18
+    assert [line for line in lines if line.startswith(tuple(f"oracle {n} " for n in BUILTIN_NAMES))] == want

@@ -105,6 +105,18 @@ def test_csv_reader_rejects_foreign_header(tmp_path):
         output.read_trajectory_csv(path)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("", "unexpected header"), (",".join(output.CSV_HEADER) + "\r\n", "no waypoint rows")],
+    ids=["empty", "header_only"],
+)
+def test_csv_reader_rejects_a_file_without_rows(tmp_path, text, message):
+    path = tmp_path / "rows.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        output.read_trajectory_csv(path)
+
+
 # --- SVG --------------------------------------------------------------------------
 
 def test_svg_element_counts():

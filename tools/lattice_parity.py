@@ -1,43 +1,44 @@
-"""Fingerprint the outputs of the lattice search and the planners, to compare two checkouts.
+"""Fingerprint what the lattice search and the planners compute; the output is the reference.
 
-Prints one SHA-256 over serialize_scenario(generate_world(seed)) for seeds
-0-499, the iteration_ceiling of each builtin, and one SHA-256 over the
-routes: repr(RunResult) and the trajectory CSV bytes of every builtin under
-nspmr (rules on, and rules off at 2000 iterations) and under bug1 and bug2,
-of office_like under nspmr at d = 2 and 20, and of worlds 0-49 under all
-three planners (a planner's ScenarioError is hashed in place of its route),
-one SHA-256 over the audit_collisions messages of each of those routes, as
-it is and with a box of half-width delta/2 added around its middle waypoint,
-and one SHA-256 over repr of the readings of scan at 100 seeded positions
-and the bbox corners of every obstacle in worlds 0-49 at d = 1 and 10, and
-at every 0.25 m node of office_like at d = 2 and 20, and in both at the
-lattice-line sites of every bbox corner: d/2 back from the corner along
-each of the 8 sensor rays, on the ray's line or off it by +-EPS_GEOM or
-+- the margin scan grows a bbox by (a GeometryError is hashed in place of
-its readings), and one SHA-256 over repr of the final NspmrState.records,
-in insertion order, of one planner._walk over every static builtin and
-worlds 0-49, with the rules on to the end of the default budget and with
-them off for 2000 iterations. Two checkouts agree when those lines are
-equal. It also computes grid_oracle(s, r) for the builtins at r = delta/2,
-0.25, 0.3 and 0.7 and for seeds 0-49 at r = delta/2. The oracle is a
-shortest lattice length, equal across search orders only to rounding, so
-its values are compared with a tolerance instead. --save writes the six
-lines and the oracle values as JSON; --against compares them with a saved
-file, the lines exactly and the oracle values at abs 1e-12, and exits 1
-naming each line or value that differs. Run it once against each source tree, from this checkout, e.g.
-with a base checkout in ../base:
+tools/lattice_parity.txt holds this tool's output for the committed tree, so a
+change that alters any line shows it in the diff. Its lines are:
 
-    PYTHONPATH=../base/src python tools/lattice_parity.py --save oracles.json
-    PYTHONPATH=src python tools/lattice_parity.py --against oracles.json
+- worlds: one SHA-256 over serialize_scenario(generate_world(seed)) for seeds 0-499;
+- ceilings: the iteration_ceiling of each builtin;
+- routes: one SHA-256 over repr(RunResult) and the trajectory CSV bytes of every
+  builtin under nspmr (rules on, and rules off at 2000 iterations) and under bug1
+  and bug2, of office_like under nspmr at d = 2 and 20, and of worlds 0-49 under
+  all three planners (a planner's ScenarioError is hashed in place of its route);
+- audits: one SHA-256 over the audit_collisions messages of each of those routes,
+  as it is and with a box of half-width delta/2 added around its middle waypoint;
+- scans: one SHA-256 over repr of the readings of scan at 100 seeded positions
+  and the bbox corners of every obstacle in worlds 0-49 at d = 1 and 10, and at
+  every 0.25 m node of office_like at d = 2 and 20, and in both at the lattice-line
+  sites of every bbox corner: d/2 back from the corner along each of the 8 sensor
+  rays, on the ray's line or off it by +-EPS_GEOM or +- the margin scan grows a
+  bbox by (a GeometryError is hashed in place of its readings);
+- records: one SHA-256 over repr of the final NspmrState.records, in insertion
+  order, of one planner._walk over every static builtin and worlds 0-49, with the
+  rules on to the end of the default budget and with them off for 2000 iterations;
+- one "oracle <key> <value>" line per grid_oracle(s, r), for the builtins at
+  r = delta/2, 0.25, 0.3 and 0.7 and for worlds 0-49 at r = delta/2, with the
+  value's repr, so it is compared exactly.
+
+Rewrite the reference after a declared change of behaviour:
+
+    PYTHONPATH=src python tools/lattice_parity.py > tools/lattice_parity.txt
+
+To compare two source trees, run the tool under each tree's PYTHONPATH and diff
+the outputs, e.g. with a second checkout in ../base:
+
+    PYTHONPATH=../base/src python tools/lattice_parity.py > base.txt
+    PYTHONPATH=src python tools/lattice_parity.py | diff base.txt -
 """
 
-import argparse
 import dataclasses
 import hashlib
-import json
 import os
 import random
-import sys
 import tempfile
 from collections import deque
 from itertools import islice
@@ -64,20 +65,6 @@ from nspmr import (
 )
 from nspmr.geometry import EPS_GEOM
 from nspmr.planner import NspmrState, _walk
-
-TOLERANCE = 1e-12
-
-
-def mismatches(got: dict, want: dict) -> list[str]:
-    """Keys that only one side has, that are None on one side only, or that differ by more than TOLERANCE."""
-    return [
-        key
-        for key in sorted(set(got) | set(want))
-        if key not in got
-        or key not in want
-        or (got[key] is None) != (want[key] is None)
-        or (got[key] is not None and abs(got[key] - want[key]) > TOLERANCE)
-    ]
 
 
 def route_runs():
@@ -191,60 +178,34 @@ def records_digest() -> tuple[str, int]:
     return digest.hexdigest(), count
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--save", metavar="PATH", help="write the digests and oracle values to PATH as JSON")
-    parser.add_argument("--against", metavar="PATH", help="compare the digests and oracle values with those saved in PATH")
-    args = parser.parse_args()
-
-    worlds = hashlib.sha256()
-    oracles = {}
+def oracle_values():
+    """(key, grid_oracle length) of each builtin at r = delta/2, 0.25, 0.3 and 0.7 and of worlds 0-49
+    at r = delta/2, in a fixed order."""
     for name in BUILTIN_NAMES:
         s = builtin_scenario(name)
         for r in dict.fromkeys((s.delta / 2, 0.25, 0.3, 0.7)):  # delta/2 may repeat 0.25
-            oracles[f"{name} {r}"] = grid_oracle(s, r)
-    for seed in range(500):
+            yield f"{name} {r}", grid_oracle(s, r)
+    for seed in range(50):
         s = generate_world(seed)
-        worlds.update(serialize_scenario(s).encode())
-        if seed < 50:
-            oracles[f"{seed} {s.delta / 2}"] = grid_oracle(s, s.delta / 2)
+        yield f"{seed} {s.delta / 2}", grid_oracle(s, s.delta / 2)
+
+
+def main() -> None:
+    worlds = hashlib.sha256()
+    for seed in range(500):
+        worlds.update(serialize_scenario(generate_world(seed)).encode())
     routes, audits, runs = routes_digests()
     scans, scanned = scans_digest()
     records, walks = records_digest()
-    lines = {
-        "worlds": worlds.hexdigest(),
-        "ceilings": [iteration_ceiling(builtin_scenario(n)) for n in BUILTIN_NAMES],
-        "routes": f"{routes} ({runs} runs)",
-        "audits": f"{audits} ({runs} runs)",
-        "scans": f"{scans} ({scanned} scans)",
-        "records": f"{records} ({walks} walks)",
-    }
-    print("worlds 0-499  ", lines["worlds"])
-    print("ceilings      ", lines["ceilings"])
-    print("routes        ", lines["routes"])
-    print("audits        ", lines["audits"])
-    print("scans         ", lines["scans"])
-    print("records       ", lines["records"])
-    print("oracles       ", len(oracles), "values")
-    if args.save:
-        with open(args.save, "w") as f:
-            json.dump({**lines, "oracles": oracles}, f, indent=1, sort_keys=True)
-    if args.against:
-        with open(args.against) as f:
-            saved = json.load(f)
-        want = saved["oracles"]
-        bad = mismatches(oracles, want)
-        diffs = [abs(v - want[k]) for k, v in oracles.items() if v is not None and want.get(k) is not None]
-        moved = sum(d > 0 for d in diffs)
-        print(f"against        {moved} moved, max |diff| {max(diffs, default=0.0):.3g}, {len(bad)} mismatched")
-        for key in bad:
-            print("  mismatch", key, oracles.get(key), want.get(key))
-        differing = [key for key, value in lines.items() if saved.get(key) != value]
-        for key in differing:
-            print(f"  {key} differ: saved {saved.get(key)}")
-        return 1 if bad or differing else 0
-    return 0
+    print("worlds 0-499  ", worlds.hexdigest())
+    print("ceilings      ", [iteration_ceiling(builtin_scenario(n)) for n in BUILTIN_NAMES])
+    print("routes        ", f"{routes} ({runs} runs)")
+    print("audits        ", f"{audits} ({runs} runs)")
+    print("scans         ", f"{scans} ({scanned} scans)")
+    print("records       ", f"{records} ({walks} walks)")
+    for key, value in oracle_values():
+        print("oracle", key, repr(value))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()
