@@ -21,7 +21,7 @@ from nspmr import (
 def main():
     s = builtin_scenario("scenario1")
     pos = Point2(5.55, 5.0)
-    reading = scan(pos, s, s.sensor_range, s.delta)
+    reading = scan(pos, s)
     theta = desired_angle(pos, s.goal)
     print(f"robot at ({pos.x:g}, {pos.y:g}), goal at ({s.goal.x:g}, {s.goal.y:g})")
     print(f"desired bearing: {theta:.2f} deg (compass, 0 = +y, clockwise)\n")

@@ -17,16 +17,15 @@ from __future__ import annotations
 
 import bisect
 import math
+from functools import partial
 
 from .geometry import (
-    CollinearOverlap,
     GeometryError,
     Point2,
     PointLocation,
     Polygon,
     _closer_than,
     _segment_hits,
-    distance,
     math_to_compass,
     point_in_polygon,
     polygon_offset,
@@ -51,12 +50,12 @@ class _Ring:
 
     def __init__(self, shape: Polygon, clearance: float):
         self.offset = polygon_offset(shape, clearance)
-        self.edges = self.offset.edges()
+        self.edges = self.offset.edges
         self.cum = [0.0]
         for a, b in self.edges:
-            self.cum.append(self.cum[-1] + distance(a, b))
+            self.cum.append(self.cum[-1] + math.dist(a, b))
         self.perimeter = self.cum[-1]
-        self.bbox = self.offset.bbox()
+        self.bbox = self.offset.bbox
 
     def point_at(self, s: float) -> Point2:
         s %= self.perimeter
@@ -77,7 +76,7 @@ class _Ring:
             t = ((target.x - a.x) * (b.x - a.x) + (target.y - a.y) * (b.y - a.y)) / (seg * seg)
             t = min(1.0, max(0.0, t))
             p = Point2(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
-            d = distance(p, target)
+            d = math.dist(p, target)
             if d < best[0] - 1e-15:
                 best = (d, p, self.cum[i] + t * seg)
         return best[1], best[2] % self.perimeter
@@ -151,7 +150,7 @@ def _prepare(s: Scenario) -> list[_Ring]:
         for b in s.obstacles[i + 1 :]:
             if _closer_than(a.shape, b.shape, 2 * c):
                 raise ScenarioError("obstacles closer than twice the boundary clearance")
-        x0, y0, x1, y1 = a.shape.bbox()
+        x0, y0, x1, y1 = a.shape.bbox
         for label, p in (("start", s.start), ("goal", s.goal)):
             # geometry._bbox_gap's lower bound on the distance, with _closer_than's slack
             gap = math.hypot(max(p.x - x1, x0 - p.x, 0.0), max(p.y - y1, y0 - p.y, 0.0))
@@ -183,7 +182,7 @@ def _first_entry(p: Point2, q: Point2, rings: list[_Ring]):
 def _step_toward(p: Point2, goal: Point2, delta: float) -> Point2 | None:
     """The next straight step from p: delta/2 toward the goal, or the goal
     itself when it is no farther; None once p is at the goal."""
-    rem, step = distance(p, goal), delta / 2
+    rem, step = math.dist(p, goal), delta / 2
     if rem <= 1e-12:
         return None
     if rem <= step:
@@ -199,7 +198,7 @@ def _windows(p: Point2, goal: Point2, rings: list[_Ring], step: float) -> list[t
     of rounding. X(r) lies in the bbox grown by eps for r in [lo, h], one slab
     per axis (Kay & Kajiya 1986), so a step from rem down to rem - step can meet
     it only for lo <= rem <= h + step = hi; the growth covers rem's rounding."""
-    L = distance(p, goal)
+    L = math.dist(p, goal)
     eps = (1 + L + math.hypot(*goal)) * (1e-9 + 1e-15 * L / step)
     spans = []
     for ring in rings:
@@ -277,7 +276,7 @@ def _bug1_follow(s: Scenario, rings: list[_Ring], ring: _Ring, rec: _Recorder) -
     if not rec.extend(ring.arc_points(s_hit, ring.perimeter, 1, s.delta / 2)[1:]):
         return OUTCOME_LIMIT
     leave, s_leave = ring.closest_to(s.goal)
-    if distance(leave, s.goal) >= distance(hit_point, s.goal) - 1e-9:
+    if math.dist(leave, s.goal) >= math.dist(hit_point, s.goal) - 1e-9:
         return OUTCOME_UNREACHABLE
     ccw_arc = (s_leave - s_hit) % ring.perimeter
     cw_arc = ring.perimeter - ccw_arc
@@ -295,24 +294,16 @@ def bug1_result(s: Scenario, max_iters: int) -> tuple[Trajectory, str]:
 
 # --- Bug2 ----------------------------------------------------------------------------
 
-def _mline_crossing(a: Point2, b: Point2, start: Point2, goal: Point2) -> Point2 | None:
-    hit = segment_intersection(a, b, start, goal)
-    if hit is None:
-        return None
-    if isinstance(hit, CollinearOverlap):
-        # walking along the line itself: the far overlap end decides
-        return min((hit.start, hit.end), key=lambda p: distance(p, goal))
-    return hit
-
-
 def _bug2_follow(s: Scenario, rings: list[_Ring], ring: _Ring, rec: _Recorder) -> str | None:
     """Clockwise wall-following until the start-goal line is crossed strictly
     closer to the goal than the hit, with a free departure."""
-    hit_dist = distance(rec.pos, s.goal)
+    to_goal = partial(math.dist, s.goal)
+    hit_dist = to_goal(rec.pos)
     pts = ring.arc_points(ring.closest_to(rec.pos)[1], ring.perimeter, -1, s.delta / 2)
     for i in range(1, len(pts)):
-        x = _mline_crossing(pts[i - 1], pts[i], s.start, s.goal)
-        if x is not None and distance(x, s.goal) < hit_dist - 1e-9 and _departure_free(x, s.goal, rings, s.delta):
+        # a step along the line itself meets it in an overlap, whose end nearer the goal decides
+        x = min(segment_intersection(pts[i - 1], pts[i], s.start, s.goal), key=to_goal, default=None)
+        if x is not None and to_goal(x) < hit_dist - 1e-9 and _departure_free(x, s.goal, rings, s.delta):
             return None if rec.extend(pts[1:i] + [x]) else OUTCOME_LIMIT
     return OUTCOME_UNREACHABLE if rec.extend(pts[1:]) else OUTCOME_LIMIT
 

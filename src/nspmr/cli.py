@@ -14,7 +14,6 @@ import sys
 from dataclasses import replace
 
 from . import output
-from .geometry import GeometryError
 from .sim import PLANNERS, SimulationError, grid_oracle, run
 from .world import (
     BUILTIN_NAMES,
@@ -210,7 +209,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as e:
         return 0 if e.code is None else int(e.code)
-    except (CliError, ScenarioError, GeometryError, SimulationError, ValueError) as e:
+    except (CliError, SimulationError, ValueError) as e:  # ScenarioError and GeometryError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -34,14 +34,6 @@ class PointLocation(Enum):
     OUTSIDE = "outside"
 
 
-@dataclass(frozen=True)
-class CollinearOverlap:
-    """Segments that overlap along a shared line; ``start``/``end`` bound the overlap."""
-
-    start: Point2
-    end: Point2
-
-
 def math_to_compass(deg: float) -> float:
     """Convert a math angle (ccw from +x) to a compass angle (cw from +y).
 
@@ -80,10 +72,6 @@ _UNIT_TABLE = (
 )
 
 
-def distance(a: Point2, b: Point2) -> float:
-    return math.hypot(b.x - a.x, b.y - a.y)
-
-
 def point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:
     """Distance from p to the closed segment ab."""
     ex, ey = b.x - a.x, b.y - a.y
@@ -100,14 +88,12 @@ def _cross(ax: float, ay: float, bx: float, by: float) -> float:
     return ax * by - ay * bx
 
 
-def segment_intersection(
-    a1: Point2, a2: Point2, b1: Point2, b2: Point2
-) -> Point2 | CollinearOverlap | None:
-    """Intersection of two closed segments.
+def segment_intersection(a1: Point2, a2: Point2, b1: Point2, b2: Point2) -> tuple[Point2, ...]:
+    """The points where two closed segments meet.
 
-    Returns the intersection point for proper or endpoint-touching crossings,
-    a CollinearOverlap when the segments share a stretch of the same line
-    (grazing must not be silently dropped), and None when disjoint.
+    Returns () when they are disjoint, the one point of a proper or
+    endpoint-touching crossing, or both ends of the stretch they share when
+    they overlap along one line (grazing must not be silently dropped).
     """
     rx, ry = a2.x - a1.x, a2.y - a1.y
     sx, sy = b2.x - b1.x, b2.y - b1.y
@@ -116,27 +102,25 @@ def segment_intersection(
     scale = max(abs(rx), abs(ry), abs(sx), abs(sy), 1.0)
     if abs(denom) <= EPS_GEOM * scale * scale:
         if abs(_cross(qpx, qpy, rx, ry)) > EPS_GEOM * scale * scale:
-            return None  # parallel, different lines
+            return ()  # parallel, different lines
         rr = rx * rx + ry * ry
         if rr == 0.0:
-            return None
+            return ()
         t0 = (qpx * rx + qpy * ry) / rr
         t1 = t0 + (sx * rx + sy * ry) / rr
         lo, hi = min(t0, t1), max(t0, t1)
         lo = max(lo, 0.0)
         hi = min(hi, 1.0)
         if hi < lo - EPS_GEOM:
-            return None
+            return ()
         pa = Point2(a1.x + lo * rx, a1.y + lo * ry)
         pb = Point2(a1.x + hi * rx, a1.y + hi * ry)
-        if distance(pa, pb) <= EPS_GEOM:
-            return pa  # touching at a single point
-        return CollinearOverlap(pa, pb)
+        return (pa,) if math.dist(pa, pb) <= EPS_GEOM else (pa, pb)  # touching at one point, or overlapping
     t = _cross(qpx, qpy, sx, sy) / denom
     u = _cross(qpx, qpy, rx, ry) / denom
     if -EPS_GEOM <= t <= 1.0 + EPS_GEOM and -EPS_GEOM <= u <= 1.0 + EPS_GEOM:
-        return Point2(a1.x + t * rx, a1.y + t * ry)
-    return None
+        return (Point2(a1.x + t * rx, a1.y + t * ry),)
+    return ()
 
 
 @dataclass(frozen=True)
@@ -156,67 +140,49 @@ class Polygon:
         )
 
     @cached_property
-    def _edges(self) -> tuple[tuple[Point2, Point2], ...]:
+    def edges(self) -> tuple[tuple[Point2, Point2], ...]:
+        """The edges (v[i], v[i + 1 mod n]) in vertex order, built once per polygon."""
         return tuple(zip(self.vertices, self.vertices[1:] + self.vertices[:1]))
 
     @cached_property
     def _edge_table(self) -> tuple[tuple, ...]:
         """Per edge (a, b): (a, b, ex, ey, xmin, ymin, xmax, ymax), with (ex, ey) = b - a and the edge's bbox."""
         return tuple((a, b, b.x - a.x, b.y - a.y, min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y))
-                     for a, b in self._edges)
-
-    def edges(self) -> tuple[tuple[Point2, Point2], ...]:
-        """The edges (v[i], v[i + 1 mod n]) in vertex order, built once per polygon."""
-        return self._edges
+                     for a, b in self.edges)
 
     def signed_area(self) -> float:
         s = 0.0
-        for a, b in self.edges():
+        for a, b in self.edges:
             s += a.x * b.y - b.x * a.y
         return 0.5 * s
 
+    @cached_property
     def is_ccw(self) -> bool:
-        return self._ccw  # cached like _simple: validate_scenario asks on every run
+        return self.signed_area() > 0.0  # cached like is_simple: validate_scenario asks on every run
 
     @cached_property
-    def _ccw(self) -> bool:
-        return self.signed_area() > 0.0
-
     def is_simple(self) -> bool:
-        return self._simple
-
-    @cached_property
-    def _simple(self) -> bool:
         """No self-intersections: nonadjacent edges disjoint, adjacent ones meet only at the shared vertex."""
-        es = self.edges()
+        es = self.edges
         n = len(es)
         for i in range(n):
+            a1, a2 = es[i]
             for j in range(i + 1, n):
-                a1, a2 = es[i]
                 b1, b2 = es[j]
                 hit = segment_intersection(a1, a2, b1, b2)
-                if hit is None:
+                if not hit:
                     continue
-                adjacent = j == i + 1 or (i == 0 and j == n - 1)
-                if isinstance(hit, CollinearOverlap):
-                    return False
-                if adjacent:
-                    shared = a2 if j == i + 1 else a1
-                    if distance(hit, shared) > EPS_GEOM:
-                        return False
-                else:
+                shared = a2 if j == i + 1 else a1 if i == 0 and j == n - 1 else None  # adjacent edges' common vertex
+                if shared is None or len(hit) > 1 or math.dist(hit[0], shared) > EPS_GEOM:
                     return False
         return True
 
     @cached_property
-    def _bbox(self) -> tuple[float, float, float, float]:
+    def bbox(self) -> tuple[float, float, float, float]:
+        """(xmin, ymin, xmax, ymax), computed once per polygon."""
         xs = [v.x for v in self.vertices]
         ys = [v.y for v in self.vertices]
         return min(xs), min(ys), max(xs), max(ys)
-
-    def bbox(self) -> tuple[float, float, float, float]:
-        """(xmin, ymin, xmax, ymax), computed once per polygon."""
-        return self._bbox
 
     def translated(self, dx: float, dy: float) -> "Polygon":
         """This polygon moved by (dx, dy), with only its bbox cached, moved exactly: rounding is monotone, so min
@@ -224,8 +190,8 @@ class Polygon:
         rerun: the caller keeps the moved vertices finite."""
         moved = object.__new__(Polygon)
         object.__setattr__(moved, "vertices", tuple(Point2(v.x + dx, v.y + dy) for v in self.vertices))
-        x0, y0, x1, y1 = self._bbox
-        moved.__dict__["_bbox"] = (x0 + dx, y0 + dy, x1 + dx, y1 + dy)
+        x0, y0, x1, y1 = self.bbox
+        moved.__dict__["bbox"] = (x0 + dx, y0 + dy, x1 + dx, y1 + dy)
         return moved
 
 
@@ -237,7 +203,7 @@ def point_in_polygon(p: Point2, poly: Polygon) -> PointLocation:
     distance to each edge whose bbox, grown by m, holds the point. Near EPS_GEOM the distance
     reads short by under 2 eps S (eps = 2**-52, S = max(1, bbox extents)), so m = EPS_GEOM + 4 eps S."""
     px, py = p
-    x0, y0, x1, y1 = poly._bbox
+    x0, y0, x1, y1 = poly.bbox
     if not (x0 - EPS_GEOM <= px <= x1 + EPS_GEOM and y0 - EPS_GEOM <= py <= y1 + EPS_GEOM):
         return PointLocation.OUTSIDE
     m = EPS_GEOM + 4 * 2.0**-52 * max(1.0, x1 - x0, y1 - y0)
@@ -251,9 +217,9 @@ def point_in_polygon(p: Point2, poly: Polygon) -> PointLocation:
 
 
 def _segment_hits(p: Point2, q: Point2, poly: Polygon) -> list[tuple[float, Point2]]:
-    """Each point where segment pq meets poly's boundary, as (t, point) with t its fraction along
-    pq, in edge order; a CollinearOverlap gives both its ends. Empty when |pq|^2 is 0, so t
-    never divides by zero.
+    """Each point segment_intersection finds between pq and an edge of poly, both ends of an
+    overlap included, as (t, point) with t its fraction along pq, in edge order. Empty when
+    |pq|^2 is 0, so t never divides by zero.
 
     segment_intersection runs only on the edges (a, b) whose bbox, grown by m, meets pq's. Let
     r = q - p, s = b - a, qp = a - p, eps = 2**-52, and S the larger of 1 and the bbox extents of
@@ -268,17 +234,15 @@ def _segment_hits(p: Point2, q: Point2, poly: Polygon) -> list[tuple[float, Poin
     rr = rx**2 + ry**2
     if rr == 0.0:
         return []
-    x0, y0, x1, y1 = poly._bbox
+    x0, y0, x1, y1 = poly.bbox
     S = max(1.0, x1 - x0, y1 - y0, abs(rx), abs(ry))
     m = 2 * EPS_GEOM * S * S / math.hypot(rx, ry) + 1e-5 * S
     (lox, hix), (loy, hiy) = sorted((p.x, q.x)), sorted((p.y, q.y))
     hits = []
     for a, b, _, _, x0, y0, x1, y1 in poly._edge_table:
         if x0 - m <= hix and lox <= x1 + m and y0 - m <= hiy and loy <= y1 + m:
-            hit = segment_intersection(p, q, a, b)
-            if hit is not None:
-                for x in (hit.start, hit.end) if isinstance(hit, CollinearOverlap) else (hit,):
-                    hits.append((((x.x - p.x) * rx + (x.y - p.y) * ry) / rr, x))
+            for x in segment_intersection(p, q, a, b):
+                hits.append((((x.x - p.x) * rx + (x.y - p.y) * ry) / rr, x))
     return hits
 
 
@@ -293,9 +257,9 @@ def polygon_offset(poly: Polygon, c: float) -> Polygon:
         raise GeometryError("offset distance must be >= 0")
     if c == 0:
         return poly
-    if not poly.is_ccw():
+    if not poly.is_ccw:
         raise GeometryError("polygon_offset expects CCW orientation")
-    min_edge = min(distance(a, b) for a, b in poly.edges())
+    min_edge = min(math.dist(a, b) for a, b in poly.edges)
     if c > 0.5 * min_edge:
         raise GeometryError(
             f"offset {c} too large for shortest edge {min_edge:.6g}"
@@ -316,15 +280,15 @@ def polygon_offset(poly: Polygon, c: float) -> Polygon:
         t = _cross(q.x - p.x, q.y - p.y, ex, ey) / denom
         out.append(Point2(p.x + t * dx, p.y + t * dy))
     result = Polygon(tuple(out))
-    if not result.is_simple():
+    if not result.is_simple:
         raise GeometryError("offset polygon self-intersects; clearance too large for this shape")
     return result
 
 
 def _bbox_gap(a: Polygon, b: Polygon) -> float:
     """Distance between the bboxes of a and b: a lower bound on polygon_distance(a, b)."""
-    ax0, ay0, ax1, ay1 = a.bbox()
-    bx0, by0, bx1, by1 = b.bbox()
+    ax0, ay0, ax1, ay1 = a.bbox
+    bx0, by0, bx1, by1 = b.bbox
     return math.hypot(max(bx0 - ax1, ax0 - bx1, 0.0), max(by0 - ay1, ay0 - by1, 0.0))
 
 
@@ -336,7 +300,7 @@ def _closer_than(a: Polygon, b: Polygon, margin: float) -> bool:
 
 def polygon_distance(a: Polygon, b: Polygon) -> float:
     """Minimum distance between two polygon boundaries/interiors (0 if they touch or overlap)."""
-    if any(_segment_hits(pa, pb, b) for pa, pb in a.edges()):
+    if any(_segment_hits(pa, pb, b) for pa, pb in a.edges):
         return 0.0
     if point_in_polygon(a.vertices[0], b) is PointLocation.INSIDE:
         return 0.0
@@ -344,10 +308,10 @@ def polygon_distance(a: Polygon, b: Polygon) -> float:
         return 0.0
     best = math.inf
     for v in a.vertices:
-        for qa, qb in b.edges():
+        for qa, qb in b.edges:
             best = min(best, point_segment_distance(v, qa, qb))
     for v in b.vertices:
-        for pa, pb in a.edges():
+        for pa, pb in a.edges:
             best = min(best, point_segment_distance(v, pa, pb))
     return best
 
@@ -357,4 +321,4 @@ def point_polygon_distance(p: Point2, poly: Polygon) -> float:
     loc = point_in_polygon(p, poly)
     if loc is not PointLocation.OUTSIDE:
         return 0.0
-    return min(point_segment_distance(p, a, b) for a, b in poly.edges())
+    return min(point_segment_distance(p, a, b) for a, b in poly.edges)

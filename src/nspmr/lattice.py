@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import sys
 from bisect import bisect_left
 from typing import TYPE_CHECKING
 
@@ -14,14 +13,24 @@ if TYPE_CHECKING:
     from .world import Bounds, Scenario
 
 
+# The most nodes a lattice may have: a raster of about 64 MiB, beside which the search holds a transposed
+# copy and a distance list of 8 bytes per node. A run's default budget is then at most 10 * 8 * 2**26
+# iterations. scenario1 stays within the limit down to delta = 0.0071.
+MAX_LATTICE_NODES = 2**26
+
+
 def _lattice_shape(b: Bounds, resolution: float) -> tuple[int, int]:
     """Node counts (nx, ny) of the lattice with spacing resolution anchored at (xmin, ymin). Raises
     ValueError when they cannot be counted: resolution is not positive (delta/2 underflows to 0 at
-    delta = 5e-324), or an extent over resolution is not finite (delta = 1e-310, or bounds 2e308 wide)."""
+    delta = 5e-324), or an extent over resolution is not finite (delta = 1e-310, or bounds 2e308 wide);
+    and when there are more than MAX_LATTICE_NODES of them."""
     if resolution > 0:
         fx, fy = (b.xmax - b.xmin) / resolution, (b.ymax - b.ymin) / resolution
         if math.isfinite(fx) and math.isfinite(fy):
-            return int(round(fx)) + 1, int(round(fy)) + 1
+            nx, ny = int(round(fx)) + 1, int(round(fy)) + 1
+            if nx * ny > MAX_LATTICE_NODES:
+                raise ValueError(f"a lattice of spacing {resolution:g} over the bounds has more than {MAX_LATTICE_NODES} nodes")
+            return nx, ny
     raise ValueError(f"cannot count the nodes of a lattice of spacing {resolution:g} over the bounds")
 
 
@@ -35,14 +44,11 @@ def _lattice_blocked(s: Scenario, resolution: float, clearance: float) -> bytear
     EPS_GEOM) of an edge (a node within EPS_GEOM is ON_BOUNDARY, distance 0).
     Each polygon is rasterized once: the x-crossings of each lattice row
     give its interior runs, and each edge tests only the nodes in its own
-    bbox grown by that threshold. Raises ValueError when the padded lattice has more nodes than
-    an index can count (sys.maxsize).
+    bbox grown by that threshold.
     """
     b = s.bounds
     nx, ny = _lattice_shape(b, resolution)
     w = ny + 2
-    if (nx + 2) * w > sys.maxsize:
-        raise ValueError(f"cannot index the nodes of a lattice of spacing {resolution:g} over the bounds")
     blocked = bytearray((nx + 2) * w)
     blocked[:w] = blocked[-w:] = b"\x01" * w
     blocked[::w] = blocked[w - 1 :: w] = b"\x01" * (nx + 2)
@@ -57,8 +63,8 @@ def _lattice_blocked(s: Scenario, resolution: float, clearance: float) -> bytear
             min(n - 1, math.floor((hi + thr - origin) / resolution + 1e-9)) + 1,
         )
 
-    for poly in s.shapes():
-        x0, y0, x1, y1 = poly.bbox()
+    for poly in s.shapes:
+        x0, y0, x1, y1 = poly.bbox
         cols = window(x0, x1, b.xmin, nx)
         verts = poly.vertices
         # (x_i, y_i, x_prev, y_prev): point_in_polygon's operand order, so the
@@ -74,7 +80,7 @@ def _lattice_blocked(s: Scenario, resolution: float, clearance: float) -> bytear
                 if lo < hi:
                     first = (lo + 1) * w + j + 1
                     blocked[first : first + (hi - lo) * w : w] = b"\x01" * (hi - lo)
-        for a, c in poly.edges():
+        for a, c in poly.edges:
             # the edge's window lies inside the polygon's, which has the same growth
             jband = window(min(a.y, c.y), max(a.y, c.y), b.ymin, ny)
             for i in window(min(a.x, c.x), max(a.x, c.x), b.xmin, nx):

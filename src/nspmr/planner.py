@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .geometry import Point2, circular_diff, distance, math_to_compass
+from .geometry import Point2, circular_diff, math_to_compass
 from .sensing import SENSOR_ANGLES, SensorScan, scan
 from .world import Scenario
 
@@ -155,9 +155,9 @@ def select_direction(candidates: list[float], theta_d: float, scan_: SensorScan)
 def _visit(world: Scenario, pos: Point2) -> _NodeRecord:
     """The record of the node at pos, from a fresh scan unless pos is at the goal,
     its free moves ranked by _ranked."""
-    if distance(pos, world.goal) <= world.delta / 2:
+    if math.dist(pos, world.goal) <= world.delta / 2:
         return _new(_NodeRecord, (pos, True, ()))
-    readings = scan(pos, world, world.sensor_range, world.delta).readings
+    readings = scan(pos, world).readings
     return _new(_NodeRecord, (pos, False, tuple(_ranked(desired_angle(pos, world.goal), readings))))
 
 

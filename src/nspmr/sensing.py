@@ -47,8 +47,9 @@ class SensorScan(NamedTuple):
     readings: tuple[SensorReading, ...]  # reading k looks along SENSOR_ANGLES[k]
 
 
-def scan(pos: Point2, world: Scenario, d: float, delta: float) -> SensorScan:
-    """Range-scan the 8 lattice directions against the world's current shapes.
+def scan(pos: Point2, world: Scenario) -> SensorScan:
+    """Range-scan the 8 lattice directions against the world's current shapes, at the world's
+    sensing range d = world.sensor_range and step scale delta = world.delta.
 
     Ray k reads the distance t from pos to its first boundary hit within d. Hits at t <= EPS_GEOM
     are ignored, so standing on a boundary does not read as a collision, and a ray along an edge
@@ -84,13 +85,14 @@ def scan(pos: Point2, world: Scenario, d: float, delta: float) -> SensorScan:
     the planner decides each lattice node once (``NspmrState.records``); in a moving world every
     step scans afresh.
     """
+    d, delta = world.sensor_range, world.delta
     if not d > delta > 0:
         raise ValueError("require sensing range d > delta > 0")
     x, y = pos
     inf = math.inf
     best = None
-    for poly in world.shapes():
-        x0, y0, x1, y1 = poly._bbox
+    for poly in world.shapes:
+        x0, y0, x1, y1 = poly.bbox
         # a hit may lie EPS_GEOM * |edge| past an edge's end, and |edge| <= x1 - x0 + y1 - y0
         reach = d + EPS_GEOM * (1 + x1 - x0 + y1 - y0)
         # per-axis gaps to the bbox; hypot(gx, gy) >= max(gx, gy) when rounded faithfully, so one gap may reject

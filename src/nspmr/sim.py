@@ -66,7 +66,6 @@ def path_length(t) -> float:
     pts = t.waypoints if hasattr(t, "waypoints") else tuple(Point2(*p) for p in t)
     if not pts:
         raise ValueError("need at least one waypoint")
-    # math.dist rounds like geometry.distance (one norm routine), summed in the same order
     return sum(map(math.dist, pts, pts[1:]))
 
 
@@ -197,8 +196,8 @@ def _pose_messages(wps, lo: int, hi: int, world: Scenario) -> list[str]:
     (x_lo, x_hi), (y_lo, y_hi), b = (min(xs), max(xs)), (min(ys), max(ys)), world.bounds
     outside = set() if b.xmin < x_lo <= x_hi < b.xmax and b.ymin < y_lo <= y_hi < b.ymax else {p for p in points if not b.contains(p)}
     touched: dict = {}  # waypoint or (p, q) -> indices of the obstacles it touches
-    for i, shape in enumerate(world.shapes()):
-        x0, y0, x1, y1 = shape.bbox()
+    for i, shape in enumerate(world.shapes):
+        x0, y0, x1, y1 = shape.bbox
         m, cut = 3e-5 * max(1.0, x1 - x0, y1 - y0, x_hi - x_lo, y_hi - y_lo), 2e-4 * max(1.0, x1 - x0, y1 - y0)
         lx, ly, hx, hy = x0 - m, y0 - m, x1 + m, y1 + m
         if x_hi < lx or hx < x_lo or y_hi < ly or hy < y_lo:  # no waypoint comes near
@@ -212,7 +211,7 @@ def _pose_messages(wps, lo: int, hi: int, world: Scenario) -> list[str]:
         for ea, eb, _, _, lx, ly, hx, hy in shape._edge_table:
             lx, ly, hx, hy = lx - m, ly - m, hx + m, hy + m
             hit.update([(p, q) for p, q in cands if (p.x >= lx or q.x >= lx) and (p.x <= hx or q.x <= hx)
-                        and (p.y >= ly or q.y >= ly) and (p.y <= hy or q.y <= hy) and segment_intersection(p, q, ea, eb) is not None])
+                        and (p.y >= ly or q.y >= ly) and (p.y <= hy or q.y <= hy) and segment_intersection(p, q, ea, eb)])
         hit.update([(p, q) for p, q in cands if p in near and (p, q) not in hit
                     and point_in_polygon(Point2((p.x + q.x) / 2, (p.y + q.y) / 2), shape) is PointLocation.INSIDE])
         for key in [*near, *hit]:

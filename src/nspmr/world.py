@@ -71,12 +71,9 @@ class Scenario:
         return any(ob.moving for ob in self.obstacles)
 
     @cached_property
-    def _shapes(self) -> tuple[Polygon, ...]:
-        return tuple(ob.shape for ob in self.obstacles)
-
     def shapes(self) -> tuple[Polygon, ...]:
         """The obstacles' polygons in order, built once per scenario."""
-        return self._shapes
+        return tuple(ob.shape for ob in self.obstacles)
 
     @cached_property
     def next_tick(self) -> Scenario:
@@ -112,15 +109,15 @@ def validate_scenario(s: Scenario) -> list[str]:
         out.append("speed must be positive")
     for i, ob in enumerate(s.obstacles):
         poly = ob.shape
-        if not poly.is_simple():
+        if not poly.is_simple:
             out.append(f"obstacle {i}: polygon self-intersects")
             continue
-        if not poly.is_ccw():
+        if not poly.is_ccw:
             out.append(f"obstacle {i}: vertices must wind counterclockwise")
             continue
         if ob.velocity is not None and not all(math.isfinite(v) for v in ob.velocity):
             out.append(f"obstacle {i}: velocity must be finite")
-        x0, y0, x1, y1 = poly.bbox()
+        x0, y0, x1, y1 = poly.bbox
         if not (b.xmin <= x0 and b.ymin <= y0 and x1 <= b.xmax and y1 <= b.ymax):
             out.append(f"obstacle {i}: must lie within bounds")
         for label, p in (("start", s.start), ("goal", s.goal)):
@@ -264,7 +261,7 @@ def step_dynamics(s: Scenario) -> Scenario:
             continue
         vx, vy = ob.velocity
         dx, dy = vx * dt, vy * dt
-        xmin, ymin, xmax, ymax = ob.shape.bbox()
+        xmin, ymin, xmax, ymax = ob.shape.bbox
         if xmin + dx < b.xmin or xmax + dx > b.xmax:
             vx, dx = -vx, 0.0
         if ymin + dy < b.ymin or ymax + dy > b.ymax:
@@ -493,9 +490,8 @@ def _make_shape(rng: random.Random, kind: str) -> Polygon:
                 Point2(x0, y0 + h),
             )
         )
-    if kind == "triangle":
-        return Polygon((Point2(x0, y0), Point2(x0 + w, y0), Point2(x0 + rng.uniform(0.2, 0.8) * w, y0 + h)))
-    raise ScenarioError(f"unknown obstacle kind {kind!r}")
+    # "triangle", the last of _GEN_KINDS
+    return Polygon((Point2(x0, y0), Point2(x0 + w, y0), Point2(x0 + rng.uniform(0.2, 0.8) * w, y0 + h)))
 
 
 def generate_world(seed: int, count: int = 8) -> Scenario:

@@ -12,10 +12,8 @@ import pytest
 from nspmr import bugs
 
 from nspmr.geometry import (
-    CollinearOverlap,
     Point2,
     Polygon,
-    distance,
     math_to_compass,
     point_polygon_distance,
     point_segment_distance,
@@ -47,12 +45,12 @@ def oracle_min_dist_point(shape, clearance, target, spacing):
     subdivision at the given arc spacing."""
     off = polygon_offset(shape, clearance)
     best, best_d = None, math.inf
-    for a, b in off.edges():
-        n = max(1, math.ceil(distance(a, b) / spacing))
+    for a, b in off.edges:
+        n = max(1, math.ceil(math.dist(a, b) / spacing))
         for k in range(n + 1):
             t = k / n
             p = Point2(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
-            d = distance(p, target)
+            d = math.dist(p, target)
             if d < best_d:
                 best, best_d = p, d
     return best
@@ -63,20 +61,16 @@ def oracle_mline_crossings(shape, clearance, start, goal):
     sorted by distance from the start."""
     off = polygon_offset(shape, clearance)
     pts = []
-    for a, b in off.edges():
-        hit = segment_intersection(a, b, start, goal)
-        if hit is None:
-            continue
-        cands = (hit.start, hit.end) if isinstance(hit, CollinearOverlap) else (hit,)
-        for c in cands:
-            if all(distance(c, q) > 1e-9 for q in pts):
+    for a, b in off.edges:
+        for c in segment_intersection(a, b, start, goal):
+            if all(math.dist(c, q) > 1e-9 for q in pts):
                 pts.append(c)
-    return sorted(pts, key=lambda p: distance(start, p))
+    return sorted(pts, key=lambda p: math.dist(start, p))
 
 
 def on_outline(p, shape, clearance, tol=1e-6):
     off = polygon_offset(shape, clearance)
-    return min(point_segment_distance(p, a, b) for a, b in off.edges()) <= tol
+    return min(point_segment_distance(p, a, b) for a, b in off.edges) <= tol
 
 
 # --- fixtures ------------------------------------------------------------------------
@@ -139,7 +133,7 @@ def test_full_circumnavigation_of_offset_unit_square():
     assert lap[0] == lap[-1]
     assert path_length(lap) == pytest.approx(ring.perimeter, abs=1e-9)
     for a, b in zip(lap, lap[1:]):
-        assert distance(a, b) <= 0.2 + 1e-9
+        assert math.dist(a, b) <= 0.2 + 1e-9
     for p in lap:
         assert on_outline(p, shape, 0.1, tol=1e-9)
 
@@ -157,7 +151,7 @@ def test_closest_to_maps_walk_points_back_onto_themselves():
     for ring in rings:
         for sign in (1, -1):
             for p in ring.arc_points(0.3, ring.perimeter, sign, 0.25):
-                assert distance(ring.point_at(ring.closest_to(p)[1]), p) <= 1e-9
+                assert math.dist(ring.point_at(ring.closest_to(p)[1]), p) <= 1e-9
 
 
 def test_walk_stops_at_precomputed_minimizer():
@@ -166,13 +160,13 @@ def test_walk_stops_at_precomputed_minimizer():
     spacing = 0.4 / 20
     sampled = oracle_min_dist_point(s.obstacles[0].shape, 0.1, s.goal, spacing)
     L = Point2(1.1, 0.5)  # east-face midpoint of the offset square
-    assert distance(sampled, L) <= spacing
-    assert distance(L, s.goal) <= distance(sampled, s.goal) + 1e-9
+    assert math.dist(sampled, L) <= spacing
+    assert math.dist(L, s.goal) <= math.dist(sampled, s.goal) + 1e-9
     leave, s_leave = ring.closest_to(s.goal)
-    assert distance(leave, L) <= 1e-9
+    assert math.dist(leave, L) <= 1e-9
     s0 = ring.closest_to(Point2(-0.1, 0.5))[1]
     arc = ring.arc_points(s0, (s_leave - s0) % ring.perimeter, 1, 0.2)
-    assert distance(arc[-1], L) <= 1e-9
+    assert math.dist(arc[-1], L) <= 1e-9
     assert path_length(arc) == pytest.approx(2.4, abs=1e-9)
 
 
@@ -186,7 +180,7 @@ def test_empty_world_is_straight_for_both_planners():
         assert traj.waypoints[-1] == s.goal
         assert path_length(traj) == pytest.approx(25 * SQRT2, rel=1e-9)
         for a, b in zip(traj.waypoints, traj.waypoints[1:]):
-            assert distance(a, b) <= 0.25 + 1e-9
+            assert math.dist(a, b) <= 0.25 + 1e-9
 
 
 # --- Bug1 ----------------------------------------------------------------------------
@@ -197,13 +191,13 @@ def test_bug1_square_survey_and_far_side_departure():
     spacing = 0.5 / 20
     sampled = oracle_min_dist_point(shape, 0.125, s.goal, spacing)
     L = Point2(14.125, 12.0)  # east-face midpoint of the offset square
-    assert distance(sampled, L) <= spacing
-    assert distance(L, s.goal) <= distance(sampled, s.goal) + 1e-9
+    assert math.dist(sampled, L) <= spacing
+    assert math.dist(L, s.goal) <= math.dist(sampled, s.goal) + 1e-9
 
     traj, outcome = bug1_result(s, 20000)
     assert outcome == OUTCOME_GOAL
-    assert min(distance(p, Point2(9.875, 12.0)) for p in traj.waypoints) <= 1e-9  # hit
-    assert min(distance(p, L) for p in traj.waypoints) <= 1e-9  # leave
+    assert min(math.dist(p, Point2(9.875, 12.0)) for p in traj.waypoints) <= 1e-9  # hit
+    assert min(math.dist(p, L) for p in traj.waypoints) <= 1e-9  # leave
     # march 9.875 + full loop 17 + shorter return arc 8.5 + departure 10.875
     assert path_length(traj) == pytest.approx(46.25, abs=1e-9)
     on_ring = sum(1 for p in traj.waypoints if on_outline(p, shape, 0.125))
@@ -236,7 +230,7 @@ def test_bug1_unreachable_when_hit_point_is_already_minimizer():
     s = skin_goal_scene(Point2(-0.11, 1.09), start=Point2(-3, 1.09))
     traj, outcome = bug1_result(s, 10000)
     assert outcome == OUTCOME_UNREACHABLE
-    assert distance(traj.waypoints[-1], Point2(-0.125, 1.09)) <= 1e-9
+    assert math.dist(traj.waypoints[-1], Point2(-0.125, 1.09)) <= 1e-9
 
 
 # --- Bug2 ----------------------------------------------------------------------------
@@ -247,16 +241,16 @@ def test_bug2_square_leaves_at_second_crossing():
     crossings = oracle_mline_crossings(shape, 0.125, s.start, s.goal)
     assert len(crossings) == 2
     hit, leave = crossings
-    assert distance(hit, Point2(9.875, 12.0)) <= 1e-9
-    assert distance(leave, Point2(14.125, 12.0)) <= 1e-9
+    assert math.dist(hit, Point2(9.875, 12.0)) <= 1e-9
+    assert math.dist(leave, Point2(14.125, 12.0)) <= 1e-9
 
     traj, outcome = bug2_result(s, 20000)
     assert outcome == OUTCOME_GOAL
     departures = [a for a, b in zip(traj.waypoints[1:], traj.waypoints[2:])
                   if on_outline(a, shape, 0.125) and not on_outline(b, shape, 0.125)]
     assert len(departures) == 1
-    assert distance(departures[0], leave) <= 1e-9
-    assert distance(leave, s.goal) < distance(hit, s.goal)
+    assert math.dist(departures[0], leave) <= 1e-9
+    assert math.dist(leave, s.goal) < math.dist(hit, s.goal)
     assert path_length(traj) == pytest.approx(29.25, abs=1e-9)
 
 
@@ -272,11 +266,11 @@ def test_bug2_departures_on_mline_and_strictly_closer():
         departures = 0
         for k in range(1, len(wps)):
             if on_ring[k] and not on_ring[k - 1]:
-                hit_dist = distance(wps[k], s.goal)
+                hit_dist = math.dist(wps[k], s.goal)
             if on_ring[k - 1] and not on_ring[k]:
                 departures += 1
                 assert point_segment_distance(wps[k - 1], s.start, s.goal) <= 1e-6
-                assert distance(wps[k - 1], s.goal) < hit_dist - 1e-9
+                assert math.dist(wps[k - 1], s.goal) < hit_dist - 1e-9
         assert departures >= 1
 
 
@@ -299,8 +293,8 @@ def test_relaxed_leave_accepts_farther_crossing():
     walk = wps[hits[1] : leaves[1] + 1]
     crossings = [Point2(a.x + (b.x - a.x) * a.y / (a.y - b.y), 0.0)
                  for a, b in zip(walk, walk[1:]) if a.y * b.y < 0]
-    hit_dist = distance(wps[hits[1]], s.goal)
-    relaxed = [x for x in crossings if distance(x, s.goal) > hit_dist and _departure_free(x, s.goal, rings, s.delta)]
+    hit_dist = math.dist(wps[hits[1]], s.goal)
+    relaxed = [x for x in crossings if math.dist(x, s.goal) > hit_dist and _departure_free(x, s.goal, rings, s.delta)]
     assert [x.x for x in relaxed] == pytest.approx([wps[leaves[0]].x])
 
 
@@ -312,6 +306,22 @@ def test_bug2_scenario1_within_reference_band():
     assert abs(length - 45.7185858) <= 0.5  # reference vertex-chain length
 
 
+def test_bug2_walks_along_the_mline_where_the_outline_lies_on_it():
+    # the block's outline at clearance delta/4 has its top edge on y = 0, the start-goal line, so
+    # each step of the clockwise walk along that edge overlaps the line instead of crossing it
+    block = Polygon((Point2(4, -2), Point2(6, -2), Point2(6, -0.125), Point2(4, -0.125)))
+    s = Scenario(name="mline_edge", bounds=Bounds(-3, -5, 13, 3), start=Point2(0, 0), goal=Point2(10, 0),
+                 obstacles=(Obstacle(block),), delta=0.5)
+    traj, result = run(s, "bug2")
+    assert (result.outcome, result.length, result.iterations) == (OUTCOME_GOAL, 10.0, 41)
+    # 15 march steps to the outline's corner at x = 3.875, then every step on y = 0 to the goal
+    route = [Point2(0, 0)] + [Point2(0.25 * k, 0.0) for k in range(1, 16)]
+    route += [Point2(3.875 + 0.25 * k, 0.0) for k in range(25)] + [Point2(10, 0)]
+    assert list(traj.waypoints) == route
+    assert traj.directions == (90.0,) * 41
+    assert audit_collisions(traj, s) == []
+
+
 def test_bug2_unreachable_returns_to_hit_point():
     # Known defect (CHANGES.md FOUND, Bug goal vs mitered outline): nspmr reaches
     # this goal; once _prepare checks the goal against the outline, move this test
@@ -320,7 +330,7 @@ def test_bug2_unreachable_returns_to_hit_point():
     s = skin_goal_scene(Point2(2.11, 1.09), start=Point2(-3, 1.09))
     traj, outcome = bug2_result(s, 10000)
     assert outcome == OUTCOME_UNREACHABLE
-    assert distance(traj.waypoints[-1], Point2(-0.125, 1.09)) <= 1e-9
+    assert math.dist(traj.waypoints[-1], Point2(-0.125, 1.09)) <= 1e-9
 
 
 # --- the march against a per-step reference ------------------------------------------
@@ -328,7 +338,7 @@ def test_bug2_unreachable_returns_to_hit_point():
 def reference_move_to(rec, p):
     """One recorded move by _Recorder's rule: skip <= 1e-12, stop at the budget."""
     last = rec.wp[-1]
-    if distance(last, p) <= 1e-12:
+    if math.dist(last, p) <= 1e-12:
         return True
     if len(rec.dirs) >= rec.max:
         return False
@@ -375,7 +385,7 @@ def march_both(start, goal, rings, delta, budget=100000):
 
 def slack(start, goal, delta):
     """The rounding slack a march leg from start to goal grows the ring bboxes by."""
-    L = distance(start, goal)
+    L = math.dist(start, goal)
     return (1 + L + math.hypot(*goal)) * (1e-9 + 1e-15 * L / (delta / 2))
 
 
@@ -612,7 +622,7 @@ def test_waypoint_spacing_bounded_by_half_delta():
     for runner in (bug1_result, bug2_result):
         traj, _ = runner(s, 200000)
         for a, b in zip(traj.waypoints, traj.waypoints[1:]):
-            assert distance(a, b) <= s.delta / 2 + 1e-9
+            assert math.dist(a, b) <= s.delta / 2 + 1e-9
 
 
 def test_planner_length_ordering_on_scenario1():

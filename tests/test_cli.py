@@ -6,8 +6,11 @@ so a value leaking from the host environment cannot skew determinism checks.
 
 import csv
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,8 @@ from nspmr import cli
 from nspmr.geometry import Point2, Polygon
 from nspmr.sim import grid_oracle
 from nspmr.world import Bounds, Obstacle, Scenario, ScenarioError, builtin_scenario, parse_scenario, serialize_scenario, validate_scenario
+
+from test_lattice import quick_and_small
 
 
 @pytest.fixture(autouse=True)
@@ -35,6 +40,25 @@ def read_report(path):
 
 
 # --- run --------------------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_examples_run_as_written(tmp_path, monkeypatch, capsys):
+    # each fenced block of README.md as (info string, body); the run example's output is the block after it
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", README.read_text(), re.M | re.S)
+    k = next(i for i, (_, body) in enumerate(blocks) if body.startswith("nspmr run --scenario builtin:scenario1 "))
+    argv = shlex.split(blocks[k][1])
+    assert argv[0] == "nspmr"
+    monkeypatch.chdir(tmp_path)  # both examples write route.svg to the working directory
+    rc, out, _ = run_main(argv[1:], capsys)
+    assert (rc, out, blocks[k + 1][1]) == (0, "goal_reached 38.767 3.877 124\n", out)
+    assert (tmp_path / "route.svg").read_text().startswith("<svg ")
+    (tmp_path / "route.svg").unlink()
+    exec(next(body for info, body in blocks if info == "python"), {})
+    assert capsys.readouterr().out.split()[0] == "goal_reached"
+    assert (tmp_path / "route.svg").read_text().startswith("<svg ")
+
 
 def test_run_summary_line(capsys):
     rc, out, _ = run_main(["run", "--scenario", "builtin:scenario1", "--planner", "nspmr"], capsys)
@@ -141,11 +165,14 @@ def test_run_scenario_file_with_integer_beyond_the_digit_limit_exits_1(tmp_path,
     assert err.splitlines() == ["error: delta: number too large"]
 
 
-# scenarios whose delta/2 lattice has a node count that is not a finite float
+# scenarios whose delta/2 lattice has a node count that is not a finite float, or over lattice.MAX_LATTICE_NODES
 UNCOUNTABLE = {
     "delta_1e-310": lambda raw: raw.update(delta=1e-310),  # extent / (delta/2) overflows
     "delta_5e-324": lambda raw: raw.update(delta=5e-324),  # delta/2 underflows to 0
     "bounds_2e308_wide": lambda raw: raw["bounds"].update(xmin=-1e308, xmax=1e308),  # the extent overflows
+    # countable, but once a default budget of 2.7e29 iterations and a Bug march of 7e13 steps
+    "delta_1e-12": lambda raw: raw.update(delta=1e-12),
+    "delta_1e-300": lambda raw: raw.update(delta=1e-300),
 }
 UNCOUNTABLE_MESSAGE = "bounds hold too many delta/2 lattice nodes to count"
 
@@ -160,13 +187,15 @@ def test_run_scenario_file_with_uncountable_lattice_exits_1(case, planner, tmp_p
         parse_scenario(text)
     path = tmp_path / "bad.json"
     path.write_text(text)
-    rc, out, err = run_main(["run", "--scenario", str(path), "--planner", planner], capsys)
+    with quick_and_small():
+        rc, out, err = run_main(["run", "--scenario", str(path), "--planner", planner], capsys)
     assert (rc, out, err.splitlines()) == (1, "", [f"error: {UNCOUNTABLE_MESSAGE}"])
 
 
-@pytest.mark.parametrize("delta", ["1e-310", "5e-324"])
+@pytest.mark.parametrize("delta", ["1e-310", "5e-324", "1e-12", "1e-300"])
 def test_run_delta_override_with_uncountable_lattice_exits_1(delta, capsys):
-    rc, out, err = run_main(["run", "--scenario", "builtin:scenario1", "--planner", "nspmr", "--delta", delta], capsys)
+    with quick_and_small():
+        rc, out, err = run_main(["run", "--scenario", "builtin:scenario1", "--planner", "nspmr", "--delta", delta], capsys)
     assert (rc, out, err.splitlines()) == (1, "", [f"error: {UNCOUNTABLE_MESSAGE}"])
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from nspmr.geometry import (
     EPS_GEOM,
-    CollinearOverlap,
     GeometryError,
     Point2,
     Polygon,
@@ -94,7 +93,7 @@ def one_ray(origin, compass_deg, max_range, obstacles):
     or None when it reads free at range."""
     world = Scenario(name="one_ray", bounds=Bounds(-1e3, -1e3, 1e3, 1e3), start=origin, goal=origin,
                      obstacles=tuple(Obstacle(p) for p in obstacles), delta=max_range / 2, sensor_range=max_range)
-    reading = scan(origin, world, max_range, max_range / 2).readings[SENSOR_ANGLES.index(compass_deg % 360)]
+    reading = scan(origin, world).readings[SENSOR_ANGLES.index(compass_deg % 360)]
     return None if reading == SensorReading(True, max_range) else reading.dist
 
 
@@ -189,18 +188,16 @@ def test_compass_unit_wraps_around():
 # --- segment intersection ----------------------------------------------------
 
 def test_segment_intersection_examples():
-    p = segment_intersection(Point2(0, 0), Point2(2, 2), Point2(0, 2), Point2(2, 0))
-    assert p is not None and not isinstance(p, CollinearOverlap)
+    (p,) = segment_intersection(Point2(0, 0), Point2(2, 2), Point2(0, 2), Point2(2, 0))  # one point
     assert p.x == pytest.approx(1) and p.y == pytest.approx(1)
 
-    assert segment_intersection(Point2(0, 0), Point2(1, 0), Point2(0, 1), Point2(1, 1)) is None
+    assert segment_intersection(Point2(0, 0), Point2(1, 0), Point2(0, 1), Point2(1, 1)) == ()
 
     ov = segment_intersection(Point2(0, 0), Point2(2, 0), Point2(1, 0), Point2(3, 0))
-    assert isinstance(ov, CollinearOverlap)
+    assert len(ov) == 2  # both ends of the overlap
 
     # endpoint touching counts as an intersection
-    t = segment_intersection(Point2(0, 0), Point2(1, 1), Point2(1, 1), Point2(2, 0))
-    assert t is not None and not isinstance(t, CollinearOverlap)
+    (t,) = segment_intersection(Point2(0, 0), Point2(1, 1), Point2(1, 1), Point2(2, 0))
     assert t.x == pytest.approx(1) and t.y == pytest.approx(1)
 
 
@@ -219,11 +216,11 @@ def test_segment_intersection_random_vs_orientation_oracle():
         got = segment_intersection(a1, a2, b1, b2)
         expect = oracle_segments_cross(a1, a2, b1, b2)
         if expect:
-            assert got is not None and not isinstance(got, CollinearOverlap)
-            assert point_segment_distance(got, a1, a2) < 1e-9
-            assert point_segment_distance(got, b1, b2) < 1e-9
+            assert len(got) == 1
+            assert point_segment_distance(got[0], a1, a2) < 1e-9
+            assert point_segment_distance(got[0], b1, b2) < 1e-9
         else:
-            assert got is None
+            assert got == ()
         checked += 1
     assert checked > 1500
 
@@ -240,11 +237,11 @@ def test_point_in_polygon_examples():
 def test_point_in_polygon_random_vs_winding_oracle():
     rng = random.Random(SEED + 3)
     for poly in (SQUARE, LSHAPE, TRIANGLE):
-        xmin, ymin, xmax, ymax = poly.bbox()
+        xmin, ymin, xmax, ymax = poly.bbox
         n = 0
         for _ in range(1500):
             p = Point2(rng.uniform(xmin - 0.5, xmax + 0.5), rng.uniform(ymin - 0.5, ymax + 0.5))
-            if min(point_segment_distance(p, a, b) for a, b in poly.edges()) < 1e-7:
+            if min(point_segment_distance(p, a, b) for a, b in poly.edges) < 1e-7:
                 continue  # ambiguous near-boundary zone belongs to the boundary test
             got = point_in_polygon(p, poly)
             assert got is not PointLocation.ON_BOUNDARY
@@ -255,7 +252,7 @@ def test_point_in_polygon_random_vs_winding_oracle():
 
 def full_classification(p, poly):
     """point_in_polygon without its bbox early return: every edge, then the crossings."""
-    for a, b in poly.edges():
+    for a, b in poly.edges:
         if point_segment_distance(p, a, b) <= EPS_GEOM:
             return PointLocation.ON_BOUNDARY
     inside = False
@@ -274,7 +271,7 @@ def test_point_in_polygon_bbox_early_return_agrees_near_each_side():
     shapes = [SQUARE, LSHAPE, TRIANGLE, LSHAPE.translated(0.3, -7.1), TRIANGLE.translated(12.7, 3.3)]
     n = 0
     for poly in shapes:
-        x0, y0, x1, y1 = poly.bbox()
+        x0, y0, x1, y1 = poly.bbox
         xs = sorted({x0, x1, 0.5 * (x0 + x1)} | {v.x for v in poly.vertices})
         ys = sorted({y0, y1, 0.5 * (y0 + y1)} | {v.y for v in poly.vertices})
         for off in (1e-10, -1e-10, 1e-8, -1e-8):
@@ -396,10 +393,10 @@ def test_polygon_offset_rejects_large_c():
 
 def test_polygon_area_and_orientation():
     assert SQUARE.signed_area() == pytest.approx(1.0)
-    assert SQUARE.is_ccw()
+    assert SQUARE.is_ccw
     cw = Polygon(tuple(reversed(SQUARE.vertices)))
     assert cw.signed_area() == pytest.approx(-1.0)
-    assert not cw.is_ccw()
+    assert not cw.is_ccw
     assert LSHAPE.signed_area() == pytest.approx(3.0)
 
 
@@ -409,8 +406,8 @@ def test_polygon_bbox_matches_vertices():
         for _ in range(3):
             xs = [v.x for v in poly.vertices]
             ys = [v.y for v in poly.vertices]
-            assert poly.bbox() == (min(xs), min(ys), max(xs), max(ys))
-            assert poly.bbox() is poly.bbox()  # computed once
+            assert poly.bbox == (min(xs), min(ys), max(xs), max(ys))
+            assert poly.bbox is poly.bbox  # computed once
             poly = poly.translated(rng.uniform(-5, 5), rng.uniform(-5, 5))
 
 
@@ -426,9 +423,9 @@ def test_translated_bbox_equals_bbox_of_moved_vertices():
         chained = poly
         for dx, dy in offsets:
             moved = poly.translated(dx, dy)
-            assert moved.bbox() == Polygon(moved.vertices).bbox(), (dx, dy)
+            assert moved.bbox == Polygon(moved.vertices).bbox, (dx, dy)
             chained = chained.translated(dx, dy)  # as step_dynamics moves a shape tick by tick
-            assert chained.bbox() == Polygon(chained.vertices).bbox(), (dx, dy)
+            assert chained.bbox == Polygon(chained.vertices).bbox, (dx, dy)
 
 
 def test_polygon_edge_table_matches_vertices():
@@ -442,8 +439,8 @@ def test_polygon_edge_table_matches_vertices():
             assert (a, b) == (v[i], v[(i + 1) % n])
             assert (ex, ey) == (b.x - a.x, b.y - a.y)
             assert (x0, y0, x1, y1) == (min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y))
-        assert poly.edges() == tuple((v[i], v[(i + 1) % n]) for i in range(n))
-        assert poly.edges() is poly.edges() and poly._edge_table is table  # built once
+        assert poly.edges == tuple((v[i], v[(i + 1) % n]) for i in range(n))
+        assert poly.edges is poly.edges and poly._edge_table is table  # built once
         # the caches leave equality and hashing to the vertices alone
         fresh = Polygon(v)
         assert fresh == poly and hash(fresh) == hash(poly)
@@ -451,9 +448,9 @@ def test_polygon_edge_table_matches_vertices():
 
 
 def test_polygon_simplicity():
-    assert SQUARE.is_simple()
+    assert SQUARE.is_simple
     bow = Polygon((Point2(0, 0), Point2(1, 1), Point2(1, 0), Point2(0, 1)))
-    assert not bow.is_simple()
+    assert not bow.is_simple
 
 
 def test_polygon_distance():
@@ -485,8 +482,8 @@ _GAP_OFFSETS = st.one_of(st.sampled_from((0.0, 1e-9, 0.25, 1.0)), st.floats(-1.0
 def test_bbox_gap_bounds_polygon_distance_and_culls_exactly(seeds, kinds, dx, dy):
     a, b = (_make_shape(random.Random(seed), kind) for seed, kind in zip(seeds, kinds))
     # put b's lower-left bbox corner at (dx, dy) from a's upper-right one
-    ax0, ay0, ax1, ay1 = a.bbox()
-    bx0, by0, _, _ = b.bbox()
+    ax0, ay0, ax1, ay1 = a.bbox
+    bx0, by0, _, _ = b.bbox
     for other in (b, b.translated(ax1 + dx - bx0, ay1 + dy - by0)):
         gap, dist = _bbox_gap(a, other), polygon_distance(a, other)
         assert _bbox_gap(other, a) == gap
@@ -502,7 +499,7 @@ def test_bbox_gap_bounds_polygon_distance_and_culls_exactly(seeds, kinds, dx, dy
 def unculled_point_in_polygon(p, poly):
     """point_in_polygon as it was before the edge table: the bbox early return,
     then the distance test on every edge, then the crossings."""
-    x0, y0, x1, y1 = poly.bbox()
+    x0, y0, x1, y1 = poly.bbox
     if not (x0 - EPS_GEOM <= p.x <= x1 + EPS_GEOM and y0 - EPS_GEOM <= p.y <= y1 + EPS_GEOM):
         return PointLocation.OUTSIDE
     return full_classification(p, poly)
@@ -510,15 +507,8 @@ def unculled_point_in_polygon(p, poly):
 
 def unculled_segment_hits(a, b, poly):
     """The points segment_intersection finds between ab and each edge of poly, in edge
-    order, with both ends of a CollinearOverlap."""
-    hits = []
-    for e in poly.edges():
-        hit = segment_intersection(a, b, *e)
-        if isinstance(hit, CollinearOverlap):
-            hits += [hit.start, hit.end]
-        elif hit is not None:
-            hits.append(hit)
-    return hits
+    order, with both ends of an overlap."""
+    return [x for e in poly.edges for x in segment_intersection(a, b, *e)]
 
 
 def assert_cull_parity(a, b, poly):
@@ -550,7 +540,7 @@ SHIFTS = (0.0, 1e3, 1e6)
 def near_miss_segments(poly, step, offsets):
     """Segments of length step at each of offsets from each edge, on both sides:
     beside it, across it, in line past its ends, and nearly parallel to it."""
-    for a, b in poly.edges():
+    for a, b in poly.edges:
         ex, ey = b.x - a.x, b.y - a.y
         length = math.hypot(ex, ey)
         ux, uy = ex / length, ey / length
@@ -639,7 +629,7 @@ def _cull_shape(seed, kind, length, angle, shift):
 )
 def test_culls_agree_with_unculled_near_a_random_edge(seed, kind, length, angle, shift, edge, t, off, step, phi):
     poly = _cull_shape(seed, kind, length, angle, shift)
-    a, b = poly.edges()[edge % len(poly.vertices)]
+    a, b = poly.edges[edge % len(poly.vertices)]
     ex, ey = b.x - a.x, b.y - a.y
     norm = math.hypot(ex, ey)
     # p lies off beside the point at t along the edge; the segment leaves it at phi from the edge

@@ -3,6 +3,10 @@
 import heapq
 import math
 import random
+import time
+import tracemalloc
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nspmr.geometry import Point2, Polygon, point_polygon_distance
-from nspmr.lattice import _lattice_blocked, _lattice_path, _lattice_shape
+from nspmr.lattice import MAX_LATTICE_NODES, _lattice_blocked, _lattice_path, _lattice_shape
 from nspmr.sim import grid_oracle, iteration_ceiling
 from nspmr.world import (
     BUILTIN_NAMES,
@@ -20,6 +24,7 @@ from nspmr.world import (
     _make_shape,
     builtin_scenario,
     generate_world,
+    validate_scenario,
 )
 
 RESOLUTIONS = (0.25, 0.3, 0.7)
@@ -47,7 +52,7 @@ def _brute_blocked(s, resolution, clearance):
         for j in range(ny)
         if any(
             point_polygon_distance(Point2(b.xmin + i * resolution, b.ymin + j * resolution), poly) <= clearance
-            for poly in s.shapes()
+            for poly in s.shapes
         )
     }
 
@@ -72,7 +77,7 @@ def _assert_raster_exact(s, resolution, clearance):
 )
 def test_raster_matches_brute_force_on_random_shapes(seed, kind, resolution, clearance):
     poly = _make_shape(random.Random(seed), kind)
-    x0, y0, x1, y1 = poly.bbox()
+    x0, y0, x1, y1 = poly.bbox
     # the lattice origin falls wherever the shape does, so alignment varies
     _assert_raster_exact(_scene((x0 - 1.5, y0 - 1.5, x1 + 1.5, y1 + 1.5), poly), resolution, clearance)
 
@@ -201,10 +206,10 @@ def test_search_returns_none_when_goal_is_walled_in():
 )
 def test_search_matches_dijkstra_on_random_scenes(shapes, margins, ends, resolution, clearance):
     polys = [_make_shape(random.Random(seed), kind) for seed, kind in shapes]
-    x0 = min(p.bbox()[0] for p in polys) - margins[0]
-    y0 = min(p.bbox()[1] for p in polys) - margins[1]
-    x1 = max(p.bbox()[2] for p in polys) + margins[2]
-    y1 = max(p.bbox()[3] for p in polys) + margins[3]
+    x0 = min(p.bbox[0] for p in polys) - margins[0]
+    y0 = min(p.bbox[1] for p in polys) - margins[1]
+    x1 = max(p.bbox[2] for p in polys) + margins[2]
+    y1 = max(p.bbox[3] for p in polys) + margins[3]
     # start and goal anywhere in the bounds, on or off the lattice, inside obstacles too
     fx, fy, gx, gy = ends
     start = Point2(x0 + fx * (x1 - x0), y0 + fy * (y1 - y0))
@@ -297,3 +302,33 @@ def test_committed_reference_holds_the_builtin_ceilings_and_oracles():
     ]
     assert len(want) == 18
     assert [line for line in lines if line.startswith(tuple(f"oracle {n} " for n in BUILTIN_NAMES))] == want
+
+
+# --- the node limit ------------------------------------------------------------------
+
+@contextmanager
+def quick_and_small():
+    """The block ends within a second, with a traced allocation peak under 4 MB."""
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        elapsed, peak = time.perf_counter() - t0, tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 4e6, (elapsed, peak)
+
+
+def test_every_builtin_at_a_tenth_of_its_delta_is_within_the_limit():
+    for name in BUILTIN_NAMES:
+        s = builtin_scenario(name)
+        assert validate_scenario(replace(s, delta=s.delta / 10)) == [], name
+
+
+@pytest.mark.parametrize("resolution", [1e-6, 1e-8])
+def test_oracle_refuses_a_lattice_over_the_limit_before_it_allocates(resolution):
+    # on a 30 m world the raster would take 0.9 PB at 1e-6 and 9 EB at 1e-8
+    s = generate_world(0)
+    with quick_and_small():
+        with pytest.raises(ValueError, match=f"^a lattice of spacing {resolution:g} over the bounds has more than {MAX_LATTICE_NODES} nodes$"):
+            grid_oracle(s, resolution)

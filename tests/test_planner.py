@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from nspmr import planner
-from nspmr.geometry import Point2, Polygon, circular_diff, distance
+from nspmr.geometry import Point2, Polygon, circular_diff
 from nspmr.planner import DIRECTIONS, NspmrState, _walk, desired_angle, filter_candidates, select_direction
 from nspmr.sensing import SensorReading, SensorScan, scan
 from nspmr.sim import iteration_ceiling, run
@@ -278,7 +278,7 @@ def test_goal_cell_is_never_marked_dead():
         st.used[node] = set(DIRECTIONS)
         kind, _, pos = next(_walk(st, w, True))
         assert kind == "goal_reached" and pos == _position(st.start, st.node, 0.5)
-        assert distance(pos, w.goal) <= 0.25
+        assert math.dist(pos, w.goal) <= 0.25
         assert not st.dead
 
 
@@ -333,9 +333,9 @@ def _walked(s, rules_enabled=True, max_steps=1000):
 def _count_scans(monkeypatch):
     calls = []
 
-    def counting_scan(pos, world, d, delta):
+    def counting_scan(pos, world):
         calls.append(pos)
-        return scan(pos, world, d, delta)
+        return scan(pos, world)
 
     monkeypatch.setattr(planner, "scan", counting_scan)
     return calls
@@ -345,9 +345,9 @@ def _fresh_record(s, pos):
     """A node's record rebuilt from a fresh scan with the public planner functions:
     (pos, at goal, free moves (angle, signs) in the order select_direction picks them,
     less those whose target lies outside the bounds)."""
-    if distance(pos, s.goal) <= s.delta / 2:
+    if math.dist(pos, s.goal) <= s.delta / 2:
         return pos, True, ()
-    sc = scan(pos, s, s.sensor_range, s.delta)
+    sc = scan(pos, s)
     theta = desired_angle(pos, s.goal)
     cands, order = free_directions(sc), []
     while cands:
@@ -440,7 +440,7 @@ def test_order_walk_picks_select_direction(free, dists, prev_dir, used, dead, no
     w = _world(goal=Point2(goal[0] * 0.25 + 0.01, goal[1] * 0.25))
     sc = _scan(free, dists)
     pos = _position(w.start, node, w.delta)
-    assume(distance(pos, w.goal) > w.delta / 2)
+    assume(math.dist(pos, w.goal) > w.delta / 2)
     theta = desired_angle(pos, w.goal)
     i, j = node
     records = {}

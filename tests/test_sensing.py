@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -41,7 +42,7 @@ def test_step_lengths_and_thresholds():
 
 
 def test_empty_world_all_free_at_range():
-    s = scan(Point2(0, 0), _world(), d=1.0, delta=0.5)
+    s = scan(Point2(0, 0), _world())
     assert len(s.readings) == 8
     for r in s.readings:
         assert r.free and r.dist == 1.0
@@ -49,14 +50,14 @@ def test_empty_world_all_free_at_range():
 
 def test_wall_inside_threshold_blocks_north():
     # wall 0.1 m north: inside tau_1 = 0.375
-    s = scan(Point2(0, 0), _world(_rect(-1, 0.1, 1, 0.3)), d=1.0, delta=0.5)
+    s = scan(Point2(0, 0), _world(_rect(-1, 0.1, 1, 0.3)))
     north = s.readings[0]
     assert not north.free
     assert north.dist == pytest.approx(0.1)
 
 
 def test_hit_exactly_at_threshold_blocks():
-    s = scan(Point2(0, 0), _world(_rect(-1, 0.375, 1, 0.6)), d=1.0, delta=0.5)
+    s = scan(Point2(0, 0), _world(_rect(-1, 0.375, 1, 0.6)))
     assert not s.readings[0].free
     assert s.readings[0].dist == pytest.approx(0.375)
 
@@ -65,21 +66,21 @@ def test_hit_exactly_at_threshold_blocks():
 def test_hit_exactly_at_threshold_blocks_at_other_deltas(delta):
     # delta/2 + delta/4 rounds at 0.3 and 0.7; a hit at the rounded threshold still blocks
     tau = blocking_threshold(0.0, delta)
-    s = scan(Point2(0, 0), _world(_rect(-1, tau, 1, tau + 1), delta=delta, d=2.0), d=2.0, delta=delta)
+    s = scan(Point2(0, 0), _world(_rect(-1, tau, 1, tau + 1), delta=delta, d=2.0))
     assert [(r.free, r.dist) for r in s.readings[::2]] == [(False, tau), (True, 2.0), (True, 2.0), (True, 2.0)]
-    s = scan(Point2(0, 0), _world(_rect(-1, math.nextafter(tau, 9), 1, tau + 1), delta=delta, d=2.0), d=2.0, delta=delta)
+    s = scan(Point2(0, 0), _world(_rect(-1, math.nextafter(tau, 9), 1, tau + 1), delta=delta, d=2.0))
     assert s.readings[0].free
 
 
 def test_hit_just_beyond_threshold_is_free():
-    s = scan(Point2(0, 0), _world(_rect(-1, 0.38, 1, 0.6)), d=1.0, delta=0.5)
+    s = scan(Point2(0, 0), _world(_rect(-1, 0.38, 1, 0.6)))
     assert s.readings[0].free
     assert s.readings[0].dist == pytest.approx(0.38)
 
 
 def test_diagonal_threshold_wider_than_cardinal():
     # first hit at 0.3*sqrt(2) = 0.424: beyond cardinal threshold, inside diagonal one
-    s = scan(Point2(0, 0), _world(_rect(0.3, 0.3, 0.5, 0.5)), d=1.0, delta=0.5)
+    s = scan(Point2(0, 0), _world(_rect(0.3, 0.3, 0.5, 0.5)))
     assert not s.readings[1].free
     assert s.readings[1].dist == pytest.approx(0.3 * math.sqrt(2))
     assert s.readings[0].free and s.readings[2].free
@@ -87,25 +88,25 @@ def test_diagonal_threshold_wider_than_cardinal():
 
 def test_blocked_north_and_northwest_only():
     # bar over the northwest corner: sensors 1 and 8 read blocked, rest free
-    s = scan(Point2(0, 0), _world(_rect(-0.6, 0.2, 0.1, 0.4)), d=1.0, delta=0.5)
+    s = scan(Point2(0, 0), _world(_rect(-0.6, 0.2, 0.1, 0.4)))
     flags = [r.free for r in s.readings]
     assert flags == [False, True, True, True, True, True, True, False]
 
 
 def test_distance_clipped_to_range():
-    s = scan(Point2(0, 0), _world(_rect(-1, 3, 1, 4)), d=2.0, delta=0.5)
+    s = scan(Point2(0, 0), _world(_rect(-1, 3, 1, 4), d=2.0))
     assert s.readings[0].free
     assert s.readings[0].dist == 2.0  # hit at 3 m is beyond range
 
 
 def test_scan_requires_position_outside_obstacles():
     with pytest.raises(GeometryError, match="ray origin strictly inside an obstacle"):
-        scan(Point2(0, 0), _world(_rect(-1, -1, 1, 1)), d=1.0, delta=0.5)
+        scan(Point2(0, 0), _world(_rect(-1, -1, 1, 1)))
 
 
 def test_scan_requires_range_exceeding_delta():
     with pytest.raises(ValueError):
-        scan(Point2(0, 0), _world(), d=0.5, delta=0.5)
+        scan(Point2(0, 0), _world(d=0.5))
 
 
 def _random_world(rng, n=4):
@@ -125,7 +126,7 @@ def test_scan_matches_ray_oracle():
         polys = _random_world(rng)
         pos = Point2(rng.uniform(-5, 5), rng.uniform(-5, 5))
         try:
-            s = scan(pos, _world(*polys), d=2.0, delta=0.5)
+            s = scan(pos, _world(*polys, d=2.0))
         except GeometryError:
             continue  # position landed inside an obstacle
         for i, angle in enumerate(SENSOR_ANGLES):
@@ -146,8 +147,8 @@ def test_increasing_range_never_flips_free_flags():
         polys = _random_world(rng)
         pos = Point2(rng.uniform(-5, 5), rng.uniform(-5, 5))
         try:
-            near = scan(pos, _world(*polys), d=1.0, delta=0.5)
-            far = scan(pos, _world(*polys), d=6.0, delta=0.5)
+            near = scan(pos, _world(*polys))
+            far = scan(pos, _world(*polys, d=6.0))
         except GeometryError:
             continue
         for rn, rf in zip(near.readings, far.readings):
@@ -158,8 +159,8 @@ def test_increasing_range_never_flips_free_flags():
 
 def test_scan_deterministic():
     polys = _random_world(random.Random(SEED + 2))
-    a = scan(Point2(0.3, -0.7), _world(*polys), d=1.0, delta=0.5)
-    b = scan(Point2(0.3, -0.7), _world(*polys), d=1.0, delta=0.5)
+    a = scan(Point2(0.3, -0.7), _world(*polys))
+    b = scan(Point2(0.3, -0.7), _world(*polys))
     assert a == b
 
 
@@ -169,7 +170,7 @@ def _reference_ray(origin, angle, max_range, obstacles):
     ox, oy = origin
     best = None
     for poly in obstacles:
-        for a, b in poly.edges():
+        for a, b in poly.edges:
             ex, ey = b.x - a.x, b.y - a.y
             ax, ay = a.x - ox, a.y - oy
             denom = ux * ey - uy * ex
@@ -188,7 +189,7 @@ def _reference_ray(origin, angle, max_range, obstacles):
 
 def _margin(poly, d):
     """The margin scan grows poly's bbox intervals by: twice the M of its docstring."""
-    x0, y0, x1, y1 = poly.bbox()
+    x0, y0, x1, y1 = poly.bbox
     w = x1 - x0 + y1 - y0
     return 2 * (1 + w) * (EPS_GEOM + 2e-6 * (1 + d + w))
 
@@ -197,7 +198,7 @@ def _corner_line_site(poly, corner, angle, t, off):
     """The point t back along the ray at compass angle from one of poly's bbox corners (corner 0-3 from
     (xmin, ymin) counterclockwise), so that the ray runs at the corner, moved off that ray's lattice line
     by off in the line's coordinate: along y for the east-west line, along x for the other three."""
-    x0, y0, x1, y1 = poly.bbox()
+    x0, y0, x1, y1 = poly.bbox
     cx, cy = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))[corner]
     ux, uy = compass_unit(angle)
     if angle % 180 == 90:
@@ -209,16 +210,17 @@ def _corner_line_site(poly, corner, angle, t, off):
 def _corner_line_sites(draw, world, d):
     """A point on a lattice line through a bbox corner of one of world's shapes, on it or off it by
     EPS_GEOM or by scan's margin, anywhere from 1 behind the corner to 1 past the range d before it."""
-    poly = draw(st.sampled_from(world.shapes()), label="shape")
+    poly = draw(st.sampled_from(world.shapes), label="shape")
     m = _margin(poly, d)
     t = draw(st.sampled_from((-EPS_GEOM, 0.0, EPS_GEOM, 0.5 * d, d, d + EPS_GEOM)) | st.floats(-1.0, d + 1.0), label="t")
     off = draw(st.sampled_from((0.0, EPS_GEOM, -EPS_GEOM, m, -m)), label="off")
     return _corner_line_site(poly, draw(st.integers(0, 3), label="corner"), draw(st.sampled_from(SENSOR_ANGLES), label="angle"), t, off)
 
 
-def _unculled_scan(pos, world, d, delta):
+def _unculled_scan(pos, world):
     """scan without its range cull: the origin test and all 8 reference rays against every shape."""
-    shapes = world.shapes()
+    d, delta = world.sensor_range, world.delta
+    shapes = world.shapes
     for poly in shapes:
         if point_in_polygon(pos, poly) is PointLocation.INSIDE:
             raise GeometryError("ray origin strictly inside an obstacle")
@@ -252,12 +254,13 @@ def test_range_cull_leaves_scans_unchanged_at_other_deltas(seed, d, delta, data)
 
 
 def _check_range_cull(world, d, delta, data):
-    """scan at a drawn site of world equals _unculled_scan."""
+    """scan at a drawn site of world, at range d and the given delta, equals _unculled_scan."""
+    world = replace(world, sensor_range=d, delta=delta)
     b = world.bounds
     near = data.draw(st.sampled_from(("anywhere", "bbox side", "corner line")), label="near")
     if near == "bbox side":
         # on a side of some obstacle's bbox, EPS_GEOM off it, or d (+-EPS_GEOM) out from it
-        x0, y0, x1, y1 = data.draw(st.sampled_from(world.shapes()), label="shape").bbox()
+        x0, y0, x1, y1 = data.draw(st.sampled_from(world.shapes), label="shape").bbox
         along = data.draw(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.0), label="along")
         out = data.draw(st.sampled_from((0.0, EPS_GEOM, -EPS_GEOM, d, d + EPS_GEOM, d - EPS_GEOM)), label="out")
         side = data.draw(st.sampled_from("WESN"), label="side")
@@ -268,21 +271,21 @@ def _check_range_cull(world, d, delta, data):
     else:
         pos = Point2(data.draw(st.floats(b.xmin, b.xmax), label="x"), data.draw(st.floats(b.ymin, b.ymax), label="y"))
     try:
-        want = _unculled_scan(pos, world, d, delta)
+        want = _unculled_scan(pos, world)
     except GeometryError:
         with pytest.raises(GeometryError, match="ray origin strictly inside an obstacle"):
-            scan(pos, world, d, delta)
+            scan(pos, world)
         return
-    assert scan(pos, world, d, delta) == want
+    assert scan(pos, world) == want
 
 
 def _euclidean_gap(x, y, poly):
-    x0, y0, x1, y1 = poly.bbox()
+    x0, y0, x1, y1 = poly.bbox
     return math.hypot(max(x0 - x, x - x1, 0.0), max(y0 - y, y - y1, 0.0))
 
 
 def _edge_slack(poly):
-    x0, y0, x1, y1 = poly.bbox()
+    x0, y0, x1, y1 = poly.bbox
     return EPS_GEOM * (1 + x1 - x0 + y1 - y0)
 
 
@@ -296,26 +299,26 @@ def test_range_cull_keeps_the_shapes_within_euclidean_reach():
         world = generate_world(seed)
         b = world.bounds
         sites = [Point2(rng.uniform(b.xmin, b.xmax), rng.uniform(b.ymin, b.ymax)) for _ in range(100)]
-        for poly in world.shapes():
-            x0, y0, x1, y1 = poly.bbox()
+        for poly in world.shapes:
+            x0, y0, x1, y1 = poly.bbox
             slack = _edge_slack(poly)  # the cull's reach is d + slack
             for out in (0.0, 1.0, 1.0 + EPS_GEOM, 1.0 + slack, 1.0 + 2 * slack, 10.0 + slack, 10.0 + 1e-6):
                 sites += [Point2(x0 - out, y0 - out), Point2(x1 + out, y1), Point2(x0, y1 + out), Point2(x1 + out, y0 - out)]
-        alone = [(poly, _world(poly)) for poly in world.shapes()]
         for d in (1.0, 10.0):
+            alone = [(poly, _world(poly, d=d)) for poly in world.shapes]
             lines = [_corner_line_site(poly, corner, angle, 0.5, sign * _margin(poly, d))
-                     for poly in world.shapes() for corner in range(4) for angle in SENSOR_ANGLES for sign in (1, -1)]
+                     for poly in world.shapes for corner in range(4) for angle in SENSOR_ANGLES for sign in (1, -1)]
             for pos in sites + lines:
                 for poly, one in alone:
                     if _euclidean_gap(pos.x, pos.y, poly) > d + 1:
                         continue
                     try:
-                        want = _unculled_scan(pos, one, d, 0.5)
+                        want = _unculled_scan(pos, one)
                     except GeometryError:
                         with pytest.raises(GeometryError, match="ray origin strictly inside an obstacle"):
-                            scan(pos, one, d, 0.5)
+                            scan(pos, one)
                         continue
-                    assert scan(pos, one, d, 0.5) == want, (seed, d, pos, poly)
+                    assert scan(pos, one) == want, (seed, d, pos, poly)
 
 
 def test_edge_skip_keeps_a_hit_past_the_end_of_a_long_edge():
@@ -324,8 +327,8 @@ def test_edge_skip_keeps_a_hit_past_the_end_of_a_long_edge():
     # edges lie more than d from the robot along y, and only the skip's 2 M margin keeps them
     spike = Polygon((Point2(2.5e-4, 7e-4), Point2(1.0, 1e6), Point2(-1.0, 1e6)))
     world = _world(spike, delta=2e-4, d=5e-4)
-    got = scan(Point2(0, 0), world, 5e-4, 2e-4)
-    assert got == _unculled_scan(Point2(0, 0), world, 5e-4, 2e-4)
+    got = scan(Point2(0, 0), world)
+    assert got == _unculled_scan(Point2(0, 0), world)
     assert got.readings[2].dist == pytest.approx(2.5e-4, abs=1e-9)
 
 
@@ -343,9 +346,9 @@ def _office_sites(draw, d):
         return Point2(draw(st.floats(b.xmin, b.xmax), label="x"), draw(st.floats(b.ymin, b.ymax), label="y"))
     if near == "corner line":
         return draw(_corner_line_sites(OFFICE, d))
-    shapes = OFFICE.shapes()
-    xs = draw(st.sampled_from(shapes), label="x shape").bbox()
-    ys = draw(st.sampled_from(shapes), label="y shape").bbox()
+    shapes = OFFICE.shapes
+    xs = draw(st.sampled_from(shapes), label="x shape").bbox
+    ys = draw(st.sampled_from(shapes), label="y shape").bbox
     t = draw(st.sampled_from((0.25, 0.5, 1.0, 2.0, 2.25, 5.0, 10.0)) | st.floats(0.0, 20.0), label="t")
     x = xs[0] - t if draw(st.booleans(), label="west") else xs[2] + t
     y = ys[1] - t if draw(st.booleans(), label="south") else ys[3] + t
@@ -357,10 +360,11 @@ def _office_sites(draw, d):
 def test_office_scans_equal_the_unculled_scan(d, data):
     pos = data.draw(_office_sites(d), label="pos")
     # office_like puts up to 25 shapes in range, each with its own rays and edges kept
+    office = replace(OFFICE, sensor_range=d)
     try:
-        want = _unculled_scan(pos, OFFICE, d, OFFICE.delta)
+        want = _unculled_scan(pos, office)
     except GeometryError:
         with pytest.raises(GeometryError, match="ray origin strictly inside an obstacle"):
-            scan(pos, OFFICE, d, OFFICE.delta)
+            scan(pos, office)
         return
-    assert scan(pos, OFFICE, d, OFFICE.delta) == want
+    assert scan(pos, office) == want

@@ -9,7 +9,7 @@ from itertools import islice
 import pytest
 
 from nspmr import planner, sim, world as world_module
-from nspmr.geometry import GeometryError, Point2, PointLocation, Polygon, _segment_hits, distance, point_in_polygon, segment_intersection
+from nspmr.geometry import GeometryError, Point2, PointLocation, Polygon, _segment_hits, point_in_polygon, segment_intersection
 from nspmr.planner import NspmrState
 from nspmr.sim import (
     RunResult,
@@ -219,7 +219,7 @@ def test_corridor_loop_rules_disabled_never_finishes():
 
 def _recount(s, traj, outcome):
     """The RunResult of traj, each figure summed or counted waypoint by waypoint."""
-    length = sum(distance(a, b) for a, b in zip(traj.waypoints, traj.waypoints[1:]))
+    length = sum(math.dist(a, b) for a, b in zip(traj.waypoints, traj.waypoints[1:]))
     half = s.delta / 2
     departures = Counter(
         (round((p.x - s.start.x) / half), round((p.y - s.start.y) / half))
@@ -477,7 +477,7 @@ def test_a_mover_below_each_static_builtin_leaves_its_route_and_its_static_obsta
             world = world.next_tick
             *statics, mover = world.obstacles
             assert all(ob is static for ob, static in zip(statics, grown.obstacles, strict=True))
-            x0, y0, x1, y1 = mover.shape.bbox()
+            x0, y0, x1, y1 = mover.shape.bbox
             assert g.xmin <= x0 and x1 <= g.xmax and g.ymin <= y0 and y1 <= g.ymax
             assert abs(mover.velocity[0]) == 3.0 and mover.velocity[1] == 0.0
             reflections += mover.velocity[0] != vx
@@ -507,7 +507,7 @@ def _reference_audit(t, s):
     """audit_collisions without its bulk filter: every waypoint and segment tested afresh, in route order."""
 
     def segment_hits(a, b, poly):
-        if any(segment_intersection(a, b, ea, eb) is not None for ea, eb in poly.edges()):
+        if any(segment_intersection(a, b, ea, eb) for ea, eb in poly.edges):
             return True
         mid = Point2((a.x + b.x) / 2, (a.y + b.y) / 2)
         return point_in_polygon(mid, poly) is PointLocation.INSIDE
@@ -675,7 +675,7 @@ def _random_segments(rng, poly, n):
     up to 1 m off its line, grazing along it, crossing it or leaving it, 0 to 3 m long."""
     out = []
     for _ in range(n):
-        a, b = poly.edges()[rng.randrange(len(poly.vertices))]
+        a, b = poly.edges[rng.randrange(len(poly.vertices))]
         ex, ey = b.x - a.x, b.y - a.y
         norm = math.hypot(ex, ey)
         ux, uy = ex / norm, ey / norm
@@ -703,7 +703,7 @@ def test_audit_segment_answers_equal_segment_hits_on_random_segments():
     polys += [ob.shape for ob in generate_world(3).obstacles[:2]]
     flagged = midpoint_only = 0
     for poly in polys:
-        x0, y0, x1, y1 = poly.bbox()
+        x0, y0, x1, y1 = poly.bbox
         s = Scenario("r", Bounds(x0 - 10, y0 - 10, x1 + 10, y1 + 10), Point2(x0 - 5, y0 - 5), Point2(x1 + 5, y1 + 5), (Obstacle(poly),))
         segments = _random_segments(rng, poly, 300)
         walk = [p for pq in segments for p in pq]
@@ -807,6 +807,6 @@ def test_oracle_refuses_a_lattice_too_fine_to_count():
     # 1e-310 is finite and positive, but the bounds' extent over it overflows to infinity
     with pytest.raises(ValueError, match="^cannot count the nodes of a lattice of spacing 1e-310 over the bounds$"):
         grid_oracle(_empty(), 1e-310)
-    # at 1e-200 the nodes can be counted, but not indexed in one raster
-    with pytest.raises(ValueError, match="^cannot index the nodes of a lattice of spacing 1e-200 over the bounds$"):
+    # at 1e-200 the nodes can be counted, but there are more than the lattice's limit
+    with pytest.raises(ValueError, match="^a lattice of spacing 1e-200 over the bounds has more than 67108864 nodes$"):
         grid_oracle(builtin_scenario("scenario1"), 1e-200)

@@ -240,6 +240,17 @@ def test_validate_winding_and_simplicity():
     assert any("self-intersect" in v for v in out)
 
 
+@pytest.mark.parametrize("ring", [
+    ((0, 0), (2, 0), (1, 0), (1, 1)),  # a spike: the first two edges fold back along y = 0
+    ((0, 0), (1, 0), (2, 0)),  # zero area: the last edge runs back over the first two
+])
+def test_adjacent_edges_overlapping_along_one_line_are_not_simple(ring):
+    # adjacent edges may meet only at their shared vertex, never along a stretch of one line
+    s = _base(bounds=Bounds(-5, -5, 5, 5), start=Point2(-4, -4), goal=Point2(4, 4),
+              obstacles=(Obstacle(Polygon(tuple(Point2(x, y) for x, y in ring))),))
+    assert validate_scenario(s) == ["obstacle 0: polygon self-intersects"]
+
+
 def test_validate_goal_on_obstacle_boundary_rejected():
     sq = Polygon((Point2(8, 8), Point2(9.5, 8), Point2(9.5, 9.5), Point2(8, 9.5)))
     out = validate_scenario(_base(goal=Point2(9, 8), obstacles=(Obstacle(sq),)))
@@ -346,7 +357,7 @@ def test_step_dynamics_translates_rigidly():
         assert b.y == pytest.approx(a.y + 0.15, abs=1e-12)
     assert s2.obstacles[0].velocity == (0.0, 1.5)
     # edge lengths preserved
-    for e1, e2 in zip(s.obstacles[0].shape.edges(), s2.obstacles[0].shape.edges()):
+    for e1, e2 in zip(s.obstacles[0].shape.edges, s2.obstacles[0].shape.edges):
         L1 = math.dist(e1[0], e1[1])
         L2 = math.dist(e2[0], e2[1])
         assert L2 == pytest.approx(L1, abs=1e-12)
@@ -373,7 +384,7 @@ def test_repeated_steps_keep_obstacle_inside_bounds():
     s = builtin_scenario("dynamic_crossing")
     for _ in range(3000):
         s = step_dynamics(s)  # 0.025 s ticks
-        x0, y0, x1, y1 = s.obstacles[0].shape.bbox()
+        x0, y0, x1, y1 = s.obstacles[0].shape.bbox
         b = s.bounds
         assert b.xmin <= x0 and x1 <= b.xmax and b.ymin <= y0 and y1 <= b.ymax
 

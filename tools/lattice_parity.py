@@ -112,8 +112,8 @@ def corner_line_sites(s, d):
     """For each of s's shapes, each bbox corner and each sensor ray: the point d/2 back from the corner
     along the ray, on the ray's line or moved off it along x (along y for the east-west line) by
     +-EPS_GEOM or by +- the margin scan grows the shape's bbox by at range d."""
-    for poly in s.shapes():
-        x0, y0, x1, y1 = poly.bbox()
+    for poly in s.shapes:
+        x0, y0, x1, y1 = poly.bbox
         w = x1 - x0 + y1 - y0
         m = 2 * (1 + w) * (EPS_GEOM + 2e-6 * (1 + d + w))
         for cx, cy in ((x0, y0), (x1, y0), (x1, y1), (x0, y1)):
@@ -125,18 +125,19 @@ def corner_line_sites(s, d):
 
 
 def scan_sites():
-    """(scenario, position, d) of every scan the scans digest covers, in a fixed order."""
+    """(scenario at range d, position) of every scan the scans digest covers, in a fixed order."""
     for seed in range(50):
         s = generate_world(seed)
         b = s.bounds
         rng = random.Random(seed)
         sites = [Point2(rng.uniform(b.xmin, b.xmax), rng.uniform(b.ymin, b.ymax)) for _ in range(100)]
-        for poly in s.shapes():
-            x0, y0, x1, y1 = poly.bbox()
+        for poly in s.shapes:
+            x0, y0, x1, y1 = poly.bbox
             sites += [Point2(x0, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1)]
         for d in (1.0, 10.0):
+            world = dataclasses.replace(s, sensor_range=d)
             for pos in sites + list(corner_line_sites(s, d)):
-                yield s, pos, d
+                yield world, pos
     s = builtin_scenario("office_like")
     b = s.bounds
     nodes = [
@@ -145,18 +146,19 @@ def scan_sites():
         for j in range(int((b.ymax - b.ymin) / 0.25) + 1)
     ]
     for d in (2.0, 20.0):
+        world = dataclasses.replace(s, sensor_range=d)
         for pos in nodes + list(corner_line_sites(s, d)):
-            yield s, pos, d
+            yield world, pos
 
 
 def scans_digest() -> tuple[str, int]:
     """SHA-256 over repr of each covered scan's readings, and the number of scans."""
     digest = hashlib.sha256()
     count = 0
-    for s, pos, d in scan_sites():
+    for world, pos in scan_sites():
         count += 1
         try:
-            digest.update(repr(scan(pos, s, d, s.delta).readings).encode())
+            digest.update(repr(scan(pos, world).readings).encode())
         except GeometryError as e:
             digest.update(f"GeometryError: {e}".encode())
     return digest.hexdigest(), count
