@@ -21,18 +21,18 @@ from nspmr import (
 def main():
     s = builtin_scenario("scenario1")
     pos = Point2(5.55, 5.0)
-    reading = scan(pos, s)
+    readings = scan(pos, s)
     theta = desired_angle(pos, s.goal)
     print(f"robot at ({pos.x:g}, {pos.y:g}), goal at ({s.goal.x:g}, {s.goal.y:g})")
     print(f"desired bearing: {theta:.2f} deg (compass, 0 = +y, clockwise)\n")
 
     print("dir   free   range_m")
-    for angle, r in zip(DIRECTIONS, reading.readings):
+    for angle, r in zip(DIRECTIONS, readings):
         print(f"{angle:>3.0f}   {str(r.free):5}  {r.dist:7.3f}")
 
     state = NspmrState(start=pos)
-    candidates = filter_candidates(reading, state)
-    choice = select_direction(candidates, theta, reading)
+    candidates = filter_candidates(readings, state)
+    choice = select_direction(candidates, theta, readings)
     print(f"\ncandidates after the priority rules: {[f'{c:.0f}' for c in candidates]}")
     print(f"selected direction: {choice:.0f} deg")
     print("the wall shadows every sensor east of north, so the pick deflects")

@@ -6,7 +6,7 @@ baselines. Scenario files, deterministic world generation, a grid oracle
 for benchmark ratios, and CSV/SVG trajectory output round out the toolkit.
 """
 
-from .geometry import GeometryError, Point2, Polygon, circular_diff, compass_unit
+from .geometry import GeometryError, Point2, Polygon, circular_diff
 from .output import (
     BenchRow,
     bench_row,
@@ -18,8 +18,8 @@ from .output import (
     write_svg,
     write_trajectory_csv,
 )
-from .planner import DIRECTIONS, NspmrState, desired_angle, filter_candidates, select_direction
-from .sensing import SensorReading, SensorScan, scan
+from .planner import NspmrState, desired_angle, filter_candidates, select_direction
+from .sensing import DIRECTIONS, SensorReading, scan
 from .sim import (
     PLANNERS,
     RunResult,
@@ -73,14 +73,12 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "SensorReading",
-    "SensorScan",
     "SimulationError",
     "Trajectory",
     "audit_collisions",
     "bench_row",
     "builtin_scenario",
     "circular_diff",
-    "compass_unit",
     "default_max_iters",
     "desired_angle",
     "filter_candidates",

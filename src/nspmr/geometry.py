@@ -16,8 +16,6 @@ from typing import NamedTuple
 
 EPS_GEOM = 1e-9
 
-_SQRT_HALF = math.sqrt(0.5)
-
 
 class GeometryError(ValueError):
     """Raised for geometric preconditions: bad offsets, ray origin inside an obstacle."""
@@ -47,29 +45,6 @@ def circular_diff(a: float, b: float) -> float:
     """Smallest absolute angular difference between two headings, in [0, 180]."""
     d = abs(a - b) % 360.0
     return min(d, 360.0 - d)
-
-
-def compass_unit(deg: float) -> tuple[float, float]:
-    """Unit vector for a compass heading; exact on multiples of 45 degrees."""
-    d = deg % 360.0
-    eighth = d / 45.0
-    if eighth == int(eighth):
-        sx, sy = _UNIT_TABLE[int(eighth)]
-        return sx, sy
-    rad = math.radians(d)
-    return math.sin(rad), math.cos(rad)
-
-
-_UNIT_TABLE = (
-    (0.0, 1.0),
-    (_SQRT_HALF, _SQRT_HALF),
-    (1.0, 0.0),
-    (_SQRT_HALF, -_SQRT_HALF),
-    (0.0, -1.0),
-    (-_SQRT_HALF, -_SQRT_HALF),
-    (-1.0, 0.0),
-    (-_SQRT_HALF, _SQRT_HALF),
-)
 
 
 def point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:

@@ -20,28 +20,14 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .geometry import Point2, circular_diff, math_to_compass
-from .sensing import SENSOR_ANGLES, SensorScan, scan
+from .sensing import DIRECTIONS, STEPS, SensorReading, scan
 from .world import Scenario
 
-DIRECTIONS = SENSOR_ANGLES
-
-# Table of per-direction node displacements; each move is (sx, sy) * delta/2.
-_SIGNS = {
-    0.0: (0, 1),
-    45.0: (1, 1),
-    90.0: (1, 0),
-    135.0: (1, -1),
-    180.0: (0, -1),
-    225.0: (-1, -1),
-    270.0: (-1, 0),
-    315.0: (-1, 1),
-}
-# each direction's move (angle, signs), its reverse, its sensor index, and the
-# direction of each one-node displacement
-_MOVE = {a: (a, _SIGNS[a]) for a in DIRECTIONS}
+# each direction's move (angle, signs), its reverse, and the direction of each
+# one-node displacement
+_MOVE = {a: (a, signs) for a, signs in zip(DIRECTIONS, STEPS)}
 _REVERSE = {a: (a + 180.0) % 360.0 for a in DIRECTIONS}
-_INDEX = {a: k for k, a in enumerate(DIRECTIONS)}
-_DIRECTION_OF = {signs: a for a, signs in _SIGNS.items()}
+_DIRECTION_OF = dict(zip(STEPS, DIRECTIONS))
 # (sensor index, move) in select_direction's order for a bearing strictly inside each 22.5-degree sector
 _SECTOR_ORDER = tuple(tuple((k, _MOVE[a]) for k, a in sorted(enumerate(DIRECTIONS), key=lambda ka: circular_diff(ka[1], 22.5 * s + 11.25)))
                       for s in range(16))
@@ -100,12 +86,12 @@ def _first_survivor(moves, i: int, j: int, node_used, dead: set[Node], back: flo
     return None
 
 
-def filter_candidates(scan_: SensorScan, state: NspmrState) -> list[float]:
+def filter_candidates(readings: tuple[SensorReading, ...], state: NspmrState) -> list[float]:
     """Free directions that survive rules I (no reversal), II (node memory),
     and III (never step into a dead node)."""
     i, j = node = state.node
     rules = i, j, state.used.get(node, ()), state.dead, _REVERSE.get(state.prev_dir)
-    return [a for a, (free, _) in zip(DIRECTIONS, scan_.readings) if free and _first_survivor((_MOVE[a],), *rules)]
+    return [a for a, (free, _) in zip(DIRECTIONS, readings) if free and _first_survivor((_MOVE[a],), *rules)]
 
 
 def _ranked(theta: float, readings) -> list[tuple[float, tuple[int, int]]]:
@@ -141,15 +127,15 @@ def _ranked(theta: float, readings) -> list[tuple[float, tuple[int, int]]]:
     return [_MOVE[a] for _, _, a in keys]
 
 
-def select_direction(candidates: list[float], theta_d: float, scan_: SensorScan) -> float:
+def select_direction(candidates: list[float], theta_d: float, readings: tuple[SensorReading, ...]) -> float:
     """Closest candidate to the desired bearing; ties go to the direction with
     the longer measured distance, then to the lower sensor index."""
     if not candidates:
         raise ValueError("no candidate directions")
-    if bad := [a for a in candidates if a not in _INDEX]:
+    if bad := [a for a in candidates if a not in _MOVE]:
         raise ValueError(f"candidate {bad[0]!r} is not one of the 8 lattice directions")
-    picked = {_INDEX[a] for a in candidates}  # every candidate counts, whatever its reading's free flag
-    return _ranked(theta_d, [(k in picked, r.dist) for k, r in enumerate(scan_.readings)])[0][0]
+    picked = {DIRECTIONS.index(a) for a in candidates}  # every candidate counts, whatever its reading's free flag
+    return _ranked(theta_d, [(k in picked, r.dist) for k, r in enumerate(readings)])[0][0]
 
 
 def _visit(world: Scenario, pos: Point2) -> _NodeRecord:
@@ -157,8 +143,7 @@ def _visit(world: Scenario, pos: Point2) -> _NodeRecord:
     its free moves ranked by _ranked."""
     if math.dist(pos, world.goal) <= world.delta / 2:
         return _new(_NodeRecord, (pos, True, ()))
-    readings = scan(pos, world).readings
-    return _new(_NodeRecord, (pos, False, tuple(_ranked(desired_angle(pos, world.goal), readings))))
+    return _new(_NodeRecord, (pos, False, tuple(_ranked(desired_angle(pos, world.goal), scan(pos, world)))))
 
 
 def _walk(state: NspmrState, world: Scenario, rules_enabled: bool):

@@ -11,19 +11,23 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .geometry import EPS_GEOM, GeometryError, Point2, PointLocation, compass_unit, point_in_polygon
+from .geometry import EPS_GEOM, GeometryError, Point2, PointLocation, point_in_polygon
 from .world import Scenario
 
 SENSOR_COUNT = 8
-SENSOR_ANGLES = tuple(45.0 * i for i in range(SENSOR_COUNT))
-# The rays scan casts, (k, ux, uy), and the ones scan keeps for a shape by the sides of the shape's bbox
-# that reach past the robot along x, y, x - y and x + y: bit 2i means the i-th interval reaches below the
-# robot's coordinate, bit 2i + 1 above it. Ray k lies on one coordinate's line and runs up or down another.
-_RAYS = tuple((k, *compass_unit(a)) for k, a in enumerate(SENSOR_ANGLES))
-_NEEDS = (0b1011, 0b10110000, 0b1110, 0b11100000, 0b0111, 0b01110000, 0b1101, 0b11010000)
-_SELECT = tuple(tuple(ray for ray, need in zip(_RAYS, _NEEDS) if mask & need == need) for mask in range(256))
+# The eight lattice directions: sensor k looks along compass heading DIRECTIONS[k], and the planner's
+# move that way takes the robot from node (i, j) to (i + sx, j + sy), with (sx, sy) = STEPS[k].
+DIRECTIONS = tuple(45.0 * k for k in range(SENSOR_COUNT))
+STEPS = ((0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0), (-1, 1))
 
 _DIAG = math.sqrt(2.0) / 2.0
+# The rays scan casts, (k, ux, uy) with STEPS[k] scaled to unit length, and the ones scan keeps for a shape
+# by the sides of the shape's bbox that reach past the robot along x, y, x - y and x + y: bit 2i means the
+# i-th interval reaches below the robot's coordinate, bit 2i + 1 above it. Ray k lies on one coordinate's
+# line and runs up or down another.
+_RAYS = tuple((k, sx * _DIAG, sy * _DIAG) if sx and sy else (k, float(sx), float(sy)) for k, (sx, sy) in enumerate(STEPS))
+_NEEDS = (0b1011, 0b10110000, 0b1110, 0b11100000, 0b0111, 0b01110000, 0b1101, 0b11010000)
+_SELECT = tuple(tuple(ray for ray, need in zip(_RAYS, _NEEDS) if mask & need == need) for mask in range(256))
 
 
 def step_length(angle: float, delta: float) -> float:
@@ -43,13 +47,10 @@ class SensorReading(NamedTuple):
     dist: float
 
 
-class SensorScan(NamedTuple):
-    readings: tuple[SensorReading, ...]  # reading k looks along SENSOR_ANGLES[k]
-
-
-def scan(pos: Point2, world: Scenario) -> SensorScan:
+def scan(pos: Point2, world: Scenario) -> tuple[SensorReading, ...]:
     """Range-scan the 8 lattice directions against the world's current shapes, at the world's
-    sensing range d = world.sensor_range and step scale delta = world.delta.
+    sensing range d = world.sensor_range and step scale delta = world.delta. Reading k looks
+    along DIRECTIONS[k].
 
     Ray k reads the distance t from pos to its first boundary hit within d. Hits at t <= EPS_GEOM
     are ignored, so standing on a boundary does not read as a collision, and a ray along an edge
@@ -132,12 +133,10 @@ def scan(pos: Point2, world: Scenario) -> SensorScan:
                         t = (q.x - x) * ux + (q.y - y) * uy
                         if EPS_GEOM < t <= d and t < best[k]:
                             best[k] = t
-    new = tuple.__new__  # the named tuples' own __new__ is a Python-level call
+    new = tuple.__new__  # the named tuple's own __new__ is a Python-level call
     free = new(SensorReading, (True, d))
     if best is None:
-        return new(SensorScan, ((free,) * SENSOR_COUNT,))
+        return (free,) * SENSOR_COUNT
     # sensor k looks along an axis for even k and along a diagonal for odd k
     limits = (blocking_threshold(0.0, delta), blocking_threshold(45.0, delta)) * (SENSOR_COUNT // 2)
-    return new(SensorScan, (tuple([
-        free if hit == inf else new(SensorReading, (hit > limit, hit)) for limit, hit in zip(limits, best)
-    ]),))
+    return tuple([free if hit == inf else new(SensorReading, (hit > limit, hit)) for limit, hit in zip(limits, best)])

@@ -160,6 +160,8 @@ def parse_scenario(text: str) -> Scenario:
         raw = json.loads(text, parse_int=lambda digits: int(digits) if len(digits) < 400 else _TOO_LONG)
     except json.JSONDecodeError as e:
         raise ScenarioError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+    except RecursionError as e:  # the decoder recurses once per level of nested arrays and objects
+        raise ScenarioError("invalid JSON: nested too deeply") from e
     if not isinstance(raw, dict):
         raise ScenarioError("scenario file must contain a JSON object")
     unknown = set(raw) - _TOP_FIELDS

@@ -14,8 +14,8 @@ from dataclasses import replace
 from nspmr import cli
 from nspmr.geometry import Point2, circular_diff
 from nspmr.output import write_trajectory_csv
-from nspmr.planner import DIRECTIONS, select_direction
-from nspmr.sensing import SensorReading, SensorScan
+from nspmr.planner import select_direction
+from nspmr.sensing import DIRECTIONS, SensorReading
 from nspmr.sim import audit_collisions, grid_oracle, iteration_ceiling, run
 from nspmr.world import Bounds, Scenario, builtin_scenario, generate_world
 
@@ -163,7 +163,7 @@ def test_criterion_8_invariants_across_all_runs(tmp_path):
 
 
 def test_criterion_9_unit_level_anchors():
-    all_free = SensorScan(tuple(SensorReading(True, 10.0) for _ in range(8)))
+    all_free = tuple(SensorReading(True, 10.0) for _ in range(8))
     blocked_0_315 = [d for d in DIRECTIONS if d not in (0.0, 315.0)]
     pick_a = select_direction(blocked_0_315, 315.0, all_free)
     pick_b = select_direction(list(DIRECTIONS), 355.0, all_free)

@@ -192,6 +192,16 @@ def test_run_scenario_file_with_uncountable_lattice_exits_1(case, planner, tmp_p
     assert (rc, out, err.splitlines()) == (1, "", [f"error: {UNCOUNTABLE_MESSAGE}"])
 
 
+def test_run_scenario_file_nested_too_deeply_exits_1(tmp_path):
+    # a separate process, so a RecursionError escaping main would show as a traceback on stderr
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    proc = subprocess.run([sys.executable, "-m", "nspmr.cli", "run", "--scenario", str(path), "--planner", "nspmr"],
+                          capture_output=True, text=True)
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr.splitlines()) == (1, "", ["error: invalid JSON: nested too deeply"])
+
+
 @pytest.mark.parametrize("delta", ["1e-310", "5e-324", "1e-12", "1e-300"])
 def test_run_delta_override_with_uncountable_lattice_exits_1(delta, capsys):
     with quick_and_small():

@@ -15,7 +15,6 @@ from nspmr.geometry import (
     _closer_than,
     _segment_hits,
     circular_diff,
-    compass_unit,
     math_to_compass,
     point_in_polygon,
     point_segment_distance,
@@ -23,7 +22,7 @@ from nspmr.geometry import (
     polygon_offset,
     segment_intersection,
 )
-from nspmr.sensing import SENSOR_ANGLES, SensorReading, scan
+from nspmr.sensing import DIRECTIONS, SensorReading, scan
 from nspmr.world import Bounds, Obstacle, Scenario, _make_shape, builtin_scenario, parse_scenario, serialize_scenario
 
 SEED = 20260817
@@ -93,7 +92,7 @@ def one_ray(origin, compass_deg, max_range, obstacles):
     or None when it reads free at range."""
     world = Scenario(name="one_ray", bounds=Bounds(-1e3, -1e3, 1e3, 1e3), start=origin, goal=origin,
                      obstacles=tuple(Obstacle(p) for p in obstacles), delta=max_range / 2, sensor_range=max_range)
-    reading = scan(origin, world).readings[SENSOR_ANGLES.index(compass_deg % 360)]
+    reading = scan(origin, world)[DIRECTIONS.index(compass_deg % 360)]
     return None if reading == SensorReading(True, max_range) else reading.dist
 
 
@@ -166,23 +165,6 @@ def test_math_to_compass_self_inverse():
     for _ in range(200):
         x = rng.uniform(-720, 720)
         assert math_to_compass(math_to_compass(x)) == pytest.approx(x % 360, abs=1e-9)
-
-
-def test_compass_unit_cardinals_exact():
-    assert compass_unit(0) == (0.0, 1.0)
-    assert compass_unit(90) == (1.0, 0.0)
-    assert compass_unit(180) == (0.0, -1.0)
-    assert compass_unit(270) == (-1.0, 0.0)
-    s = math.sqrt(0.5)
-    assert compass_unit(45) == (s, s)
-    assert compass_unit(315) == (-s, s)
-
-
-def test_compass_unit_wraps_around():
-    # a heading is reduced to [0, 360) first
-    assert compass_unit(360) == compass_unit(0)
-    assert compass_unit(-45) == compass_unit(315)
-    assert compass_unit(725) == pytest.approx(compass_unit(5))
 
 
 # --- segment intersection ----------------------------------------------------
@@ -318,7 +300,7 @@ def test_ray_cast_keeps_hits_just_past_an_edge_end():
     # the kernel accepts a hit up to EPS_GEOM * |edge| past an edge's end, 4e-9 m on
     # this 4 m square, so the cull before it must not drop the rays that make one
     sq = Polygon((Point2(-2, -2), Point2(2, -2), Point2(2, 2), Point2(-2, 2)))
-    ux, uy = compass_unit(135.0)
+    ux, uy = math.sqrt(0.5), -math.sqrt(0.5)  # heading 135
     for eps in (1e-9, 2e-9, 3e-9, 3.9e-9):
         o = Point2(2 + eps + ux, 2 + uy)  # 1 m south-east of (2 + eps, 2)
         want = oracle_ray_edges(o, 315.0, 3.0, [sq])

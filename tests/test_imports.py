@@ -1,14 +1,16 @@
 """Module layout: every import of the package runs at module level, the
-modules import each other without a cycle, and the package root exports the
-names README lists."""
+modules import each other without a cycle, the package root exports the
+names README lists, and README's modelling choices cite names that exist."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
 import nspmr
 
 MODULES = sorted(Path(nspmr.__file__).parent.glob("*.py"))
+README = Path(__file__).parents[1] / "README.md"
 
 
 def _relative_imports(tree: ast.Module) -> set[str]:
@@ -49,7 +51,7 @@ def test_no_function_imports_and_no_module_cycle():
 
 def _readme_api() -> list[str]:
     """The backticked names of README's list of the package root's exports: the bullets after its lead-in line."""
-    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    lines = README.read_text().splitlines()
     start = lines.index("The package root exports exactly these names, its `__all__`:") + 2
     bullets = []
     for line in lines[start:]:
@@ -66,3 +68,13 @@ def test_readme_api_list_is_all():
     assert len(nspmr.__all__) == len(set(nspmr.__all__))
     for name in nspmr.__all__:
         assert hasattr(nspmr, name), name
+
+
+def test_readme_modelling_choices_cite_code_that_exists():
+    # every dotted name the section cites resolves, so a rename cannot leave it pointing at nothing
+    section = README.read_text().split("\n## Modelling choices\n", 1)[1].split("\n## ", 1)[0]
+    cited = re.findall(r"`(nspmr(?:\.\w+)+)`", section)
+    assert len(cited) == 7
+    for name in cited:
+        module, _, attr = name.rpartition(".")
+        assert hasattr(importlib.import_module(module), attr), name

@@ -13,8 +13,8 @@ from hypothesis import strategies as hst
 
 from nspmr import planner
 from nspmr.geometry import Point2, Polygon, circular_diff
-from nspmr.planner import DIRECTIONS, NspmrState, _walk, desired_angle, filter_candidates, select_direction
-from nspmr.sensing import SensorReading, SensorScan, scan
+from nspmr.planner import NspmrState, _walk, desired_angle, filter_candidates, select_direction
+from nspmr.sensing import DIRECTIONS, STEPS, SensorReading, scan
 from nspmr.sim import iteration_ceiling, run
 from nspmr.world import BUILTIN_NAMES, Bounds, Obstacle, Scenario, builtin_scenario, generate_world
 
@@ -23,15 +23,15 @@ SEED = 20260817
 
 def _scan(free_flags, dists=None):
     dists = dists or [1.0] * 8
-    return SensorScan(tuple(SensorReading(f, d) for f, d in zip(free_flags, dists)))
+    return tuple(SensorReading(f, d) for f, d in zip(free_flags, dists))
 
 
 ALL_FREE = _scan([True] * 8)
 
 
-def free_directions(scan_):
+def free_directions(readings):
     """The candidate set with all three rules off: every direction whose reading is free."""
-    return [a for a, reading in zip(DIRECTIONS, scan_.readings) if reading.free]
+    return [a for a, reading in zip(DIRECTIONS, readings) if reading.free]
 
 
 def _world(*polys, start=Point2(0, 0), goal=Point2(25, 25), delta=0.5, d=1.0):
@@ -181,7 +181,7 @@ def test_record_order_equals_repeated_selection_at_sector_edges_and_ties(monkeyp
             while cands:
                 want.append(select_direction(cands, theta, sc))
                 cands.remove(want[-1])
-            key = {a: (circular_diff(a, theta), -r.dist, a) for a, r in zip(DIRECTIONS, sc.readings)}
+            key = {a: (circular_diff(a, theta), -r.dist, a) for a, r in zip(DIRECTIONS, sc)}
             assert got == want == sorted(free_directions(sc), key=key.get), theta
 
 
@@ -354,7 +354,7 @@ def _fresh_record(s, pos):
         order.append(select_direction(cands, theta, sc))
         cands.remove(order[-1])
     half = s.delta / 2
-    moves = [(a, planner._SIGNS[a]) for a in order]
+    moves = [planner._MOVE[a] for a in order]
     return pos, False, tuple((a, (sx, sy)) for a, (sx, sy) in moves
                              if s.bounds.contains(Point2(pos.x + sx * half, pos.y + sy * half)))
 
@@ -422,7 +422,7 @@ def test_moving_world_scans_every_step(monkeypatch):
     assert st.records == {}
 
 
-_NEIGHBOURS = tuple(planner._SIGNS.values())
+_NEIGHBOURS = STEPS
 
 
 @settings(max_examples=300, deadline=None)

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nspmr.geometry import EPS_GEOM, GeometryError, Point2, PointLocation, Polygon, compass_unit, point_in_polygon
-from nspmr.sensing import SENSOR_ANGLES, SensorReading, SensorScan, blocking_threshold, scan, step_length
+from nspmr.geometry import EPS_GEOM, GeometryError, Point2, PointLocation, Polygon, point_in_polygon
+from nspmr import planner
+from nspmr.planner import desired_angle
+from nspmr.sensing import _RAYS, DIRECTIONS, STEPS, SensorReading, blocking_threshold, scan, step_length
 from nspmr.world import Bounds, Obstacle, Scenario, builtin_scenario, generate_world
 
 from test_geometry import oracle_ray_edges
@@ -41,25 +43,38 @@ def test_step_lengths_and_thresholds():
     assert blocking_threshold(315, 0.5) == pytest.approx(0.25 * math.sqrt(2) + 0.125)
 
 
+def test_direction_table_gives_exact_rays_bearings_and_reverses():
+    # the one table of the eight directions: scan's unit vectors, exact on the axes, the
+    # planner's node steps, each pointing along its heading, and their reverses, the negated steps
+    s = math.sqrt(0.5)
+    units = [(0.0, 1.0), (s, s), (1.0, 0.0), (s, -s), (0.0, -1.0), (-s, -s), (-1.0, 0.0), (-s, s)]
+    assert DIRECTIONS == tuple(45.0 * k for k in range(8))
+    assert _RAYS == tuple((k, *unit) for k, unit in enumerate(units))
+    for a, (sx, sy) in zip(DIRECTIONS, STEPS):
+        assert desired_angle(Point2(0, 0), Point2(sx, sy)) == a
+        assert planner._MOVE[a] == (a, (sx, sy)) and planner._DIRECTION_OF[sx, sy] == a
+        assert planner._MOVE[planner._REVERSE[a]][1] == (-sx, -sy)
+
+
 def test_empty_world_all_free_at_range():
     s = scan(Point2(0, 0), _world())
-    assert len(s.readings) == 8
-    for r in s.readings:
+    assert len(s) == 8
+    for r in s:
         assert r.free and r.dist == 1.0
 
 
 def test_wall_inside_threshold_blocks_north():
     # wall 0.1 m north: inside tau_1 = 0.375
     s = scan(Point2(0, 0), _world(_rect(-1, 0.1, 1, 0.3)))
-    north = s.readings[0]
+    north = s[0]
     assert not north.free
     assert north.dist == pytest.approx(0.1)
 
 
 def test_hit_exactly_at_threshold_blocks():
     s = scan(Point2(0, 0), _world(_rect(-1, 0.375, 1, 0.6)))
-    assert not s.readings[0].free
-    assert s.readings[0].dist == pytest.approx(0.375)
+    assert not s[0].free
+    assert s[0].dist == pytest.approx(0.375)
 
 
 @pytest.mark.parametrize("delta", (0.3, 0.7, 1.0))
@@ -67,36 +82,36 @@ def test_hit_exactly_at_threshold_blocks_at_other_deltas(delta):
     # delta/2 + delta/4 rounds at 0.3 and 0.7; a hit at the rounded threshold still blocks
     tau = blocking_threshold(0.0, delta)
     s = scan(Point2(0, 0), _world(_rect(-1, tau, 1, tau + 1), delta=delta, d=2.0))
-    assert [(r.free, r.dist) for r in s.readings[::2]] == [(False, tau), (True, 2.0), (True, 2.0), (True, 2.0)]
+    assert [(r.free, r.dist) for r in s[::2]] == [(False, tau), (True, 2.0), (True, 2.0), (True, 2.0)]
     s = scan(Point2(0, 0), _world(_rect(-1, math.nextafter(tau, 9), 1, tau + 1), delta=delta, d=2.0))
-    assert s.readings[0].free
+    assert s[0].free
 
 
 def test_hit_just_beyond_threshold_is_free():
     s = scan(Point2(0, 0), _world(_rect(-1, 0.38, 1, 0.6)))
-    assert s.readings[0].free
-    assert s.readings[0].dist == pytest.approx(0.38)
+    assert s[0].free
+    assert s[0].dist == pytest.approx(0.38)
 
 
 def test_diagonal_threshold_wider_than_cardinal():
     # first hit at 0.3*sqrt(2) = 0.424: beyond cardinal threshold, inside diagonal one
     s = scan(Point2(0, 0), _world(_rect(0.3, 0.3, 0.5, 0.5)))
-    assert not s.readings[1].free
-    assert s.readings[1].dist == pytest.approx(0.3 * math.sqrt(2))
-    assert s.readings[0].free and s.readings[2].free
+    assert not s[1].free
+    assert s[1].dist == pytest.approx(0.3 * math.sqrt(2))
+    assert s[0].free and s[2].free
 
 
 def test_blocked_north_and_northwest_only():
     # bar over the northwest corner: sensors 1 and 8 read blocked, rest free
     s = scan(Point2(0, 0), _world(_rect(-0.6, 0.2, 0.1, 0.4)))
-    flags = [r.free for r in s.readings]
+    flags = [r.free for r in s]
     assert flags == [False, True, True, True, True, True, True, False]
 
 
 def test_distance_clipped_to_range():
     s = scan(Point2(0, 0), _world(_rect(-1, 3, 1, 4), d=2.0))
-    assert s.readings[0].free
-    assert s.readings[0].dist == 2.0  # hit at 3 m is beyond range
+    assert s[0].free
+    assert s[0].dist == 2.0  # hit at 3 m is beyond range
 
 
 def test_scan_requires_position_outside_obstacles():
@@ -129,9 +144,9 @@ def test_scan_matches_ray_oracle():
             s = scan(pos, _world(*polys, d=2.0))
         except GeometryError:
             continue  # position landed inside an obstacle
-        for i, angle in enumerate(SENSOR_ANGLES):
+        for i, angle in enumerate(DIRECTIONS):
             hit = oracle_ray_edges(pos, angle, 2.0, polys)
-            r = s.readings[i]
+            r = s[i]
             if hit is None:
                 assert r.free and r.dist == 2.0
             else:
@@ -151,7 +166,7 @@ def test_increasing_range_never_flips_free_flags():
             far = scan(pos, _world(*polys, d=6.0))
         except GeometryError:
             continue
-        for rn, rf in zip(near.readings, far.readings):
+        for rn, rf in zip(near, far):
             assert rn.free == rf.free
             assert rf.dist >= rn.dist - 1e-12
             assert rn.dist == pytest.approx(min(rf.dist, 1.0))
@@ -164,9 +179,12 @@ def test_scan_deterministic():
     assert a == b
 
 
+_UNIT = {a: ray[1:] for a, ray in zip(DIRECTIONS, _RAYS)}  # heading -> scan's unit vector (ux, uy)
+
+
 def _reference_ray(origin, angle, max_range, obstacles):
     """One ray at a time, against every edge of every shape, with the arithmetic of scan's kernel."""
-    ux, uy = compass_unit(angle)
+    ux, uy = _UNIT[angle]
     ox, oy = origin
     best = None
     for poly in obstacles:
@@ -200,7 +218,7 @@ def _corner_line_site(poly, corner, angle, t, off):
     by off in the line's coordinate: along y for the east-west line, along x for the other three."""
     x0, y0, x1, y1 = poly.bbox
     cx, cy = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))[corner]
-    ux, uy = compass_unit(angle)
+    ux, uy = _UNIT[angle]
     if angle % 180 == 90:
         return Point2(cx - t * ux, cy - t * uy + off)
     return Point2(cx - t * ux + off, cy - t * uy)
@@ -214,7 +232,7 @@ def _corner_line_sites(draw, world, d):
     m = _margin(poly, d)
     t = draw(st.sampled_from((-EPS_GEOM, 0.0, EPS_GEOM, 0.5 * d, d, d + EPS_GEOM)) | st.floats(-1.0, d + 1.0), label="t")
     off = draw(st.sampled_from((0.0, EPS_GEOM, -EPS_GEOM, m, -m)), label="off")
-    return _corner_line_site(poly, draw(st.integers(0, 3), label="corner"), draw(st.sampled_from(SENSOR_ANGLES), label="angle"), t, off)
+    return _corner_line_site(poly, draw(st.integers(0, 3), label="corner"), draw(st.sampled_from(DIRECTIONS), label="angle"), t, off)
 
 
 def _unculled_scan(pos, world):
@@ -225,10 +243,10 @@ def _unculled_scan(pos, world):
         if point_in_polygon(pos, poly) is PointLocation.INSIDE:
             raise GeometryError("ray origin strictly inside an obstacle")
     readings = []
-    for angle in SENSOR_ANGLES:
+    for angle in DIRECTIONS:
         hit = _reference_ray(pos, angle, d, shapes)
         readings.append(SensorReading(True, d) if hit is None else SensorReading(hit > blocking_threshold(angle, delta), hit))
-    return SensorScan(tuple(readings))
+    return tuple(readings)
 
 
 @settings(max_examples=150, deadline=None)
@@ -307,7 +325,7 @@ def test_range_cull_keeps_the_shapes_within_euclidean_reach():
         for d in (1.0, 10.0):
             alone = [(poly, _world(poly, d=d)) for poly in world.shapes]
             lines = [_corner_line_site(poly, corner, angle, 0.5, sign * _margin(poly, d))
-                     for poly in world.shapes for corner in range(4) for angle in SENSOR_ANGLES for sign in (1, -1)]
+                     for poly in world.shapes for corner in range(4) for angle in DIRECTIONS for sign in (1, -1)]
             for pos in sites + lines:
                 for poly, one in alone:
                     if _euclidean_gap(pos.x, pos.y, poly) > d + 1:
@@ -329,7 +347,7 @@ def test_edge_skip_keeps_a_hit_past_the_end_of_a_long_edge():
     world = _world(spike, delta=2e-4, d=5e-4)
     got = scan(Point2(0, 0), world)
     assert got == _unculled_scan(Point2(0, 0), world)
-    assert got.readings[2].dist == pytest.approx(2.5e-4, abs=1e-9)
+    assert got[2].dist == pytest.approx(2.5e-4, abs=1e-9)
 
 
 OFFICE = builtin_scenario("office_like")

@@ -503,6 +503,18 @@ def test_fast_movers_that_reach_the_robot_raise(mover, error, message):
     assert str(info.value).startswith(message)
 
 
+@pytest.mark.parametrize("name, delta, segment", [("concave_trap", 0.5 - 1e-9, 676), ("corridor_loop", 0.5 + 1e-9, 258)])
+def test_walks_nanometres_beside_a_pocket_edge_fail_the_audit(name, delta, segment):
+    # a known defect (ROADMAP item 5): the walk runs along a pocket edge 2-4 nm off it, where
+    # point_in_polygon reads OUTSIDE and scan reads the ray free, but segment_intersection's area
+    # test takes the step as touching the edge. One contact rule should make this goal_reached
+    s = replace(builtin_scenario(name), delta=delta)
+    with pytest.raises(SimulationError, match=f"^collision audit failed: segment {segment} intersects obstacle 0; "):
+        run(s, "nspmr")
+    for planner in ("bug1", "bug2"):
+        assert run(s, planner)[1].outcome == "goal_reached"
+
+
 def _reference_audit(t, s):
     """audit_collisions without its bulk filter: every waypoint and segment tested afresh, in route order."""
 

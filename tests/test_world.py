@@ -162,6 +162,12 @@ def test_json_syntax_error_reports_line():
         parse_scenario('{\n"name": "x",\n"bounds": ,\n}')
 
 
+def test_json_nested_past_the_recursion_limit_rejected():
+    # json's decoder recurses once per level, so this nesting raises RecursionError inside it
+    with pytest.raises(ScenarioError, match="^invalid JSON: nested too deeply$"):
+        parse_scenario("[" * 100000 + "]" * 100000)
+
+
 def test_non_numeric_coordinate_rejected():
     doc = _doc()
     doc["start"] = ["zero", 0]

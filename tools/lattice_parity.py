@@ -53,7 +53,6 @@ from nspmr import (
     ScenarioError,
     audit_collisions,
     builtin_scenario,
-    compass_unit,
     default_max_iters,
     generate_world,
     grid_oracle,
@@ -65,6 +64,7 @@ from nspmr import (
 )
 from nspmr.geometry import EPS_GEOM
 from nspmr.planner import NspmrState, _walk
+from nspmr.sensing import _RAYS
 
 
 def route_runs():
@@ -117,11 +117,10 @@ def corner_line_sites(s, d):
         w = x1 - x0 + y1 - y0
         m = 2 * (1 + w) * (EPS_GEOM + 2e-6 * (1 + d + w))
         for cx, cy in ((x0, y0), (x1, y0), (x1, y1), (x0, y1)):
-            for angle in range(0, 360, 45):
-                ux, uy = compass_unit(angle)
+            for _, ux, uy in _RAYS:
                 px, py = cx - 0.5 * d * ux, cy - 0.5 * d * uy
                 for off in (0.0, EPS_GEOM, -EPS_GEOM, m, -m):
-                    yield Point2(px, py + off) if angle % 180 == 90 else Point2(px + off, py)
+                    yield Point2(px, py + off) if uy == 0.0 else Point2(px + off, py)
 
 
 def scan_sites():
@@ -158,7 +157,7 @@ def scans_digest() -> tuple[str, int]:
     for world, pos in scan_sites():
         count += 1
         try:
-            digest.update(repr(scan(pos, world).readings).encode())
+            digest.update(repr(scan(pos, world)).encode())
         except GeometryError as e:
             digest.update(f"GeometryError: {e}".encode())
     return digest.hexdigest(), count

@@ -91,7 +91,7 @@ def scans(nspmr, jobs):
     """scan at every distinct waypoint of each (scenario, trajectory), in the scenario's own range."""
     sites = [(p, s) for s, t in jobs for p in dict.fromkeys(t.waypoints)]
     scan = nspmr.scan
-    return lambda: [tuple(scan(p, s).readings) for p, s in sites]
+    return lambda: [scan(p, s) for p, s in sites]
 
 
 def scan_layer(nspmr):
