@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import replace
 
@@ -26,40 +25,17 @@ from .world import (
     serialize_scenario,
 )
 
-SEED_ENV = "NSPMR_SEED"
-
-
-class CliError(Exception):
-    """Bad flags or inputs; reported on stderr with exit status 1."""
-
-
-def _env_seed() -> int:
-    raw = os.environ.get(SEED_ENV)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise CliError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
-
-
-def _seed_of(args) -> int:
-    # flag wins over the environment; both absent means seed 0; the
-    # environment is read lazily so a stale value cannot break runs
-    # that never need a seed
-    return args.seed if args.seed is not None else _env_seed()
-
 
 def _load_scenario(spec: str, args) -> Scenario:
     if spec.startswith("builtin:"):
         return builtin_scenario(spec[len("builtin:"):])
     if spec == "random":
-        return generate_world(_seed_of(args))
+        return generate_world(args.seed)
     try:
         with open(spec) as fh:
             text = fh.read()
     except OSError as e:
-        raise CliError(f"cannot read scenario file {spec!r}: {e}") from None
+        raise ValueError(f"cannot read scenario file {spec!r}: {e}") from None
     return parse_scenario(text)
 
 
@@ -83,56 +59,19 @@ def cmd_run(args) -> int:
     return 0 if result.outcome == OUTCOME_GOAL else 2
 
 
-def _parse_planners(raw: str) -> list[str]:
-    names = [p.strip() for p in raw.split(",") if p.strip()]
-    if not names:
-        raise CliError("planner list is empty")
-    for name in names:
-        if name not in PLANNERS:
-            raise CliError(f"unknown planner {name!r}; expected one of {PLANNERS}")
-    return names
-
-
-def _parse_ranges(raw: str | None) -> list[float | None]:
-    if raw is None:
-        return [None]
-    out: list[float | None] = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            d = float(part)
-        except ValueError:
-            raise CliError(f"bad sensor range {part!r}") from None
-        if not (math.isfinite(d) and d > 0):
-            raise CliError(f"sensor range must be finite and positive, got {part}")
-        out.append(d)
-    if not out:
-        raise CliError("range list is empty")
-    return out
-
-
-def _suite_scenarios(args) -> list[Scenario]:
-    if args.suite == "paper":
-        return [builtin_scenario(name) for name in BUILTIN_NAMES]
-    if args.seeds <= 0:
-        raise CliError("random suite needs --seeds >= 1")
-    base = _env_seed()
-    return [generate_world(base + i) for i in range(args.seeds)]
-
-
 def cmd_bench(args) -> int:
-    planners = _parse_planners(args.planners)
-    ranges = _parse_ranges(args.ranges)
+    if args.suite == "paper":
+        worlds = [builtin_scenario(name) for name in BUILTIN_NAMES]
+    else:
+        worlds = [generate_world(args.seed + i) for i in range(args.seeds)]
     rows = []
-    for s in _suite_scenarios(args):
+    for s in worlds:
         # the lattice oracle reads a static snapshot, so moving worlds get none
         oracle = None if s.is_dynamic else grid_oracle(s, s.delta / 2)
-        for d in ranges:
+        for d in args.ranges:
             sc = s if d is None else replace(s, sensor_range=d)
             label = s.name if d is None else f"{s.name}[d={d:g}]"
-            for planner in planners:
+            for planner in args.planners:
                 try:
                     _, result = run(sc, planner)
                 except ScenarioError as e:
@@ -148,9 +87,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.count < 0:
-        raise CliError("--count must be >= 0")
-    s = generate_world(_seed_of(args), args.count)
+    s = generate_world(args.seed, args.count)
     with open(args.out, "w") as fh:
         fh.write(serialize_scenario(s))
     print(f"wrote {args.out}")
@@ -165,11 +102,45 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _planner(name: str) -> str:
+    if name not in PLANNERS:
+        raise ValueError(f"unknown planner {name!r}; expected one of {PLANNERS}")
+    return name
+
+
+def _sensor_range(part: str) -> float:
+    d = float(part)
+    if not (math.isfinite(d) and d > 0):
+        raise ValueError(f"sensor range must be finite and positive, got {part}")
+    return d
+
+
+def _listed(item):
+    """An argparse type: a non-empty comma separated list, each entry checked and converted by item."""
+    def parse(raw: str) -> list:
+        try:
+            out = [item(part.strip()) for part in raw.split(",") if part.strip()]
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+        if not out:
+            raise argparse.ArgumentTypeError("the list is empty")
+        return out
+    return parse
+
+
+def positive_int(raw: str) -> int:
+    if int(raw) <= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {raw}")
+    return int(raw)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nspmr", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="seed of the (first) generated world; default 0")
 
-    p_run = sub.add_parser("run", help="run one planner on one scenario")
+    p_run = sub.add_parser("run", parents=[seeded], help="run one planner on one scenario")
     p_run.add_argument("--scenario", required=True,
                        help="scenario JSON path, builtin:NAME, or 'random'")
     p_run.add_argument("--planner", required=True, choices=PLANNERS)
@@ -178,24 +149,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--max-iters", type=int, default=None)
     p_run.add_argument("--out-csv", default=None, metavar="PATH")
     p_run.add_argument("--out-svg", default=None, metavar="PATH")
-    p_run.add_argument("--seed", type=int, default=None,
-                       help="seed for generated scenarios (default: $NSPMR_SEED)")
     p_run.set_defaults(func=cmd_run)
 
-    p_bench = sub.add_parser("bench", help="run a scenario suite and tabulate results")
+    p_bench = sub.add_parser("bench", parents=[seeded], help="run a scenario suite and tabulate results")
     p_bench.add_argument("--suite", choices=("paper", "random"), default="paper")
-    p_bench.add_argument("--seeds", type=int, default=5,
+    p_bench.add_argument("--seeds", type=positive_int, default=5,
                          help="number of generated worlds for the random suite")
-    p_bench.add_argument("--planners", default=",".join(PLANNERS),
+    p_bench.add_argument("--planners", type=_listed(_planner), default=",".join(PLANNERS),
                          help="comma separated planner list")
-    p_bench.add_argument("--ranges", default=None,
+    p_bench.add_argument("--ranges", type=_listed(_sensor_range), default=[None],
                          help="comma separated sensor ranges to sweep")
     p_bench.add_argument("--out", default=None, metavar="PATH", help="write report CSV here")
     p_bench.set_defaults(func=cmd_bench)
 
-    p_gen = sub.add_parser("gen", help="generate a random solvable world file")
-    p_gen.add_argument("--seed", type=int, default=None,
-                       help="generator seed (default: $NSPMR_SEED)")
+    p_gen = sub.add_parser("gen", parents=[seeded], help="generate a random solvable world file")
     p_gen.add_argument("--count", type=int, default=8, help="obstacle count")
     p_gen.add_argument("--out", required=True, metavar="PATH")
     p_gen.set_defaults(func=cmd_gen)
@@ -209,7 +176,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as e:
         return 0 if e.code is None else int(e.code)
-    except (CliError, SimulationError, ValueError) as e:  # ScenarioError and GeometryError are ValueErrors
+    except (SimulationError, ValueError) as e:  # ScenarioError and GeometryError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 1
 

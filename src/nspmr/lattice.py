@@ -13,9 +13,9 @@ if TYPE_CHECKING:
     from .world import Bounds, Scenario
 
 
-# The most nodes a lattice may have: a raster of about 64 MiB, beside which the search holds a transposed
-# copy and a distance list of 8 bytes per node. A run's default budget is then at most 10 * 8 * 2**26
-# iterations. scenario1 stays within the limit down to delta = 0.0071.
+# The most nodes a lattice may have: a raster of about 64 MiB, so the search holds about twice the raster
+# (the raster and its transposed copy), about 128 MiB. A run's default budget is then at most
+# 10 * 8 * 2**26 iterations. scenario1 stays within the limit down to delta = 0.0071.
 MAX_LATTICE_NODES = 2**26
 
 
@@ -179,9 +179,7 @@ def _lattice_path(s: Scenario, resolution: float, clearance: float) -> float | N
     gy = [abs(j - gj) for j in range(w)]
     skew = diag - 2 * resolution
     everywhere = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
-    # a jump never ends on a blocked node, so dist needs no entry of its own for them
-    dist = [math.inf] * len(blocked)
-    dist[src] = 0.0
+    dist = {src: 0.0}
     # (f, node, g, di, dj): the direction of the jump that reached the node, (0, 0) at the start
     heap = [(0.0, src, 0.0, 0, 0)]
     push, pop = heapq.heappush, heapq.heappop
@@ -209,7 +207,7 @@ def _lattice_path(s: Scenario, resolution: float, clearance: float) -> float | N
                 continue
             steps = abs(n // w - k // w) if ei else abs(n - k)
             nd = d + steps * (diag if ei and ej else resolution)
-            if nd < dist[n] - 1e-15:
+            if nd < dist.get(n, math.inf) - 1e-15:
                 dist[n] = nd
                 dx, dy = gx[n // w], gy[n % w]
                 push(heap, (nd + resolution * (dx + dy) + skew * (dx if dx < dy else dy), n, nd, ei, ej))

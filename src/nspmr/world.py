@@ -502,7 +502,10 @@ def generate_world(seed: int, count: int = 8) -> Scenario:
     Obstacles keep at least 2*delta of separation from each other and from
     start/goal, and placement is rejection-sampled until a clearance-checked
     grid path start->goal exists, so every generated world is solvable.
+    Raises ValueError for a negative count.
     """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     rng = random.Random(seed)
     for _ in range(60):
         shapes: list[Polygon] = []

@@ -1,7 +1,6 @@
 """Command line behavior: exit codes, summary line, bench suites, gen files.
 
-Every test drives cli.main(argv) in process. NSPMR_SEED is cleared per test
-so a value leaking from the host environment cannot skew determinism checks.
+Every test drives cli.main(argv) in process, so a run is fixed by its argv.
 """
 
 import csv
@@ -20,11 +19,6 @@ from nspmr.sim import grid_oracle
 from nspmr.world import Bounds, Obstacle, Scenario, ScenarioError, builtin_scenario, parse_scenario, serialize_scenario, validate_scenario
 
 from test_lattice import quick_and_small
-
-
-@pytest.fixture(autouse=True)
-def _no_env_seed(monkeypatch):
-    monkeypatch.delenv("NSPMR_SEED", raising=False)
 
 
 def run_main(argv, capsys):
@@ -58,6 +52,14 @@ def test_readme_examples_run_as_written(tmp_path, monkeypatch, capsys):
     exec(next(body for info, body in blocks if info == "python"), {})
     assert capsys.readouterr().out.split()[0] == "goal_reached"
     assert (tmp_path / "route.svg").read_text().startswith("<svg ")
+    # the bench and gen examples, one command a line, each exits 0; gen's world.json is valid
+    lines = next(body for _, body in blocks if body.startswith("nspmr bench ")).splitlines()
+    assert any("--seed " in line for line in lines if line.startswith("nspmr bench --suite random "))
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "nspmr" and argv[1] in ("bench", "gen"), line
+        assert run_main(argv[1:], capsys)[0] == 0, line
+    assert validate_scenario(parse_scenario((tmp_path / "world.json").read_text())) == []
 
 
 def test_run_summary_line(capsys):
@@ -221,27 +223,17 @@ def test_run_sensor_range_override_changes_path(capsys):
     assert float(out_near.split()[1]) > float(out_far.split()[1])
 
 
-def test_run_random_scenario_seeding(tmp_path, monkeypatch, capsys):
+def test_run_random_scenario_seeding(tmp_path, capsys):
     args = ["run", "--scenario", "random", "--planner", "nspmr"]
-    monkeypatch.setenv("NSPMR_SEED", "7")
-    rc, env_out, _ = run_main(args + ["--out-csv", str(tmp_path / "a.csv")], capsys)
+    rc, first_out, _ = run_main(args + ["--seed", "7", "--out-csv", str(tmp_path / "a.csv")], capsys)
     assert rc == 0
-    rc, flag_out, _ = run_main(args + ["--seed", "7", "--out-csv", str(tmp_path / "b.csv")], capsys)
+    rc, again_out, _ = run_main(args + ["--seed", "7", "--out-csv", str(tmp_path / "b.csv")], capsys)
     assert rc == 0
-    assert env_out == flag_out
+    assert first_out == again_out
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     rc, other_out, _ = run_main(args + ["--seed", "8", "--out-csv", str(tmp_path / "c.csv")], capsys)
     assert rc == 0
     assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "c.csv").read_bytes()
-
-
-def test_bad_env_seed_only_matters_when_used(monkeypatch, capsys):
-    monkeypatch.setenv("NSPMR_SEED", "pony")
-    rc, _, _ = run_main(["run", "--scenario", "builtin:scenario1", "--planner", "nspmr"], capsys)
-    assert rc == 0
-    rc, _, err = run_main(["run", "--scenario", "random", "--planner", "nspmr"], capsys)
-    assert rc == 1
-    assert "NSPMR_SEED" in err
 
 
 # --- bench ------------------------------------------------------------------------
@@ -304,6 +296,18 @@ def test_bench_random_suite_deterministic(tmp_path, capsys):
     assert [r["scenario"] for r in rows] == ["random-0", "random-1"]
 
 
+def test_bench_random_suite_starts_at_seed(capsys):
+    # worlds --seed to --seed + --seeds - 1, each row as run reports that world
+    rc, out, _ = run_main(["bench", "--suite", "random", "--seed", "5", "--seeds", "2", "--planners", "nspmr"], capsys)
+    assert rc == 0
+    table = [line.split() for line in out.splitlines()[1:]]
+    assert [row[0] for row in table] == ["random-5", "random-6"]
+    for seed, row in zip((5, 6), table):
+        rc, run_out, _ = run_main(["run", "--scenario", "random", "--seed", str(seed), "--planner", "nspmr"], capsys)
+        assert rc == 0
+        assert row[1:6] == ["nspmr"] + run_out.split()
+
+
 def test_bench_guards_exit_1(capsys):
     cases = [
         ["bench", "--suite", "random", "--seeds", "0"],
@@ -318,7 +322,8 @@ def test_bench_guards_exit_1(capsys):
     for argv in cases:
         rc, _, err = run_main(argv, capsys)
         assert rc == 1, argv
-        assert err, argv
+        # argparse checks every one of these flags: usage, then the message
+        assert err.startswith("usage: nspmr bench ") and "nspmr bench: error: argument --" in err, argv
 
 
 # --- gen --------------------------------------------------------------------------
@@ -344,19 +349,21 @@ def test_gen_deterministic_and_solvable(tmp_path, capsys):
     assert grid_oracle(s, s.delta / 2) is not None
 
 
-def test_gen_seed_env_default(tmp_path, monkeypatch, capsys):
+def test_gen_seed_default(tmp_path, capsys):
+    # without --seed, gen writes world 0
     flag = tmp_path / "flag.json"
-    rc, _, _ = run_main(["gen", "--seed", "3", "--out", str(flag)], capsys)
+    rc, _, _ = run_main(["gen", "--seed", "0", "--out", str(flag)], capsys)
     assert rc == 0
-    monkeypatch.setenv("NSPMR_SEED", "3")
-    env = tmp_path / "env.json"
-    rc, _, _ = run_main(["gen", "--out", str(env)], capsys)
+    default = tmp_path / "default.json"
+    rc, _, _ = run_main(["gen", "--out", str(default)], capsys)
     assert rc == 0
-    assert flag.read_bytes() == env.read_bytes()
-    override = tmp_path / "override.json"
-    rc, _, _ = run_main(["gen", "--seed", "1", "--count", "0", "--out", str(override)], capsys)
-    assert rc == 0
-    assert override.read_bytes() != env.read_bytes()
+    assert flag.read_bytes() == default.read_bytes()
+    assert parse_scenario(default.read_text()).name == "random-0"
+    for seed, count in (("3", "8"), ("1", "0")):
+        other = tmp_path / f"seed{seed}.json"
+        rc, _, _ = run_main(["gen", "--seed", seed, "--count", count, "--out", str(other)], capsys)
+        assert rc == 0
+        assert other.read_bytes() != default.read_bytes()
 
 
 def test_gen_negative_count_exits_1(tmp_path, capsys):

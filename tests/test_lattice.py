@@ -332,3 +332,18 @@ def test_oracle_refuses_a_lattice_over_the_limit_before_it_allocates(resolution)
     with quick_and_small():
         with pytest.raises(ValueError, match=f"^a lattice of spacing {resolution:g} over the bounds has more than {MAX_LATTICE_NODES} nodes$"):
             grid_oracle(s, resolution)
+
+
+def test_search_holds_about_twice_the_raster():
+    # the raster and its transposed copy are (nx + 2) * (ny + 2) bytes each; the distances
+    # the search keeps, one per jump point it reaches, add little beside them
+    s = builtin_scenario("concave_trap")
+    resolution = 30 / 1023
+    nx, ny = _lattice_shape(s.bounds, resolution)
+    tracemalloc.start()
+    try:
+        assert _lattice_path(s, resolution, 0.0) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * (nx + 2) * (ny + 2), (peak, nx, ny)

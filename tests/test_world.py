@@ -409,6 +409,11 @@ def test_generate_world_respects_spec():
     assert len(generate_world(SEED, 5).obstacles) == 5
 
 
+def test_generate_world_refuses_a_negative_count():
+    with pytest.raises(ValueError, match="^count must be >= 0, got -1$"):
+        generate_world(0, -1)
+
+
 def test_generate_world_separation_and_validity():
     rng = random.Random(SEED)
     for _ in range(6):

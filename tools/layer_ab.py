@@ -22,6 +22,9 @@ per-pair ratio B/A is steadier than either side's time. Layers:
             world's error counts as its answer
     random  generate_world, grid_oracle(s, delta/2) and all three planners
             on worlds 0-49, as one random-suite pass
+    oracle  the two lattice searches of worlds 0-49: grid_oracle(s, delta/2)
+            and generate_world's solvability check,
+            lattice._lattice_path(s, delta/2, delta/2)
     trap    the six runs of a trap_escape pass: nspmr on concave_trap,
             corridor_loop and triangle_loop with the rules at
             iteration_ceiling, and without them at 1000 iterations; it
@@ -150,6 +153,12 @@ def random_layer(nspmr):
     return one_pass
 
 
+def oracle_layer(nspmr):
+    worlds = [nspmr.generate_world(seed) for seed in WORLDS]
+    oracle, path = nspmr.grid_oracle, nspmr.lattice._lattice_path
+    return lambda: [(oracle(s, s.delta / 2), path(s, s.delta / 2, s.delta / 2)) for s in worlds]
+
+
 def trap_runs(nspmr):
     """(scenario, budget, rules_enabled) of the six runs of a trap_escape pass."""
     fixtures = [nspmr.builtin_scenario(name) for name in ("concave_trap", "corridor_loop", "triangle_loop")]
@@ -201,7 +210,7 @@ def moving_layer(nspmr):
     return one_pass
 
 
-LAYERS = {"audit": audit_layer, "scan": scan_layer, "office": office_layer, "visit": visit_layer, "nspmr": nspmr_layer, "bug": bug_layer, "random": random_layer, "trap": trap_layer, "moving": moving_layer}
+LAYERS = {"audit": audit_layer, "scan": scan_layer, "office": office_layer, "visit": visit_layer, "nspmr": nspmr_layer, "bug": bug_layer, "random": random_layer, "oracle": oracle_layer, "trap": trap_layer, "moving": moving_layer}
 
 
 def sample(fn) -> float:
