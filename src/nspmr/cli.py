@@ -128,17 +128,21 @@ def _listed(item):
     return parse
 
 
-def positive_int(raw: str) -> int:
-    if int(raw) <= 0:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {raw}")
-    return int(raw)
+def _at_least(least: int):
+    """An argparse type: an integer of least or more."""
+    def parse(raw: str) -> int:
+        if int(raw) < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {raw}")
+        return int(raw)
+    parse.__name__ = "int"  # argparse names a type by it: "invalid int value: 'x'"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nspmr", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0, help="seed of the (first) generated world; default 0")
+    seeded.add_argument("--seed", type=_at_least(0), default=0, help="seed of the (first) generated world, >= 0; default 0")
 
     p_run = sub.add_parser("run", parents=[seeded], help="run one planner on one scenario")
     p_run.add_argument("--scenario", required=True,
@@ -153,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", parents=[seeded], help="run a scenario suite and tabulate results")
     p_bench.add_argument("--suite", choices=("paper", "random"), default="paper")
-    p_bench.add_argument("--seeds", type=positive_int, default=5,
+    p_bench.add_argument("--seeds", type=_at_least(1), default=5,
                          help="number of generated worlds for the random suite")
     p_bench.add_argument("--planners", type=_listed(_planner), default=",".join(PLANNERS),
                          help="comma separated planner list")

@@ -7,7 +7,7 @@ import math
 from bisect import bisect_left
 from typing import TYPE_CHECKING
 
-from .geometry import EPS_GEOM, Point2, point_segment_distance
+from .geometry import EPS_GEOM, Point2
 
 if TYPE_CHECKING:
     from .world import Bounds, Scenario
@@ -44,7 +44,9 @@ def _lattice_blocked(s: Scenario, resolution: float, clearance: float) -> bytear
     EPS_GEOM) of an edge (a node within EPS_GEOM is ON_BOUNDARY, distance 0).
     Each polygon is rasterized once: the x-crossings of each lattice row
     give its interior runs, and each edge tests only the nodes in its own
-    bbox grown by that threshold.
+    bbox grown by that threshold. That band test is point_segment_distance's
+    arithmetic inline, in the same order, with no call or Point2 per node;
+    tests/test_lattice.py checks it node by node against point_polygon_distance.
     """
     b = s.bounds
     nx, ny = _lattice_shape(b, resolution)
@@ -55,6 +57,7 @@ def _lattice_blocked(s: Scenario, resolution: float, clearance: float) -> bytear
     xs = [b.xmin + i * resolution for i in range(nx)]
     ys = [b.ymin + j * resolution for j in range(ny)]
     thr = max(clearance, EPS_GEOM)
+    hypot = math.hypot
 
     def window(lo: float, hi: float, origin: float, n: int) -> range:
         # the 1e-9 keeps nodes that sit on the grown bbox edge up to rounding
@@ -81,13 +84,22 @@ def _lattice_blocked(s: Scenario, resolution: float, clearance: float) -> bytear
                     first = (lo + 1) * w + j + 1
                     blocked[first : first + (hi - lo) * w : w] = b"\x01" * (hi - lo)
         for a, c in poly.edges:
+            ax, ay = a.x, a.y
+            ex, ey = c.x - ax, c.y - ay
+            denom = ex * ex + ey * ey
             # the edge's window lies inside the polygon's, which has the same growth
             jband = window(min(a.y, c.y), max(a.y, c.y), b.ymin, ny)
             for i in window(min(a.x, c.x), max(a.x, c.x), b.xmin, nx):
                 row = (i + 1) * w + 1
+                px = xs[i] - ax
                 for j in jband:
-                    if not blocked[row + j] and point_segment_distance(Point2(xs[i], ys[j]), a, c) <= thr:
-                        blocked[row + j] = 1
+                    if not blocked[row + j]:
+                        py = ys[j] - ay
+                        # t = 0 on a zero-length edge gives that function's hypot(px, py)
+                        t = 0.0 if denom == 0.0 else (px * ex + py * ey) / denom
+                        t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+                        if hypot(px - t * ex, py - t * ey) <= thr:
+                            blocked[row + j] = 1
     return blocked
 
 

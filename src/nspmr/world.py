@@ -97,16 +97,16 @@ def validate_scenario(s: Scenario) -> list[str]:
         elif not b.contains(p):
             out.append(f"{label} must lie strictly inside bounds")
     if not (math.isfinite(s.delta) and s.delta > 0):
-        out.append("delta must be positive")
+        out.append("delta must be finite and positive")
     else:
         try:
             _lattice_shape(b, s.delta / 2)
         except ValueError:
             out.append("bounds hold too many delta/2 lattice nodes to count")
     if not (math.isfinite(s.sensor_range) and s.sensor_range > s.delta):
-        out.append("sensor_range must exceed delta")
+        out.append("sensor_range must be finite and exceed delta")
     if not (math.isfinite(s.speed) and s.speed > 0):
-        out.append("speed must be positive")
+        out.append("speed must be finite and positive")
     for i, ob in enumerate(s.obstacles):
         poly = ob.shape
         if not poly.is_simple:

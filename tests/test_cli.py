@@ -135,6 +135,16 @@ def test_run_usage_and_validation_errors_exit_1(tmp_path, capsys):
         assert err, argv
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("flag, field", [("--delta", "delta"), ("--sensor-range", "sensor_range")])
+def test_run_non_finite_override_exits_1(flag, field, value, capsys):
+    # in process, so any exception other than the ones main reports would fail the test
+    rc, out, err = run_main(["run", "--scenario", "builtin:scenario1", "--planner", "nspmr", f"{flag}={value}"], capsys)
+    assert (rc, out) == (1, "")
+    assert err.splitlines() == [err.strip()] and err.startswith("error: ")
+    assert f"{field} must be finite and " in err
+
+
 @pytest.mark.parametrize("edit, field", [
     (lambda raw: raw.update(delta=10 ** 400), "delta"),  # a 401-digit integer overflows float()
     (lambda raw: raw["obstacles"][0]["vertices"][1].__setitem__(0, float("nan")), "obstacles[0].vertices[1]"),
@@ -311,6 +321,7 @@ def test_bench_random_suite_starts_at_seed(capsys):
 def test_bench_guards_exit_1(capsys):
     cases = [
         ["bench", "--suite", "random", "--seeds", "0"],
+        ["bench", "--suite", "random", "--seed=-3", "--seeds", "1"],  # else a world named random--3
         ["bench", "--planners", " , "],
         ["bench", "--planners", "nspmr,warp"],
         ["bench", "--ranges", "0"],

@@ -99,6 +99,10 @@ def _on_lattice_polygons(resolution, clearance):
         # an L whose notch corner sits on a node, and a sliver thinner than a cell
         Polygon((at(1, 1), at(6, 1), at(6, 3), at(3, 3), at(3, 6), at(1, 6))),
         Polygon((at(1, 3, 0, 0.01), at(7, 3, 0, 0.01), at(7, 3, 0, 0.02), at(1, 3, 0, 0.02))),
+        # an apex clearance east of node (1, 3): both its edges are nearest that node at a
+        # clamped end, t = 1 on the edge into it and t = 0 on the edge out, and at
+        # resolution 0.3 only the first rounds to <= clearance, so the clamp decides the tie
+        Polygon((at(1, 3, c), at(4, 1), at(4, 5))),
         # a shape overhanging the lattice on two sides, and one wholly outside it
         Polygon((at(-2, -2), at(3, -2), at(3, 1, c), at(-2, 1, 0, c))),
         Polygon((at(10, 10), at(12, 10), at(12, 12))),

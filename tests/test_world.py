@@ -235,6 +235,11 @@ def test_validate_parameter_ranges():
     assert any("delta" in v for v in validate_scenario(_base(delta=0)))
     assert any("sensor_range" in v for v in validate_scenario(_base(sensor_range=0.5)))
     assert any("speed" in v for v in validate_scenario(_base(speed=-1)))
+    # a value that is not finite is named as such
+    for field in ("delta", "sensor_range", "speed"):
+        for value in (math.inf, -math.inf, math.nan):
+            out = validate_scenario(_base(**{field: value}))
+            assert any(v.startswith(f"{field} must be finite and ") for v in out), (field, value, out)
 
 
 def test_validate_winding_and_simplicity():

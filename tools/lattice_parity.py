@@ -4,6 +4,10 @@ tools/lattice_parity.txt holds this tool's output for the committed tree, so a
 change that alters any line shows it in the diff. Its lines are:
 
 - worlds: one SHA-256 over serialize_scenario(generate_world(seed)) for seeds 0-499;
+- rasters: one SHA-256 over the lattice._lattice_blocked bytes of every builtin
+  and of worlds 0-499, each at resolution delta/2 and clearances 0, delta/4 and
+  delta/2, so the raster has a gate of its own and not only through the worlds
+  and oracle lines;
 - ceilings: the iteration_ceiling of each builtin;
 - routes: one SHA-256 over repr(RunResult) and the trajectory CSV bytes of every
   builtin under nspmr (rules on, and rules off at 2000 iterations) and under bug1
@@ -63,6 +67,7 @@ from nspmr import (
     write_trajectory_csv,
 )
 from nspmr.geometry import EPS_GEOM
+from nspmr.lattice import _lattice_blocked
 from nspmr.planner import NspmrState, _walk
 from nspmr.sensing import _RAYS
 
@@ -192,13 +197,18 @@ def oracle_values():
 
 
 def main() -> None:
-    worlds = hashlib.sha256()
-    for seed in range(500):
-        worlds.update(serialize_scenario(generate_world(seed)).encode())
+    worlds, rasters = hashlib.sha256(), hashlib.sha256()
+    generated = [generate_world(seed) for seed in range(500)]
+    for s in generated:
+        worlds.update(serialize_scenario(s).encode())
+    for s in [builtin_scenario(name) for name in BUILTIN_NAMES] + generated:
+        for clearance in (0.0, s.delta / 4, s.delta / 2):
+            rasters.update(_lattice_blocked(s, s.delta / 2, clearance))
     routes, audits, runs = routes_digests()
     scans, scanned = scans_digest()
     records, walks = records_digest()
     print("worlds 0-499  ", worlds.hexdigest())
+    print("rasters       ", rasters.hexdigest())
     print("ceilings      ", [iteration_ceiling(builtin_scenario(n)) for n in BUILTIN_NAMES])
     print("routes        ", f"{routes} ({runs} runs)")
     print("audits        ", f"{audits} ({runs} runs)")
