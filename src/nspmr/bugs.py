@@ -160,6 +160,10 @@ def _prepare(s: Scenario) -> list[_Ring]:
         x0, y0, x1, y1 = ring.bbox
         if not (s.bounds.contains(Point2(x0, y0)) and s.bounds.contains(Point2(x1, y1))):
             raise ScenarioError(f"obstacle {i}: its outline at clearance {c} leaves the bounds")
+    for label, p in (("start", s.start), ("goal", s.goal)):
+        for i, ring in enumerate(rings):
+            if point_in_polygon(p, ring.offset) is not PointLocation.OUTSIDE:
+                raise ScenarioError(f"{label} lies on or inside the outline of obstacle {i} at clearance {c}")
     return rings
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .geometry import Point2, circular_diff, math_to_compass
-from .sensing import DIRECTIONS, STEPS, SensorReading, scan
+from .sensing import DIRECTIONS, STEPS, SensorReading, blocking_threshold, scan
 from .world import Scenario
 
 # each direction's move (angle, signs), its reverse, and the direction of each
@@ -94,7 +94,15 @@ def filter_candidates(readings: tuple[SensorReading, ...], state: NspmrState) ->
     return [a for a, (free, _) in zip(DIRECTIONS, readings) if free and _first_survivor((_MOVE[a],), *rules)]
 
 
-def _ranked(theta: float, readings) -> list[tuple[float, tuple[int, int]]]:
+def _sector(theta: float) -> int | None:
+    """The sector s of _SECTOR_ORDER that theta lies more than 1e-9 inside, or None (see _ranked)."""
+    s = theta // 22.5
+    if 0.0 <= theta <= 360.0 and theta - 22.5 * s > 1e-9 and 22.5 * s + 22.5 - theta > 1e-9:
+        return int(s)
+    return None
+
+
+def _ranked(theta: float, s: int | None, readings) -> list[tuple[float, tuple[int, int]]]:
     """The moves (angle, signs) whose reading (free, dist) reads free, in the order of
     select_direction's key (gap from a to theta, -dist, a). In the gap only a - theta
     rounds, by under 3e-14 (abs, % 360 and 360 - d for d >= 180 are exact), so float
@@ -104,20 +112,18 @@ def _ranked(theta: float, readings) -> list[tuple[float, tuple[int, int]]]:
     theta over 1e-9 inside sector s, two gaps differ by twice its distance to an end
     where they are equal, or else by 22.5 or more: by over 2e-9 either way, so the
     sector's order holds. At theta = 45 c (360 as 0) the ties are exact: c, the pairs c -+ 1,
-    c -+ 2, c -+ 3, each by (-dist, a), then c + 4. Other thetas sort their keys."""
-    if 0.0 <= theta <= 360.0:
-        s = int(theta // 22.5)
-        lo = 22.5 * s
-        if theta - lo > 1e-9 and lo + 22.5 - theta > 1e-9:
-            return [move for k, move in _SECTOR_ORDER[s] if readings[k][0]]
-        if theta % 45.0 == 0.0:
-            c = s // 2 % 8
-            order = [c]
-            for m in (1, 2, 3):
-                a, b = (c - m) % 8, (c + m) % 8
-                order += (b, a) if (-readings[b][1], b) < (-readings[a][1], a) else (a, b)
-            order.append((c + 4) % 8)
-            return [_MOVE[DIRECTIONS[k]] for k in order if readings[k][0]]
+    c -+ 2, c -+ 3, each by (-dist, a), then c + 4. Other thetas sort their keys. s is
+    _sector(theta), which _visit also reads to cap its scan."""
+    if s is not None:
+        return [move for k, move in _SECTOR_ORDER[s] if readings[k][0]]
+    if 0.0 <= theta <= 360.0 and theta % 45.0 == 0.0:
+        c = int(theta // 45.0) % 8
+        order = [c]
+        for m in (1, 2, 3):
+            a, b = (c - m) % 8, (c + m) % 8
+            order += (b, a) if (-readings[b][1], b) < (-readings[a][1], a) else (a, b)
+        order.append((c + 4) % 8)
+        return [_MOVE[DIRECTIONS[k]] for k in order if readings[k][0]]
     keys = []
     for a, (free, dist) in zip(DIRECTIONS, readings):
         if free:
@@ -135,15 +141,19 @@ def select_direction(candidates: list[float], theta_d: float, readings: tuple[Se
     if bad := [a for a in candidates if a not in _MOVE]:
         raise ValueError(f"candidate {bad[0]!r} is not one of the 8 lattice directions")
     picked = {DIRECTIONS.index(a) for a in candidates}  # every candidate counts, whatever its reading's free flag
-    return _ranked(theta_d, [(k in picked, r.dist) for k, r in enumerate(readings)])[0][0]
+    return _ranked(theta_d, _sector(theta_d), [(k in picked, r.dist) for k, r in enumerate(readings)])[0][0]
 
 
 def _visit(world: Scenario, pos: Point2) -> _NodeRecord:
-    """The record of the node at pos, from a fresh scan unless pos is at the goal,
-    its free moves ranked by _ranked."""
+    """The record of the node at pos, from a fresh scan unless pos is at the goal, its free
+    moves ranked by _ranked. Inside a sector _ranked reads only free flags, so the scan casts
+    only to the diagonal blocking threshold, within which every ray decides its flag."""
     if math.dist(pos, world.goal) <= world.delta / 2:
         return _new(_NodeRecord, (pos, True, ()))
-    return _new(_NodeRecord, (pos, False, tuple(_ranked(desired_angle(pos, world.goal), scan(pos, world)))))
+    theta = desired_angle(pos, world.goal)
+    s = _sector(theta)
+    reach = None if s is None else blocking_threshold(45.0, world.delta)
+    return _new(_NodeRecord, (pos, False, tuple(_ranked(theta, s, scan(pos, world, reach)))))
 
 
 def _walk(state: NspmrState, world: Scenario, rules_enabled: bool):

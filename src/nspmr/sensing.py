@@ -47,10 +47,11 @@ class SensorReading(NamedTuple):
     dist: float
 
 
-def scan(pos: Point2, world: Scenario) -> tuple[SensorReading, ...]:
-    """Range-scan the 8 lattice directions against the world's current shapes, at the world's
-    sensing range d = world.sensor_range and step scale delta = world.delta. Reading k looks
-    along DIRECTIONS[k].
+def scan(pos: Point2, world: Scenario, reach: float | None = None) -> tuple[SensorReading, ...]:
+    """Range-scan the 8 lattice directions against the world's current shapes, out to the reach d
+    (world.sensor_range, or ``reach`` from the diagonal blocking threshold up to it, which keeps
+    every free flag and each reading with a hit within it) at step scale delta = world.delta.
+    Reading k looks along DIRECTIONS[k]. The proof below holds for any positive range d.
 
     Ray k reads the distance t from pos to its first boundary hit within d. Hits at t <= EPS_GEOM
     are ignored, so standing on a boundary does not read as a collision, and a ray along an edge
@@ -80,7 +81,7 @@ def scan(pos: Point2, world: Scenario) -> tuple[SensorReading, ...]:
     Past W = 2e6, 2 M > 8 (1 + d + W) > G + W, the farthest any edge lies from pos along an axis,
     so both culls keep every ray and edge of the shape.
 
-    When no shape keeps a ray, every direction reads free at range d; otherwise the blocking
+    When no shape keeps a ray, every direction reads free at the reach d; otherwise the blocking
     thresholds along an axis and along a diagonal are taken once, after the last shape, from
     ``blocking_threshold``. The result depends only on pos and the shapes, so in a static world
     the planner decides each lattice node once (``NspmrState.records``); in a moving world every
@@ -89,19 +90,22 @@ def scan(pos: Point2, world: Scenario) -> tuple[SensorReading, ...]:
     d, delta = world.sensor_range, world.delta
     if not d > delta > 0:
         raise ValueError("require sensing range d > delta > 0")
+    if reach is not None and not blocking_threshold(45.0, delta) <= reach <= d:
+        raise ValueError("require blocking_threshold(45, delta) <= reach <= sensing range d")
+    d = d if reach is None else reach
     x, y = pos
     inf = math.inf
     best = None
     for poly in world.shapes:
         x0, y0, x1, y1 = poly.bbox
         # a hit may lie EPS_GEOM * |edge| past an edge's end, and |edge| <= x1 - x0 + y1 - y0
-        reach = d + EPS_GEOM * (1 + x1 - x0 + y1 - y0)
+        far = d + EPS_GEOM * (1 + x1 - x0 + y1 - y0)
         # per-axis gaps to the bbox; hypot(gx, gy) >= max(gx, gy) when rounded faithfully, so one gap may reject
         gx = x0 - x if x < x0 else x - x1 if x > x1 else 0.0
-        if gx > reach:
+        if gx > far:
             continue
         gy = y0 - y if y < y0 else y - y1 if y > y1 else 0.0
-        if gy > reach or math.hypot(gx, gy) > reach:
+        if gy > far or math.hypot(gx, gy) > far:
             continue
         w = x1 - x0 + y1 - y0
         m = 2 * (1 + w) * (EPS_GEOM + 2e-6 * (1 + d + w))  # 2 M, with M as proved above

@@ -108,14 +108,21 @@ def spiral_scene():
 
 def skin_goal_scene(goal, start=Point2(-3, 0.5)):
     """2x1 block with its delta/4 = 0.125 outline mitered to (-0.125, 1.125)
-    and (2.125, 1.125). Callers place the goal inside the outline, off a top
-    corner and beyond the clearance, where Bug's free space cannot reach it.
-    nspmr reaches such a goal (5.60 m from (-3, 0.5) to (2.11, 1.09)), so the
-    `unreachable` these goals give is a known defect of _prepare's goal check,
-    not a property of the world."""
+    and (2.125, 1.125)."""
     shape = Polygon((Point2(0, 0), Point2(2, 0), Point2(2, 1), Point2(0, 1)))
     return Scenario(name="skin", bounds=Bounds(-5, -5, 9, 5), start=start,
                     goal=goal, obstacles=(Obstacle(shape),))
+
+
+def slot_scene():
+    """Two 2x1 blocks 0.3 apart along the start-goal line y = 0.5. Their delta/4 =
+    0.125 outlines leave a 0.05 slot, x = 2.125..2.175, narrower than a delta/2
+    step, so Bug2's one crossing closer to the goal than its hit at (-0.125, 0.5)
+    departs into the second outline: Bug2 seals the goal off and walks back to
+    the hit. Bug1 leaves each outline at its point nearest the goal and gets there."""
+    blocks = [Polygon((Point2(x, 0), Point2(x + 2, 0), Point2(x + 2, 1), Point2(x, 1))) for x in (0, 2.3)]
+    return Scenario(name="slot", bounds=Bounds(-5, -5, 9, 5), start=Point2(-3, 0.5),
+                    goal=Point2(8, 0.5), obstacles=tuple(map(Obstacle, blocks)))
 
 
 # --- boundary walk ------------------------------------------------------------------
@@ -210,27 +217,33 @@ def test_bug1_scenario1_within_reference_band():
     assert 72.8 <= path_length(traj) <= 121.4
 
 
-def test_bug1_unreachable_when_goal_inside_clearance_far_side():
-    # Known defect (CHANGES.md FOUND, Bug goal vs mitered outline): nspmr reaches
-    # this goal; once _prepare checks the goal against the outline, move this test
-    # to a world whose goal Bug's free space seals off for another reason.
-    # 0.142 from the corner (2, 1), 0.015 inside the outline's east side
-    s = skin_goal_scene(Point2(2.11, 1.09))
-    traj, outcome = bug1_result(s, 10000)
-    assert outcome == OUTCOME_UNREACHABLE
-    # ends at the leave point on the goal side, unable to depart
-    assert traj.waypoints[-1].x > 2.0
+def test_goal_inside_mitered_outline_rejected():
+    # goals and starts beyond the 0.125 clearance but inside the outline's mitered
+    # corners, where both Bug planners used to end in unreachable: the reproducer
+    # (2.11, 1.09) sits 0.142 from the corner (2, 1), 0.015 inside the east side
+    cases = [(Point2(-3, 0.5), Point2(2.11, 1.09)), (Point2(-3, 1.09), Point2(2.11, 1.09)),
+             (Point2(-3, 1.09), Point2(-0.11, 1.09)), (Point2(2.11, 1.09), Point2(-3, 0.5))]
+    for start, goal in cases:
+        label = "goal" if start.x == -3 else "start"
+        for runner in (bug1_result, bug2_result):
+            with pytest.raises(ScenarioError, match=f"{label} lies on or inside the outline of obstacle 0 at clearance 0.125"):
+                runner(skin_goal_scene(goal, start=start), 10000)
+    _, res = run(skin_goal_scene(Point2(2.11, 1.09)), "nspmr")
+    assert res.outcome == OUTCOME_GOAL
+    assert res.length == pytest.approx(5.60, abs=0.005)
 
 
 def test_bug1_unreachable_when_hit_point_is_already_minimizer():
-    # Known defect (CHANGES.md FOUND, Bug goal vs mitered outline): nspmr reaches
-    # this goal; once _prepare checks the goal against the outline, move this test
-    # to a world whose goal Bug's free space seals off for another reason.
-    # a level approach meets the outline's west side at the goal's projection
-    s = skin_goal_scene(Point2(-0.11, 1.09), start=Point2(-3, 1.09))
-    traj, outcome = bug1_result(s, 10000)
-    assert outcome == OUTCOME_UNREACHABLE
-    assert math.dist(traj.waypoints[-1], Point2(-0.125, 1.09)) <= 1e-9
+    # a march enters an outline farther from the goal than the outline's nearest
+    # point, as the segment from that point to the goal is clear of the outline, so
+    # the leave rule is driven directly: a follow that starts at (1, 1.125), under
+    # the goal, surveys the whole outline, finds no nearer point and gives up there
+    s = skin_goal_scene(Point2(1, 3), start=Point2(1, 4))
+    rings = _prepare(s)
+    rec = _Recorder(Point2(1, 1.125), 10000)
+    assert bugs._bug1_follow(s, rings, rings[0], rec) == OUTCOME_UNREACHABLE
+    assert math.dist(rec.pos, Point2(1, 1.125)) <= 1e-9
+    assert sum(map(math.dist, rec.wp, rec.wp[1:])) == pytest.approx(7.0)  # one lap of the 2.25 x 1.25 outline
 
 
 # --- Bug2 ----------------------------------------------------------------------------
@@ -323,14 +336,16 @@ def test_bug2_walks_along_the_mline_where_the_outline_lies_on_it():
 
 
 def test_bug2_unreachable_returns_to_hit_point():
-    # Known defect (CHANGES.md FOUND, Bug goal vs mitered outline): nspmr reaches
-    # this goal; once _prepare checks the goal against the outline, move this test
-    # to a world whose goal Bug's free space seals off for another reason.
-    # the m-line enters the outline at (-0.125, 1.09) and never leaves it
-    s = skin_goal_scene(Point2(2.11, 1.09), start=Point2(-3, 1.09))
+    # the m-line enters the first outline at (-0.125, 0.5) and leaves it at (2.125, 0.5),
+    # 0.05 short of the second outline: no free departure, so the walk ends at the hit
+    s = slot_scene()
     traj, outcome = bug2_result(s, 10000)
     assert outcome == OUTCOME_UNREACHABLE
-    assert math.dist(traj.waypoints[-1], Point2(-0.125, 1.09)) <= 1e-9
+    assert math.dist(traj.waypoints[-1], Point2(-0.125, 0.5)) <= 1e-9
+    assert path_length(traj) == pytest.approx(2.875 + 7.0)  # march, then one lap of the 2.25 x 1.25 outline
+    assert audit_collisions(traj, s) == []
+    traj, outcome = bug1_result(s, 10000)
+    assert outcome == OUTCOME_GOAL
 
 
 # --- the march against a per-step reference ------------------------------------------
@@ -483,10 +498,10 @@ def test_clearance_prefilter_decides_as_the_exact_distance(where):
             ends = {"start": Point2(-5, -5), "goal": Point2(-5, -5), where: p}
             s = Scenario(name="gap", bounds=Bounds(-8, -8, 8, 8), obstacles=(Obstacle(block),), delta=4 * c, sensor_range=3.0, **ends)
             refused.append(point_polygon_distance(p, block) <= c)
-            if refused[-1]:
-                with pytest.raises(ScenarioError, match=f"{where} lies within the boundary clearance"):
-                    _prepare(s)
-            else:
+            # beyond the clearance each point still lies on or inside the mitered outline,
+            # which the outline check, run after the clearance check, refuses
+            message = "within the boundary clearance" if refused[-1] else "on or inside the outline"
+            with pytest.raises(ScenarioError, match=f"{where} lies {message}"):
                 _prepare(s)
     assert refused == [True, True, True, True, False, False]
 
@@ -582,7 +597,7 @@ def test_budget_exhaustion_truncates_result_with_limit_outcome():
 @pytest.mark.parametrize("scene", [
     lambda: builtin_scenario("scenario1"),
     square_scene,
-    lambda: skin_goal_scene(Point2(2.11, 1.09), start=Point2(-3, 1.09)),
+    slot_scene,
 ], ids=["scenario1", "square", "unreachable"])
 def test_every_budget_truncates_the_unlimited_route(runner, scene):
     # k runs out in the march, the survey lap, the return arc, Bug2's walk or

@@ -99,21 +99,14 @@ def test_run_iteration_limit_exits_2(capsys):
 
 
 def test_run_unreachable_exits_2(tmp_path, capsys):
-    # goal tucked inside the mitered corner of the block's offset outline,
-    # beyond the clearance: bug1 surveys and gives up
-    # Known defect (CHANGES.md FOUND, Bug goal vs mitered outline): nspmr reaches
-    # this goal; once _prepare checks the goal against the outline, move this test
-    # to a world whose goal Bug's free space seals off for another reason.
-    s = Scenario(
-        name="skin_goal",
-        bounds=Bounds(-5, -5, 10, 10),
-        start=Point2(-3, 0.5),
-        goal=Point2(2.11, 1.09),
-        obstacles=(Obstacle(Polygon((Point2(0, 0), Point2(2, 0), Point2(2, 1), Point2(0, 1)))),),
-    )
-    path = tmp_path / "skin.json"
+    # two blocks 0.3 apart on the start-goal line: bug2's one crossing closer to the
+    # goal departs into the second block's outline, so it walks back to its hit and gives up
+    blocks = [Polygon((Point2(x, 0), Point2(x + 2, 0), Point2(x + 2, 1), Point2(x, 1))) for x in (0, 2.3)]
+    s = Scenario(name="slot", bounds=Bounds(-5, -5, 10, 10), start=Point2(-3, 0.5), goal=Point2(8, 0.5),
+                 obstacles=tuple(map(Obstacle, blocks)))
+    path = tmp_path / "slot.json"
     path.write_text(serialize_scenario(s))
-    rc, out, _ = run_main(["run", "--scenario", str(path), "--planner", "bug1"], capsys)
+    rc, out, _ = run_main(["run", "--scenario", str(path), "--planner", "bug2"], capsys)
     assert rc == 2
     assert out.split()[0] == "unreachable"
 

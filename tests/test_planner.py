@@ -14,9 +14,11 @@ from hypothesis import strategies as hst
 from nspmr import planner
 from nspmr.geometry import Point2, Polygon, circular_diff
 from nspmr.planner import NspmrState, _walk, desired_angle, filter_candidates, select_direction
-from nspmr.sensing import DIRECTIONS, STEPS, SensorReading, scan
+from nspmr.sensing import DIRECTIONS, STEPS, SensorReading, blocking_threshold, scan
 from nspmr.sim import iteration_ceiling, run
 from nspmr.world import BUILTIN_NAMES, Bounds, Obstacle, Scenario, builtin_scenario, generate_world
+
+from test_sensing import ROUTE_WORLDS, route_nodes
 
 SEED = 20260817
 
@@ -333,9 +335,9 @@ def _walked(s, rules_enabled=True, max_steps=1000):
 def _count_scans(monkeypatch):
     calls = []
 
-    def counting_scan(pos, world):
+    def counting_scan(pos, world, reach=None):
         calls.append(pos)
-        return scan(pos, world)
+        return scan(pos, world, reach)
 
     monkeypatch.setattr(planner, "scan", counting_scan)
     return calls
@@ -373,6 +375,27 @@ def test_memoized_scans_equal_fresh_scans(name, monkeypatch):
         assert len(st.records) >= len(visited) - 1
         for node, record in st.records.items():
             assert record == _fresh_record(s, positions[node])
+
+
+@pytest.mark.parametrize("name", ROUTE_WORLDS)
+def test_visit_caps_its_scan_exactly_where_ranked_reads_no_distance(name, monkeypatch):
+    # inside a sector _visit casts to the diagonal threshold, and _ranked gives the same order
+    # from that scan as from the full-range one; elsewhere _visit casts to the sensing range
+    world = ROUTE_WORLDS[name]
+    reach = blocking_threshold(45.0, world.delta)
+    reaches = []
+    monkeypatch.setattr(planner, "scan", lambda pos, w, r=None: reaches.append(r) or scan(pos, w, r))
+    for pos in route_nodes(world):
+        if math.dist(pos, world.goal) <= world.delta / 2:
+            continue
+        theta = desired_angle(pos, world.goal)
+        s = planner._sector(theta)
+        inside = s is not None
+        if inside:
+            assert planner._ranked(theta, s, scan(pos, world, reach)) == planner._ranked(theta, s, scan(pos, world))
+        reaches.clear()
+        planner._visit(world, pos)
+        assert reaches == [reach if inside else None]
 
 
 def _ranked_world(key):

@@ -12,6 +12,7 @@ from nspmr.geometry import EPS_GEOM, GeometryError, Point2, PointLocation, Polyg
 from nspmr import planner
 from nspmr.planner import desired_angle
 from nspmr.sensing import _RAYS, DIRECTIONS, STEPS, SensorReading, blocking_threshold, scan, step_length
+from nspmr.sim import run
 from nspmr.world import Bounds, Obstacle, Scenario, builtin_scenario, generate_world
 
 from test_geometry import oracle_ray_edges
@@ -122,6 +123,56 @@ def test_scan_requires_position_outside_obstacles():
 def test_scan_requires_range_exceeding_delta():
     with pytest.raises(ValueError):
         scan(Point2(0, 0), _world(d=0.5))
+
+
+def test_scan_reach_must_lie_between_the_diagonal_threshold_and_the_range():
+    world = _world(_rect(-1, 3, 1, 4), d=2.0)
+    low = blocking_threshold(45.0, world.delta)
+    for reach in (math.nextafter(low, 0.0), 0.0, -1.0, math.nextafter(2.0, 3.0), math.inf, math.nan):
+        with pytest.raises(ValueError, match="reach"):
+            scan(Point2(0, 0), world, reach)
+    for reach in (low, 1.0, 2.0):
+        assert scan(Point2(0, 0), world, reach) == tuple(SensorReading(True, reach) for _ in DIRECTIONS)
+    assert scan(Point2(0, 0), world, 2.0) == scan(Point2(0, 0), world)
+
+
+def _assert_capped_scan_agrees(pos, world):
+    """scan cast to the diagonal threshold T keeps every full-range reading with a hit within T,
+    bit for bit, and reads (True, T) on every other ray, so all eight free flags are the same."""
+    reach = blocking_threshold(45.0, world.delta)
+    try:
+        full = scan(pos, world)
+    except GeometryError:
+        with pytest.raises(GeometryError, match="ray origin strictly inside an obstacle"):
+            scan(pos, world, reach)
+        return
+    capped = scan(pos, world, reach)
+    assert [r.free for r in capped] == [r.free for r in full]
+    assert capped == tuple(r if r.dist <= reach else (True, reach) for r in full)
+
+
+def _route_worlds():
+    """office_like at d = 2, 10 and 20, the three trap fixtures and worlds 0-19, by name."""
+    office = builtin_scenario("office_like")
+    worlds = {f"office_like-{d}": replace(office, sensor_range=d) for d in (2.0, 10.0, 20.0)}
+    worlds.update((name, builtin_scenario(name)) for name in ("concave_trap", "corridor_loop", "triangle_loop"))
+    worlds.update((f"world-{seed}", generate_world(seed)) for seed in range(20))
+    return worlds
+
+
+ROUTE_WORLDS = _route_worlds()
+
+
+def route_nodes(world):
+    """The distinct nodes of world's nspmr route."""
+    return dict.fromkeys(run(world, "nspmr")[0].waypoints)
+
+
+@pytest.mark.parametrize("name", ROUTE_WORLDS)
+def test_capped_scan_keeps_every_free_flag_on_planner_routes(name):
+    world = ROUTE_WORLDS[name]
+    for pos in route_nodes(world):
+        _assert_capped_scan_agrees(pos, world)
 
 
 def _random_world(rng, n=4):
@@ -288,6 +339,7 @@ def _check_range_cull(world, d, delta, data):
         pos = data.draw(_corner_line_sites(world, d), label="pos")
     else:
         pos = Point2(data.draw(st.floats(b.xmin, b.xmax), label="x"), data.draw(st.floats(b.ymin, b.ymax), label="y"))
+    _assert_capped_scan_agrees(pos, world)
     try:
         want = _unculled_scan(pos, world)
     except GeometryError:
@@ -330,6 +382,7 @@ def test_range_cull_keeps_the_shapes_within_euclidean_reach():
                 for poly, one in alone:
                     if _euclidean_gap(pos.x, pos.y, poly) > d + 1:
                         continue
+                    _assert_capped_scan_agrees(pos, one)
                     try:
                         want = _unculled_scan(pos, one)
                     except GeometryError:
@@ -379,6 +432,7 @@ def test_office_scans_equal_the_unculled_scan(d, data):
     pos = data.draw(_office_sites(d), label="pos")
     # office_like puts up to 25 shapes in range, each with its own rays and edges kept
     office = replace(OFFICE, sensor_range=d)
+    _assert_capped_scan_agrees(pos, office)
     try:
         want = _unculled_scan(pos, office)
     except GeometryError:

@@ -14,9 +14,13 @@ per-pair ratio B/A is steadier than either side's time. Layers:
     scan    scan at every node the nspmr routes of worlds 0-49 visit
     office  scan at every node the nspmr routes of office_like visit at
             d = 2, 10 and 20
-    visit   planner._visit (scan, then filter and rank the free moves) at
-            every distinct node of the six runs of the trap layer and of
-            the nspmr routes of worlds 0-49
+    visit   planner._visit (scan, then rank the free moves) at every
+            distinct node of the six runs of the trap layer, of the nspmr
+            routes of worlds 0-49 and of office_like's nspmr routes at
+            d = 2, 10 and 20, where a bearing inside a sector casts only
+            to the diagonal blocking threshold; the office layer, which
+            times the full-range scan at the same office nodes, is its
+            control
     nspmr   run(s, "nspmr") on worlds 0-49
     bug     run(s, "bug1") and run(s, "bug2") on worlds 0-49; a refused
             world's error counts as its answer
@@ -101,14 +105,20 @@ def scan_layer(nspmr):
     return scans(nspmr, routes(nspmr, ("nspmr",)))
 
 
-def office_layer(nspmr):
+def office_routes(nspmr):
+    """(scenario, trajectory) of office_like's nspmr route at d = 2, 10 and 20."""
     office = nspmr.builtin_scenario("office_like")
     worlds = [dataclasses.replace(office, sensor_range=d) for d in (2.0, 10.0, 20.0)]
-    return scans(nspmr, [(s, nspmr.run(s, "nspmr")[0]) for s in worlds])
+    return [(s, nspmr.run(s, "nspmr")[0]) for s in worlds]
+
+
+def office_layer(nspmr):
+    return scans(nspmr, office_routes(nspmr))
 
 
 def visit_layer(nspmr):
-    sites = [(s, p) for s, t in trap_routes(nspmr) + routes(nspmr, ("nspmr",)) for p in dict.fromkeys(t.waypoints)]
+    jobs = trap_routes(nspmr) + routes(nspmr, ("nspmr",)) + office_routes(nspmr)
+    sites = [(s, p) for s, t in jobs for p in dict.fromkeys(t.waypoints)]
     visit = nspmr.planner._visit
     return lambda: [visit(s, p) for s, p in sites]
 
