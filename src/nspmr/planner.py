@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .geometry import Point2, circular_diff, math_to_compass
 from .sensing import DIRECTIONS, STEPS, SensorReading, blocking_threshold, scan
-from .world import Scenario
+from .world import Scenario, step_dynamics
 
 # each direction's move (angle, signs), its reverse, and the direction of each
 # one-node displacement
@@ -157,9 +157,9 @@ def _visit(world: Scenario, pos: Point2) -> _NodeRecord:
 
 
 def _walk(state: NspmrState, world: Scenario, rules_enabled: bool):
-    """The NSPMR loop: yields (kind, direction, new_pos) per iteration, moved or backtracked,
-    then goal_reached or stuck with direction None. It keeps the node and heading in locals,
-    writes them back to state before each yield, and advances a moving world one tick per move."""
+    """The NSPMR loop: yields (kind, direction, new_pos, pose) per iteration, moved or backtracked, then
+    goal_reached or stuck with direction None; pose is the world each step was planned in. It keeps the node
+    and heading in locals, writes them back to state before each yield, and steps a moving world once per move."""
     half = world.delta / 2
     x0, y0 = state.start
     xmin, ymin, xmax, ymax = world.bounds
@@ -183,7 +183,7 @@ def _walk(state: NspmrState, world: Scenario, rules_enabled: bool):
                 records[node] = record
         pos, at_goal, order = record
         if at_goal:
-            yield "goal_reached", None, pos
+            yield "goal_reached", None, pos, world
             return
         # the first survivor in preference order is select_direction's pick
         move = (_first_survivor(order, i, j, used.get(node, ()), dead, _REVERSE.get(prev_dir)) if rules_enabled
@@ -196,7 +196,7 @@ def _walk(state: NspmrState, world: Scenario, rules_enabled: bool):
             i, j = node = (i + sx, j + sy)
             prev_dir = direction
         elif not rules_enabled or len(trail) <= 1:
-            yield "stuck", None, pos
+            yield "stuck", None, pos, world
             return
         else:
             # rule III: retire this node and retrace one step of the trail. The goal's
@@ -210,7 +210,7 @@ def _walk(state: NspmrState, world: Scenario, rules_enabled: bool):
             used.setdefault(node, set()).add(direction)
             node, prev_dir = back, None
         state.node, state.prev_dir = node, prev_dir
-        yield kind, direction, _new(Point2, (x0 + i * half, y0 + j * half))
+        yield kind, direction, _new(Point2, (x0 + i * half, y0 + j * half)), world
         if dynamic:
-            world = world.next_tick
+            world = step_dynamics(world)
 

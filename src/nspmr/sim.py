@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress, cycle, islice
 
 from .bugs import bug1_result, bug2_result
@@ -27,6 +27,7 @@ from .world import (
     ScenarioError,
     Trajectory,
     make_trajectory,
+    step_dynamics,
     validate_scenario,
 )
 
@@ -70,11 +71,11 @@ def path_length(t) -> float:
 
 
 def _run_nspmr(s: Scenario, max_iters: int, rules_enabled: bool):
-    """Walk planner._walk until the goal, stuck or max_iters. With the rules off in
-    a static world the next node depends on the node alone, so the walk is
-    periodic from its first repeated node: it is walked up to that node, and
-    the rest of the budget repeats the cycle's waypoints, directions and events.
-    Returns the trajectory, the outcome and the loop (j, k) or None: waypoint k repeats j."""
+    """Walk planner._walk until the goal, stuck or max_iters, auditing a moving world as it walks: each
+    waypoint and segment in the pose it was planned in. With the rules off in a static world the next node
+    depends on the node alone, so the walk is periodic from its first repeated node: it is walked up to that
+    node, and the rest of the budget repeats the cycle's waypoints, directions and events. Returns the
+    trajectory, the outcome, the loop (j, k) or None: waypoint k repeats j, and a moving world's audit or None."""
     state = NspmrState(start=s.start)
     waypoints = [s.start]
     events: list[str] = []
@@ -82,13 +83,16 @@ def _run_nspmr(s: Scenario, max_iters: int, rules_enabled: bool):
     outcome = OUTCOME_LIMIT
     loop = None
     first = None if rules_enabled or s.is_dynamic else {state.node: 0}  # node -> its first waypoint index
-    for k, (kind, direction, pos) in enumerate(_walk(state, s, rules_enabled), 1):
-        if direction is None:  # the walk's last step: goal_reached or stuck
+    problems = [] if s.is_dynamic else None
+    for k, (kind, direction, pos, world) in enumerate(_walk(state, s, rules_enabled), 1):
+        if direction is None:  # the walk's last step: goal_reached or stuck, in the final pose
             outcome = OUTCOME_GOAL if kind == "goal_reached" else OUTCOME_STUCK
             break
         waypoints.append(pos)
         events.append(kind)
         directions.append(direction)
+        if problems is not None:
+            problems += _pose_messages(waypoints, k - 1, k, world)
         if first is not None and (j := first.setdefault(state.node, k)) < k:
             # waypoint k repeats waypoint j, so every later step repeats the one k - j before it
             for seq in (waypoints, events, directions):
@@ -97,7 +101,9 @@ def _run_nspmr(s: Scenario, max_iters: int, rules_enabled: bool):
             break
         if k == max_iters:
             break
-    return make_trajectory(s, waypoints, events, directions), outcome, loop
+    if problems is not None:  # the last waypoint's pose, which a walk stopped by its budget has not built
+        problems += _pose_messages(waypoints, len(waypoints) - 1, len(waypoints), world if direction is None else step_dynamics(world))
+    return make_trajectory(s, waypoints, events, directions), outcome, loop, problems
 
 
 def run(s: Scenario, planner: str, max_iters: int | None = None, *, rules_enabled: bool = True):
@@ -118,10 +124,9 @@ def run(s: Scenario, planner: str, max_iters: int | None = None, *, rules_enable
         raise ValueError(f"max_iters must be a positive integer, got {max_iters!r}")
     if not isinstance(rules_enabled, bool) or (not rules_enabled and planner in ("bug1", "bug2")):
         raise ValueError(f"rules_enabled must be a bool, and True for bug1 and bug2; got {rules_enabled!r} for {planner!r}")
-    s = replace(s)  # a copy: the planner and the audit share the poses cached along its next_tick, freed on return
-    loop = None
+    loop = problems = None
     if planner == "nspmr":
-        traj, outcome, loop = _run_nspmr(s, max_iters, rules_enabled)
+        traj, outcome, loop, problems = _run_nspmr(s, max_iters, rules_enabled)
     elif planner == "bug1":
         traj, outcome = bug1_result(s, max_iters)
     elif planner == "bug2":
@@ -131,10 +136,10 @@ def run(s: Scenario, planner: str, max_iters: int | None = None, *, rules_enable
     wps, events = traj.waypoints, traj.events
     # a loop (j, k) repeats wps[j:k] from k on, so wps[:k + 1] hold every distinct waypoint and
     # directed segment of the static pose: the whole run is audited only to list what they fail
-    if loop is None or _pose_messages(wps, 0, loop[1] + 1, s):
+    if problems is None and (loop is None or _pose_messages(wps, 0, loop[1] + 1, s)):
         problems = audit_collisions(traj, s)
-        if problems:
-            raise SimulationError("collision audit failed: " + "; ".join(problems[:3]))
+    if problems:
+        raise SimulationError("collision audit failed: " + "; ".join(problems[:3]))
     length = path_length(traj)
     # planned departures per node of the delta/2 lattice anchored at the start, counted per distinct
     # departure point first: a loop's departures j..k-1 once, times their whole repeats, and the rest
@@ -166,7 +171,7 @@ def audit_collisions(t: Trajectory, s: Scenario) -> list[str]:
     """Check every waypoint against the bounds, and every waypoint and segment against the obstacle
     poses current at its timestamp; an empty list means the trajectory is safe. A static world is one
     pose, audited obstacle by obstacle over all distinct waypoints and directed segments at once; a
-    moving world audits each tick's waypoint and segment in that tick's pose, read along s.next_tick.
+    moving world audits each tick's waypoint and segment in that tick's pose, built by step_dynamics.
     A waypoint not strictly inside the bounds is outside them, and a segment collides when it meets a
     boundary or its midpoint lies INSIDE. Messages come by waypoint, segment, obstacle index."""
     wps = t.waypoints
@@ -175,7 +180,7 @@ def audit_collisions(t: Trajectory, s: Scenario) -> list[str]:
     out, world = [], s
     for k in range(len(wps) - 1):
         out += _pose_messages(wps, k, k + 1, world)
-        world = world.next_tick
+        world = step_dynamics(world)
     return out + _pose_messages(wps, len(wps) - 1, len(wps), world)
 
 
@@ -222,8 +227,8 @@ def _pose_messages(wps, lo: int, hi: int, world: Scenario) -> list[str]:
     for k in range(lo, hi):
         out += [f"waypoint {k} outside bounds"] * (wps[k] in outside)
         out += [f"waypoint {k} inside obstacle {i}" for i in touched.get(wps[k], ())]
-        # wps[k:k + 2] is segment k's key (p, q); at the last waypoint it is (p,), which is no key
-        out += [f"segment {k} intersects obstacle {i}" for i in touched.get(wps[k : k + 2], ())]
+        # segment k's key (p, q), from any sequence wps; at the last waypoint it is (p,), which is no key
+        out += [f"segment {k} intersects obstacle {i}" for i in touched.get(tuple(wps[k : k + 2]), ())]
     return out
 
 

@@ -1,8 +1,8 @@
 """Scenario model: bounds, obstacles, file format, dynamics, trajectories,
 builtin and generated worlds.
 
-A scenario is immutable; advancing moving obstacles by one tick produces a new
-scenario (see step_dynamics and Scenario.next_tick). Every planner returns a Trajectory, whose timestamps
+A scenario is immutable; advancing moving obstacles by one tick builds a new scenario
+that nothing caches (see step_dynamics). Every planner returns a Trajectory, whose timestamps
 advance one tick_duration per waypoint, and one of the OUTCOME_* values.
 All distances are meters, headings are compass degrees.
 """
@@ -74,11 +74,6 @@ class Scenario:
     def shapes(self) -> tuple[Polygon, ...]:
         """The obstacles' polygons in order, built once per scenario."""
         return tuple(ob.shape for ob in self.obstacles)
-
-    @cached_property
-    def next_tick(self) -> Scenario:
-        """step_dynamics(self), built once per scenario: a walk along next_tick builds each pose once."""
-        return step_dynamics(self)
 
 
 def validate_scenario(s: Scenario) -> list[str]:

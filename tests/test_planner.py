@@ -192,7 +192,7 @@ def test_record_order_equals_repeated_selection_at_sector_edges_and_ties(monkeyp
 def test_step_reports_goal_when_within_half_delta():
     w = _world(goal=Point2(0.2, 0.0))
     st = NspmrState(start=Point2(0, 0))
-    kind, direction, pos = next(_walk(st, w, True))
+    kind, direction, pos, _ = next(_walk(st, w, True))
     assert kind == "goal_reached" and direction is None
     assert pos == Point2(0, 0)
     assert st.trail == [(0, 0)]
@@ -201,7 +201,7 @@ def test_step_reports_goal_when_within_half_delta():
 def test_step_moves_toward_goal_and_records_memory():
     w = _world(goal=Point2(25, 25))
     st = NspmrState(start=Point2(0, 0))
-    kind, direction, pos = next(_walk(st, w, True))
+    kind, direction, pos, _ = next(_walk(st, w, True))
     assert kind == "moved" and direction == 45.0
     assert pos == _position(st.start, st.node, 0.5) == (0.25, 0.25)
     assert st.node == (1, 1)
@@ -215,7 +215,7 @@ def test_rules_off_run_keeps_no_trail():
     w = builtin_scenario("corridor_loop")
     st = NspmrState(start=w.start)
     nodes = set()
-    for kind, _, _ in islice(_walk(st, w, False), 300):
+    for kind, _, _, _ in islice(_walk(st, w, False), 300):
         assert kind == "moved"
         nodes.add(st.node)
     assert len(nodes) > 1
@@ -226,7 +226,7 @@ def test_straight_run_on_diagonal_is_shortest():
     w = _world(goal=Point2(2, 2))
     st = NspmrState(start=Point2(0, 0))
     moves = 0
-    for kind, direction, _ in islice(_walk(st, w, True), 50):
+    for kind, direction, _, _ in islice(_walk(st, w, True), 50):
         if kind == "goal_reached":
             break
         assert kind == "moved" and direction == 45.0
@@ -239,7 +239,7 @@ def test_blocked_north_northwest_picks_270():
     # goal to the northwest, bar blocking north and northwest: pick west
     w = _world(_rect(-0.6, 0.2, 0.1, 0.4), goal=Point2(-20, 20))
     st = NspmrState(start=Point2(0, 0))
-    kind, direction, _ = next(_walk(st, w, True))
+    kind, direction, _, _ = next(_walk(st, w, True))
     assert kind == "moved" and direction == 270.0
 
 
@@ -247,7 +247,7 @@ def test_backtrack_marks_dead_and_retreats():
     w = _world(goal=Point2(25, 25))
     st = NspmrState(start=Point2(0, 0), node=(1, 1), trail=[(0, 0), (1, 1)])
     st.used[(1, 1)] = set(DIRECTIONS)
-    kind, direction, pos = next(_walk(st, w, True))
+    kind, direction, pos, _ = next(_walk(st, w, True))
     assert kind == "backtracked"
     assert direction == 225.0
     assert pos == Point2(0, 0)
@@ -262,7 +262,7 @@ def test_stuck_when_trail_exhausted():
     w = _world(goal=Point2(25, 25))
     st = NspmrState(start=Point2(0, 0))
     st.used[(0, 0)] = set(DIRECTIONS)
-    kind, direction, pos = next(_walk(st, w, True))
+    kind, direction, pos, _ = next(_walk(st, w, True))
     assert kind == "stuck" and direction is None
     assert pos == Point2(0, 0) and st.node == (0, 0)
     assert not st.dead
@@ -278,7 +278,7 @@ def test_goal_cell_is_never_marked_dead():
         node = (round((gx - start.x) / 0.25), round((gy - start.y) / 0.25))
         st = NspmrState(start=start, node=node, trail=[(node[0] - 1, node[1]), node])
         st.used[node] = set(DIRECTIONS)
-        kind, _, pos = next(_walk(st, w, True))
+        kind, _, pos, _ = next(_walk(st, w, True))
         assert kind == "goal_reached" and pos == _position(st.start, st.node, 0.5)
         assert math.dist(pos, w.goal) <= 0.25
         assert not st.dead
@@ -310,7 +310,7 @@ def test_no_reversal_between_consecutive_moves():
     )
     st = NspmrState(start=Point2(0, 0))
     prev_move = None
-    for kind, direction, _ in islice(_walk(st, w, True), 200):
+    for kind, direction, _, _ in islice(_walk(st, w, True), 200):
         if kind == "moved":
             if prev_move is not None:
                 assert circular_diff(direction, prev_move) != 180
@@ -325,7 +325,7 @@ def _walked(s, rules_enabled=True, max_steps=1000):
     """The state that max_steps steps of one walk over s leave, and the positions it visits."""
     st = NspmrState(start=s.start)
     visited = {s.start}
-    for kind, _, pos in islice(_walk(st, s, rules_enabled), max_steps):
+    for kind, _, pos, _ in islice(_walk(st, s, rules_enabled), max_steps):
         if kind in ("goal_reached", "stuck"):
             break
         visited.add(pos)
@@ -484,7 +484,7 @@ def test_order_walk_picks_select_direction(free, dists, prev_dir, used, dead, no
                 else:
                     cands = free_directions(sc)
                 want = select_direction(cands, theta, sc) if cands else None
-                kind, direction, _ = next(_walk(st, w, rules))
+                kind, direction, _, _ = next(_walk(st, w, rules))
                 assert (direction if kind == "moved" else None) == want
                 records = st.records
 
@@ -497,7 +497,7 @@ LOOP_FIXTURES = ("scenario1", "concave_trap", "corridor_loop", "triangle_loop")
 def _step_log(s, max_steps):
     """(event kind, direction, node after the step) for each of up to max_steps steps of one walk."""
     st = NspmrState(s.start)
-    return st, [(kind, direction, st.node) for kind, direction, _ in islice(_walk(st, s, True), max_steps)]
+    return st, [(kind, direction, st.node) for kind, direction, _, _ in islice(_walk(st, s, True), max_steps)]
 
 
 @pytest.mark.parametrize("offset", [0.1, 0.125])

@@ -2,13 +2,14 @@
 
 import math
 import random
+import weakref
 from collections import Counter
 from dataclasses import replace
 from itertools import islice
 
 import pytest
 
-from nspmr import planner, sim, world as world_module
+from nspmr import planner, sim
 from nspmr.geometry import GeometryError, Point2, PointLocation, Polygon, _segment_hits, point_in_polygon, segment_intersection
 from nspmr.planner import NspmrState
 from nspmr.sim import (
@@ -244,7 +245,7 @@ def _stepped(s, max_iters, rules_enabled, state=None):
     half = s.delta / 2
     waypoints, events, directions = [s.start], [], []
     outcome = "iteration_limit"
-    for kind, direction, pos in islice(planner._walk(state, s, rules_enabled), max_iters):
+    for kind, direction, pos, _ in islice(planner._walk(state, s, rules_enabled), max_iters):
         if kind in ("goal_reached", "stuck"):
             outcome = kind
             break
@@ -311,7 +312,7 @@ def test_rules_off_loop_bookkeeping_equals_a_full_recount(name, monkeypatch):
     # of a full audit
     x, y = traj.waypoints[k]
     blocked = replace(s, obstacles=s.obstacles + (Obstacle(_rect(x - 0.05, y - 0.05, x + 0.05, y + 0.05)),))
-    monkeypatch.setattr(sim, "_run_nspmr", lambda *args: (traj, "iteration_limit", (k - period, k)))
+    monkeypatch.setattr(sim, "_run_nspmr", lambda *args: (traj, "iteration_limit", (k - period, k), None))
     problems = audit_collisions(traj, blocked)
     assert len(problems) > 3
     with pytest.raises(SimulationError) as err:
@@ -441,40 +442,47 @@ def test_dynamic_crossing_run_is_collision_free():
     assert audit_collisions(traj, s) == []
 
 
-def test_run_builds_each_pose_once_on_a_copy(monkeypatch):
-    # the planner and the audit walk one chain of poses, cached on a copy of s that the run drops
+def test_a_moving_run_holds_one_pose_at_a_time(monkeypatch):
+    # the walk and its audit step the world with step_dynamics and drop each pose for the next: when a
+    # pose is built, only it and the one it was stepped from are alive, and none outlives run
     poses = []
 
     def counting(world):
-        poses.append(world)
-        return step_dynamics(world)
+        nxt = step_dynamics(world)
+        poses.append(weakref.ref(nxt))
+        assert sum(pose() is not None for pose in poses) <= 2
+        return nxt
 
-    monkeypatch.setattr(world_module, "step_dynamics", counting)
-    s = builtin_scenario("dynamic_crossing")
-    traj, _ = run(s, "nspmr")
+    monkeypatch.setattr(planner, "step_dynamics", counting)
+    monkeypatch.setattr(sim, "step_dynamics", counting)
+    traj, _ = run(builtin_scenario("dynamic_crossing"), "nspmr")
     assert len(poses) == len(traj.waypoints) - 1 == 105
-    assert "next_tick" not in vars(s)
+    assert all(pose() is None for pose in poses)
+
+
+def _mover_below(base):
+    """base grown 12 m below, and the same with a 1x1 mover running east-west 8 m under base's bounds."""
+    b = base.bounds
+    grown = replace(base, bounds=Bounds(b.xmin, b.ymin - 12, b.xmax, b.ymax))
+    added = Obstacle(_rect(b.xmin + 1, b.ymin - 9, b.xmin + 2, b.ymin - 8), (3.0, 0.0))
+    return grown, replace(grown, obstacles=grown.obstacles + (added,))
 
 
 def test_a_mover_below_each_static_builtin_leaves_its_route_and_its_static_obstacles_alone():
-    # each static builtin, grown 12 m below, with a 1x1 mover running east-west 8 m under the old
-    # bounds: the rules-on route is the one in the same bounds without the mover, and each tick
-    # keeps every static obstacle as the same object while the mover reflects off the sides
+    # the rules-on route is the one in the same bounds without the mover, and each tick keeps every
+    # static obstacle as the same object while the mover reflects off the sides
     reflections = 0
     for name in BUILTIN_NAMES:
         base = builtin_scenario(name)
         if base.is_dynamic:
             continue
-        b = base.bounds
-        grown = replace(base, bounds=Bounds(b.xmin, b.ymin - 12, b.xmax, b.ymax))
-        added = Obstacle(_rect(b.xmin + 1, b.ymin - 9, b.xmin + 2, b.ymin - 8), (3.0, 0.0))
-        mixed = replace(grown, obstacles=grown.obstacles + (added,))
+        grown, mixed = _mover_below(base)
         traj, _ = run(mixed, "nspmr")
         assert traj.waypoints == run(grown, "nspmr")[0].waypoints, name
         g, world = grown.bounds, mixed
         for _ in traj.waypoints:
             vx = world.obstacles[-1].velocity[0]
-            world = world.next_tick
+            world = step_dynamics(world)
             *statics, mover = world.obstacles
             assert all(ob is static for ob, static in zip(statics, grown.obstacles, strict=True))
             x0, y0, x1, y1 = mover.shape.bbox
@@ -482,6 +490,16 @@ def test_a_mover_below_each_static_builtin_leaves_its_route_and_its_static_obsta
             assert abs(mover.velocity[0]) == 3.0 and mover.velocity[1] == 0.0
             reflections += mover.velocity[0] != vx
     assert reflections > 0
+
+
+def _walled_off(w):
+    """The goal sealed in a frame of four 0.6 m walls over (w - 6, w - 6)-(w - 2, w - 2), and a 1x1 block running
+    east below a full-width wall at y = 0, which keeps it from the route: the run ends stuck."""
+    f0, f1 = w - 6, w - 2
+    walls = (_rect(f0, f0, f1, f0 + 0.6), _rect(f0, f1 - 0.6, f1, f1), _rect(f0, f0 + 0.6, f0 + 0.6, f1 - 0.6),
+             _rect(f1 - 0.6, f0 + 0.6, f1, f1 - 0.6), _rect(0, -0.6, w, 0))
+    obstacles = tuple(map(Obstacle, walls)) + (Obstacle(_rect(1, -5, 2, -4), (1.0, 0.0)),)
+    return Scenario(f"walled_off_{w}", Bounds(0, -6, w, w), Point2(0.7, w / 2), Point2(w - 4, w - 4), obstacles)
 
 
 def _fast_mover(x, y, v):
@@ -501,6 +519,35 @@ def test_fast_movers_that_reach_the_robot_raise(mover, error, message):
     with pytest.raises(error) as info:
         run(_fast_mover(*mover), "nspmr")
     assert str(info.value).startswith(message)
+
+
+# moving worlds: dynamic_crossing, the walled-off world, a mover below each static builtin, and the fast
+# movers at budgets that end before, at and after the collision at waypoint 36, and at the default budget
+IN_WALK_AUDITS = [pytest.param(builtin_scenario("dynamic_crossing"), None, id="dynamic_crossing"),
+                  pytest.param(_walled_off(7), None, id="walled_off")]
+IN_WALK_AUDITS += [pytest.param(_mover_below(builtin_scenario(name))[1], None, id=f"mover_below_{name}")
+                   for name in BUILTIN_NAMES if not builtin_scenario(name).is_dynamic]
+IN_WALK_AUDITS += [pytest.param(_fast_mover(x, y, v), budget, id=f"fast_mover_{v:.0f}-{budget}")
+                   for x, y, v in ((8.0, 9.0, 40.0), (15.0, 6.0, 20.0)) for budget in (1, 2, 36, 37, None)]
+
+
+@pytest.mark.parametrize("s, budget", IN_WALK_AUDITS)
+def test_a_moving_run_audits_as_it_walks_what_a_direct_audit_finds(s, budget):
+    # run audits a moving world in the walk's own poses; its messages must be those of audit_collisions
+    # on the trajectory, in order, and a scan's GeometryError must still come first
+    budget = budget or default_max_iters(s)
+    try:
+        traj, _, _, problems = sim._run_nspmr(s, budget, True)
+    except GeometryError as e:
+        with pytest.raises(GeometryError) as info:
+            run(s, "nspmr", budget)
+        assert str(info.value) == str(e)
+        return
+    assert problems == audit_collisions(traj, s)
+    if problems:
+        with pytest.raises(SimulationError) as info:
+            run(s, "nspmr", budget)
+        assert str(info.value) == "collision audit failed: " + "; ".join(problems[:3])
 
 
 @pytest.mark.parametrize("name, delta, segment", [("concave_trap", 0.5 - 1e-9, 676), ("corridor_loop", 0.5 + 1e-9, 258)])
@@ -755,6 +802,18 @@ def test_audit_flags_waypoints_outside_the_bounds():
     ]
     moving = replace(s, obstacles=(Obstacle(_rect(2, 2, 3, 3), (0.0, 1.0)),))
     assert audit_collisions(_walk(moving, traj.waypoints), moving) == [f"waypoint {k} outside bounds" for k in (1, 2, 3)]
+
+
+def test_audit_reads_a_trajectory_built_from_lists():
+    # a segment's key is a tuple of its two waypoints, whatever sequence holds them
+    pts = [Point2(5, 5), Point2(7, 5), Point2(9, 5)]
+    s = builtin_scenario("scenario1")
+    listed = Trajectory(pts, ["moved"] * 2, [90.0] * 2, [0.0, 0.025, 0.05])
+    assert audit_collisions(listed, s) == audit_collisions(make_trajectory(s, pts, ["moved"] * 2, [90.0] * 2), s) == [
+        "segment 0 intersects obstacle 0",
+        "waypoint 1 inside obstacle 0",
+        "segment 1 intersects obstacle 0",
+    ]
 
 
 # --- grid oracle ------------------------------------------------------------------

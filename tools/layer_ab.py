@@ -38,6 +38,14 @@ per-pair ratio B/A is steadier than either side's time. Layers:
             run() seconds
     moving  run(s, "nspmr") on dynamic_crossing and on paper_suite's two
             fast movers, whose errors count as their answers
+    mover   run(s, "nspmr") on a walled-off world, bounds (0, -6)-(7, 7):
+            the goal (3, 3) is sealed in a frame of 0.6 m walls over
+            (1, 1)-(5, 5), and a 1x1 block runs east below a full-width
+            wall at y = 0, so the run ends stuck after 6,172 ticks. Its
+            static twin, the same world with the block held still, is the
+            control: both trees must give both worlds one route, and the
+            layer also prints each tree's median time of the moving run
+            over its twin's
 
 It prints each tree's median sample, the median of the per-pair ratios B/A
 and the pairs that B wins, after checking that both trees give the same
@@ -220,7 +228,31 @@ def moving_layer(nspmr):
     return one_pass
 
 
-LAYERS = {"audit": audit_layer, "scan": scan_layer, "office": office_layer, "visit": visit_layer, "nspmr": nspmr_layer, "bug": bug_layer, "random": random_layer, "oracle": oracle_layer, "trap": trap_layer, "moving": moving_layer}
+def mover_layer(nspmr):
+    def rect(x0, y0, x1, y1):
+        return nspmr.Polygon((nspmr.Point2(x0, y0), nspmr.Point2(x1, y0), nspmr.Point2(x1, y1), nspmr.Point2(x0, y1)))
+
+    walls = (rect(1, 1, 5, 1.6), rect(1, 4.4, 5, 5), rect(1, 1.6, 1.6, 4.4), rect(4.4, 1.6, 5, 4.4), rect(0, -0.6, 7, 0))
+    twin = nspmr.Scenario("walled_off", nspmr.Bounds(0, -6, 7, 7), nspmr.Point2(0.7, 3.5), nspmr.Point2(3, 3), tuple(map(nspmr.Obstacle, walls)))
+    moving = dataclasses.replace(twin, obstacles=twin.obstacles + (nspmr.Obstacle(rect(1, -5, 2, -4), (1.0, 0.0)),))
+    run = nspmr.run
+    if run(moving, "nspmr")[0].waypoints != run(twin, "nspmr")[0].waypoints:
+        sys.exit("mover: the moving world and its static twin give different routes")
+
+    def one_pass():
+        out, times = [], []
+        for s in (moving, twin):
+            t0 = time.perf_counter()
+            out.append(run(s, "nspmr")[0].waypoints)
+            times.append(time.perf_counter() - t0)
+        one_pass.over_twin.append(times[0] / times[1])
+        return out
+
+    one_pass.over_twin = []
+    return one_pass
+
+
+LAYERS = {"audit": audit_layer, "scan": scan_layer, "office": office_layer, "visit": visit_layer, "nspmr": nspmr_layer, "bug": bug_layer, "random": random_layer, "oracle": oracle_layer, "trap": trap_layer, "moving": moving_layer, "mover": mover_layer}
 
 
 def sample(fn) -> float:
@@ -248,6 +280,7 @@ def main() -> int:
     for f in (fa, fb):
         getattr(f, "run_medians", []).clear()
         getattr(f, "rates", []).clear()
+        getattr(f, "over_twin", []).clear()
     pairs = []
     for k in range(PAIRS):
         if k % 2 == 0:
@@ -268,6 +301,9 @@ def main() -> int:
         print(f"{args.layer} run_ms.p50: a {a_p50:.3f} ms  b {b_p50:.3f} ms  b/a {b_p50 / a_p50:.3f}")
         a_rate, b_rate = (statistics.median(f.rates) for f in (fa, fb))
         print(f"{args.layer} steps_per_s: a {a_rate:.0f}  b {b_rate:.0f}  b/a {b_rate / a_rate:.3f}")
+    if hasattr(fa, "over_twin"):
+        a_over, b_over = (statistics.median(f.over_twin) for f in (fa, fb))
+        print(f"{args.layer} moving/static: a {a_over:.2f}  b {b_over:.2f}")
     return 0
 
 
